@@ -387,26 +387,43 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         Task.VALIDITY: config.baseline.c_validity,
         Task.NOVELTY: config.baseline.c_novelty,
     }
-    all_predictions = []
-    objectives = {}
-    for task in _tasks_from_arg(args.task):
-        tfidf, fit = baseline_mod.fit_baseline(
-            train_set,
-            task,
+    tfidf, X, target_rows = baseline_mod.featurize(train_set, targets)
+    fits = {
+        task: baseline_mod.svm_train(
+            X,
+            baseline_mod.task_labels(train_set, task),
+            dim=len(tfidf.vocabulary),
             C=c_by_task[task],
             steps=config.baseline.steps,
             seed=config.baseline.seed,
         )
+        for task in _tasks_from_arg(args.task)
+    }
+    train_nnz = len(X.indices)
+    del X  # free the train rows before the model files are encoded
+    all_predictions = []
+    objectives = {}
+    counters = {}
+    for task, fit in fits.items():
         model_name = f"model-{task.value}.json"
         baseline_mod.save_baseline(run.path / model_name, fit.model, tfidf)
         run.track_output(model_name)
         objectives[task.value] = fit.objective
+        counters[task.value] = {
+            "vocab": len(tfidf.vocabulary),
+            "train_nnz": train_nnz,
+            "steps": fit.steps,
+            "violations": fit.violations,
+        }
         all_predictions.extend(
-            baseline_mod.predict_corpus(fit.model, tfidf, targets, task)
+            baseline_mod.predict_corpus(fit.model, tfidf, targets, task, rows=target_rows)
         )
     preds = PredictionSet(predictions=all_predictions, source_tag="svm")
     _save_prediction_file(run, "predictions.csv", preds)
-    run.write_text("baseline-stats.json", json.dumps({"objective": objectives}, indent=2))
+    run.write_text(
+        "baseline-stats.json",
+        json.dumps({"objective": objectives, "counters": counters}, indent=2),
+    )
     run.finalize()
     print(f"wrote {len(all_predictions)} svm predictions")
     return 0

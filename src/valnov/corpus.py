@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DataError, SchemaError
+from .fsutil import atomic_write_text
 
 
 class Task(str, Enum):
@@ -287,25 +288,27 @@ def extract_triplets(instances: Sequence[ArgumentInstance]) -> list[TripletExamp
 # --- canonical JSONL serialization used between pipeline stages ---
 
 def save_instances_jsonl(instances: Iterable[ArgumentInstance], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": inst.id,
-                        "topic": inst.topic,
-                        "premise": inst.premise,
-                        "conclusion": inst.conclusion,
-                        "validity_raw": inst.validity_raw,
-                        "novelty_raw": inst.novelty_raw,
-                        "validity_confidence": inst.validity_confidence.value,
-                        "novelty_confidence": inst.novelty_confidence.value,
-                        "split": inst.split.value,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
+    atomic_write_text(
+        path,
+        "".join(
+            json.dumps(
+                {
+                    "id": inst.id,
+                    "topic": inst.topic,
+                    "premise": inst.premise,
+                    "conclusion": inst.conclusion,
+                    "validity_raw": inst.validity_raw,
+                    "novelty_raw": inst.novelty_raw,
+                    "validity_confidence": inst.validity_confidence.value,
+                    "novelty_confidence": inst.novelty_confidence.value,
+                    "split": inst.split.value,
+                },
+                ensure_ascii=False,
             )
+            + "\n"
+            for inst in instances
+        ),
+    )
 
 
 def load_instances_jsonl(path: str | Path) -> list[ArgumentInstance]:
@@ -332,20 +335,22 @@ def load_instances_jsonl(path: str | Path) -> list[ArgumentInstance]:
 
 
 def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(
-                json.dumps(
-                    {
-                        "anchor": t.anchor,
-                        "positive": t.positive,
-                        "negative": t.negative,
-                        "topic": t.topic,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
+    atomic_write_text(
+        path,
+        "".join(
+            json.dumps(
+                {
+                    "anchor": t.anchor,
+                    "positive": t.positive,
+                    "negative": t.negative,
+                    "topic": t.topic,
+                },
+                ensure_ascii=False,
             )
+            + "\n"
+            for t in triplets
+        ),
+    )
 
 
 def load_triplets_jsonl(path: str | Path) -> list[TripletExample]:

@@ -8,12 +8,14 @@ best combined submissions.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import LabelValue, Task
 from .errors import CoverageError, ParseError
+from .fsutil import atomic_write_text
 
 FILE_HEADER = ["instance_id", "task", "value", "source", "flagged"]
 
@@ -106,14 +108,15 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
     """Write the delimited prediction file, rows ordered by (id, task)."""
     _check_unique(predictions)
     rows = sorted(predictions, key=lambda p: (p.instance_id, p.task.value))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FILE_HEADER)
-        for p in rows:
-            writer.writerow(
-                [p.instance_id, p.task.value, p.value.value, p.source,
-                 "true" if p.flagged else "false"]
-            )
+    buffer = io.StringIO()  # keeps the writer's \r\n line ends
+    writer = csv.writer(buffer)
+    writer.writerow(FILE_HEADER)
+    for p in rows:
+        writer.writerow(
+            [p.instance_id, p.task.value, p.value.value, p.source,
+             "true" if p.flagged else "false"]
+        )
+    atomic_write_text(path, buffer.getvalue())
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:

@@ -1,5 +1,7 @@
 """TF-IDF weighting and the primal-subgradient linear SVM."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from valnov.baseline import (
     DEFAULT_C,
+    CsrRows,
     LinearSvm,
     TfidfModel,
     baseline_predict,
@@ -22,9 +25,10 @@ from valnov.baseline import (
     tfidf_fit,
     tfidf_transform,
 )
-from valnov.corpus import LabelValue, Task, mapped_value
+from valnov.cli import main
+from valnov.corpus import LabelValue, Split, Task, mapped_value, save_instances_jsonl
 from valnov.errors import ConfigurationError, DataError
-from valnov.synthetic import make_separable_corpus
+from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
 
@@ -238,3 +242,174 @@ class TestSaveLoad:
         original = predict_corpus(fit.model, tfidf, train, Task.VALIDITY)
         reloaded = predict_corpus(model2, tfidf2, train, Task.VALIDITY)
         assert list(original) == list(reloaded)
+
+
+def test_saved_model_is_one_json_document(tmp_path):
+    tfidf = TfidfModel(
+        vocabulary={"äpfel": 0, "cat": 1}, idf=np.array([1.5, 1.0]), document_count=3
+    )
+    svm = LinearSvm(weights=np.array([0.25, -1e-13]), bias=-0.5, C=0.09)
+    save_baseline(tmp_path / "model.json", svm, tfidf)
+    expected = {
+        "vocabulary": tfidf.vocabulary,
+        "idf": [1.5, 1.0],
+        "document_count": 3,
+        "weights": [0.25, -1e-13],
+        "bias": -0.5,
+        "C": 0.09,
+    }
+    text = (tmp_path / "model.json").read_text(encoding="utf-8")
+    assert text == json.dumps(expected, ensure_ascii=False)
+
+
+def _dense_svm_oracle(X, y, dim, C, steps=None, seed=0, trace_every=0):
+    """The dense O(vocabulary)-per-step solver the sparse one replaced,
+    kept verbatim apart from counting projections: (w, b, trace, projections)."""
+
+    def sparse_dot(weights, x):
+        return sum(weights[idx] * value for idx, value in x.items())
+
+    n = len(X)
+    if steps is None:
+        steps = 50 * n
+    lam = 1.0 / (C * n)
+    radius = 1.0 / math.sqrt(lam)
+    rng = np.random.default_rng(seed)
+
+    w = np.zeros(dim)
+    b = 0.0
+    tail_start = steps // 2
+    avg_w = np.zeros(dim)
+    avg_b = 0.0
+    avg_count = 0
+    trace = []
+    projections = 0
+    order = np.empty(0, dtype=np.int64)
+
+    for t in range(steps):
+        if t % n == 0:
+            order = rng.permutation(n)
+        i = int(order[t % n])
+        eta = 1.0 / (lam * (t + 1))
+        violates = y[i] * (sparse_dot(w, X[i]) + b) < 1.0
+        w *= t / (t + 1.0)
+        if violates:
+            for idx, value in X[i].items():
+                w[idx] += eta * y[i] * value
+            b += eta * y[i]
+        norm = float(np.linalg.norm(w))
+        if norm > radius:
+            w *= radius / norm
+            projections += 1
+        if t >= tail_start:
+            avg_w += w
+            avg_b += b
+            avg_count += 1
+            if trace_every and avg_count % trace_every == 0:
+                trace.append(svm_objective(avg_w / avg_count, avg_b / avg_count, X, y, C))
+    return avg_w / avg_count, avg_b / avg_count, trace, projections
+
+
+def _random_sparse_problem(seed, n, dim, nnz, scale=1.0, noise=0.3):
+    """Rows with up to ``nnz`` nonzeros (row 0 has none), labels from a
+    noisy hidden hyperplane with both classes present."""
+    rng = np.random.default_rng(seed)
+    hidden = rng.normal(size=dim)
+
+    def row(k):
+        idx = rng.choice(dim, size=int(rng.integers(1, nnz + 1)), replace=False)
+        return {int(i): float(v) for i, v in zip(idx, scale * rng.normal(size=len(idx)))}
+
+    X = [{}] + [row(k) for k in range(1, n)]
+    y = [
+        1 if sum(hidden[i] * v for i, v in x.items()) + noise * rng.normal() > 0 else -1
+        for x in X
+    ]
+    y[1], y[2] = 1, -1
+    held_out = [row(k) for k in range(50)]
+    return X, y, held_out
+
+
+class TestSparseSolverMatchesDenseOracle:
+    """The scaled-vector solver does the dense loop's arithmetic in
+    another order: weights and bias agree to rounding, signs exactly."""
+
+    @staticmethod
+    def assert_matches(X, y, dim, held_out, **kwargs):
+        fit = svm_train(X, y, dim=dim, **kwargs)
+        w, b, trace, projections = _dense_svm_oracle(X, y, dim, **kwargs)
+        scale = max(1.0, float(np.abs(w).max()))
+        assert float(np.abs(fit.model.weights - w).max()) <= 1e-9 * scale
+        assert fit.model.bias == pytest.approx(b, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(fit.trace, trace, rtol=1e-9)
+        for x in held_out:
+            ours = sum(fit.model.weights[i] * v for i, v in x.items()) + fit.model.bias
+            theirs = sum(w[i] * v for i, v in x.items()) + b
+            assert (ours > 0) == (theirs > 0)
+        return fit, projections
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_schedule(self, seed):
+        X, y, held_out = _random_sparse_problem(seed, n=40, dim=60, nnz=8)
+        self.assert_matches(X, y, 60, held_out, C=1.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_tiny_c(self, seed):
+        X, y, held_out = _random_sparse_problem(seed, n=30, dim=50, nnz=6)
+        fit, _ = self.assert_matches(X, y, 50, held_out, C=1e-5, steps=900, seed=seed)
+        assert float(np.linalg.norm(fit.model.weights)) <= math.sqrt(1e-5 * 30)
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_projection_after_every_violation(self, seed):
+        # a violating step moves w by about C·n·‖x‖/(t+1), above the
+        # radius √(C·n) for t < √(C·n)·‖x‖, about 2000 here, and noisy
+        # labels keep 40% of steps violating: the scale a shrinks by
+        # orders of magnitude and is folded into v dozens of times
+        X, y, held_out = _random_sparse_problem(
+            seed, n=60, dim=12, nnz=6, scale=5.0, noise=3.0
+        )
+        steps = 1000
+        _, projections = self.assert_matches(
+            X, y, 12, held_out, C=1000.0, steps=steps, seed=seed
+        )
+        assert projections > steps // 3
+
+    def test_steps_not_a_multiple_of_n_with_trace(self):
+        X, y, held_out = _random_sparse_problem(7, n=37, dim=45, nnz=7)
+        fit, _ = self.assert_matches(
+            X, y, 45, held_out, C=0.5, steps=1001, seed=7, trace_every=25
+        )
+        assert len(fit.trace) == 501 // 25
+
+    def test_dict_rows_and_csr_rows_train_identically(self):
+        X, y, _ = _random_sparse_problem(8, n=20, dim=30, nnz=5)
+        from_dicts = svm_train(X, y, dim=30, C=1.0, seed=1)
+        from_csr = svm_train(CsrRows.from_dicts(X), y, dim=30, C=1.0, seed=1)
+        assert np.array_equal(from_dicts.model.weights, from_csr.model.weights)
+        assert from_dicts.model.bias == from_csr.model.bias
+        assert from_dicts.violations == from_csr.violations
+
+
+# sha256 of predictions.csv from `baseline --task both` on the corpus in
+# test_cli_predictions_are_byte_stable, recorded with the dense solver
+GOLDEN_PREDICTIONS_SHA256 = "86f88a425b9d00d6065dfc652e5b5f19ad72f452cd74b5e4afeea6c562928d5e"
+
+
+def test_cli_predictions_are_byte_stable(tmp_path):
+    splits = make_profile_splits(seed=0)
+    save_instances_jsonl(splits[Split.TRAIN][:240], tmp_path / "train.jsonl")
+    save_instances_jsonl(splits[Split.TEST][:120], tmp_path / "test.jsonl")
+    # C = 1 for validity so both of its labels are predicted
+    (tmp_path / "config.json").write_text(json.dumps({"baseline": {"c_validity": 1.0}}))
+    code = main(
+        ["baseline", "--config", str(tmp_path / "config.json"),
+         "--run-dir", str(tmp_path / "run"), "--train", str(tmp_path / "train.jsonl"),
+         "--on", str(tmp_path / "test.jsonl"), "--task", "both"]
+    )
+    assert code == 0
+    data = (tmp_path / "run" / "predictions.csv").read_bytes()
+    assert {line.split(b",")[2] for line in data.splitlines()[1:]} == {
+        b"positive",
+        b"negative",
+    }
+    assert hashlib.sha256(data).hexdigest() == GOLDEN_PREDICTIONS_SHA256

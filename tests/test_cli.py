@@ -253,6 +253,26 @@ class TestBaselineMix:
         assert (run_dir / "model-validity.json").is_file()
         assert (run_dir / "model-novelty.json").is_file()
 
+    def test_baseline_counters(self, workspace, capsys):
+        root = workspace["root"]
+        stats = []
+        for name in ("svm-count-a", "svm-count-b"):
+            args = ["baseline", "--config", workspace["config"], "--run-dir",
+                    str(root / name), "--split", "dev"]
+            assert main(args) == 0
+            stats.append(json.loads((root / name / "baseline-stats.json").read_text()))
+        assert stats[0] == stats[1]  # deterministic per seed
+        model = json.loads((root / "svm-count-a" / "model-novelty.json").read_text())
+        counters = stats[0]["counters"]
+        assert set(counters) == {"validity", "novelty"}
+        for task_counters in counters.values():
+            assert task_counters["vocab"] == len(model["vocabulary"])
+            assert task_counters["steps"] == 50 * 40  # 40 training instances
+            assert 0 < task_counters["violations"] <= task_counters["steps"]
+            assert task_counters["train_nnz"] > 0
+        header = (root / "svm-count-a" / "predictions.csv").read_text().splitlines()[0]
+        assert header == "instance_id,task,value,source,flagged"
+
     def test_mix_tags_sources(self, workspace, capsys):
         root = workspace["root"]
         svm_file = root / "svm-run" / "predictions.csv"

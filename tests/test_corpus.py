@@ -10,6 +10,7 @@ from valnov.corpus import (
     LabelValue,
     Split,
     Task,
+    TripletExample,
     class_distribution,
     confidence_for,
     extract_triplets,
@@ -286,6 +287,20 @@ class TestJsonlRoundTrip:
         path = tmp_path_factory.mktemp("jsonl") / "one.jsonl"
         save_instances_jsonl([inst], path)
         assert load_instances_jsonl(path) == [inst]
+
+
+@pytest.mark.parametrize("kind", ["instances", "triplets"])
+def test_failed_jsonl_write_leaves_no_partial_file(tmp_path, tiny_corpus, kind):
+    # a lone surrogate cannot be encoded, so the write fails mid-file
+    broken = make_instance(id="z", premise="p \ud800", conclusion="c")
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(UnicodeEncodeError):
+        if kind == "instances":
+            save_instances_jsonl([*tiny_corpus, broken], path)
+        else:
+            triplets = extract_triplets(tiny_corpus)
+            save_triplets_jsonl([*triplets, TripletExample("\ud800", "p", "n", "t")], path)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_frozen_instances_are_hashable():

@@ -147,6 +147,29 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match="duplicate"):
             save_predictions(preds, tmp_path / "preds.csv")
 
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        save_predictions([pred("a", Task.VALIDITY, 1)], path)
+        assert path.read_bytes() == (
+            b"instance_id,task,value,source,flagged\r\na,validity,positive,m,false\r\n"
+        )
+
+    @pytest.mark.parametrize("existing", [None, b"old contents\n"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
+        path = tmp_path / "preds.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        # the lone surrogate cannot be encoded, so the write fails after
+        # the rows before it are rendered
+        preds = [pred("a", Task.VALIDITY, 1), pred("b\ud800", Task.VALIDITY, 1)]
+        with pytest.raises(UnicodeEncodeError):
+            save_predictions(preds, path)
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["preds.csv"]
+            assert path.read_bytes() == existing
+
     def test_byte_identical_rewrites(self, tmp_path):
         validity, novelty = both_task_sets()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
