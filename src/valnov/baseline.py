@@ -231,6 +231,8 @@ def svm_train(
         raise ConfigurationError("C must be positive")
     if steps is None:
         steps = 50 * n
+    if steps < 1:
+        raise ConfigurationError("steps must be >= 1")
     rows = _as_rows(X)
     lam = 1.0 / (C * n)
     radius = 1.0 / math.sqrt(lam)

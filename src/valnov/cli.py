@@ -317,9 +317,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     instances = _load_instances(on_path, config, Split(args.split))
     run.record_input("instances", on_path)
 
-    predictions = []
-    for task in _tasks_from_arg(args.task):
-        predictions.extend(model.predict(instances, task))
+    if args.task == "both":
+        predictions = model.predict_both(instances)
+    else:
+        predictions = model.predict(instances, Task(args.task))
     preds = PredictionSet(predictions=predictions, source_tag=model.name)
     _save_prediction_file(run, "predictions.csv", preds)
     run.finalize()

@@ -70,6 +70,10 @@ class BaselineSettings:
     steps: int | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.steps is not None and self.steps < 1:
+            raise ConfigurationError("baseline.steps must be null or >= 1")
+
 
 @dataclass(frozen=True)
 class SweepSettings:

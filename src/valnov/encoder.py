@@ -5,6 +5,17 @@ transformer: token hashing -> embedding lookup -> mean pooling -> affine
 projection -> tanh. It is trainable (forward caches + hand-derived
 backward), deterministic given its seed, and cheap enough for CPU tests.
 
+Each encoder keeps a memo from text to its int64 bucket ids, so a text
+is tokenized and hashed once per encoder however often it is encoded;
+the ids depend only on the frozen ``vocab_buckets``, so new parameters
+never invalidate it. Pooling adds each text's embedding rows one token
+position at a time in text order, the order of a per-row
+``embedding[ids].mean(axis=0)``, and backward accumulates into the
+embedding gradient token by token in the same order, so outputs and
+gradients are bit-identical to the per-row loops. (With ``embed_dim``
+1 that mean sums pairwise instead, and pooling may differ from it in
+the last bit.)
+
 Pretrained initialization is exposed as an adapter boundary: the
 "external" backend delegates encoding to an out-of-process model over a
 line protocol (subprocess stdio) or an HTTP endpoint returning a JSON
@@ -71,7 +82,8 @@ class Encoder(Protocol):
 class ForwardCache:
     """Per-batch intermediates needed by ReferenceEncoder.backward."""
 
-    token_ids: list[list[int]]
+    token_ids: np.ndarray  # every text's bucket ids, concatenated in batch order
+    lengths: np.ndarray  # (n,) token count per text
     pooled: np.ndarray  # (n, embed_dim)
     outputs: np.ndarray  # (n, projection_dim)
 
@@ -87,6 +99,7 @@ class ReferenceEncoder:
             0.0, 1.0 / np.sqrt(config.embed_dim), (config.projection_dim, config.embed_dim)
         )
         self.proj_b = np.zeros(config.projection_dim)
+        self._ids: dict[str, np.ndarray] = {}
 
     @property
     def projection_dim(self) -> int:
@@ -100,18 +113,32 @@ class ReferenceEncoder:
         self.proj_w = params["proj_w"].copy()
         self.proj_b = params["proj_b"].copy()
 
-    def token_ids(self, text: str) -> list[int]:
+    def token_ids(self, text: str) -> np.ndarray:
+        """Bucket ids of ``text``'s tokens; ``forward`` memoises them per text."""
         buckets = self.config.vocab_buckets
-        return [_hash_token(tok, buckets) for tok in tokenize(text)]
+        return np.array([_hash_token(tok, buckets) for tok in tokenize(text)], dtype=np.int64)
 
     def forward(self, texts: Sequence[str]) -> ForwardCache:
-        ids = [self.token_ids(t) for t in texts]
-        pooled = np.zeros((len(texts), self.config.embed_dim))
-        for i, row in enumerate(ids):
-            if row:
-                pooled[i] = self.embedding[row].mean(axis=0)
+        rows = []
+        for text in texts:
+            ids = self._ids.get(text)
+            if ids is None:
+                ids = self._ids[text] = self.token_ids(text)
+            rows.append(ids)
+        lengths = np.array([len(r) for r in rows], dtype=np.int64)
+        flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        width = int(lengths.max(initial=0))
+        present = np.arange(width) < lengths[:, None]  # (n, width)
+        padded = np.zeros((len(rows), width), dtype=np.int64)
+        padded[present] = flat
+        pooled = np.zeros((len(rows), self.config.embed_dim))
+        # one token position at a time, so each row sums in text order as a
+        # per-row mean(axis=0) does (np.add.reduceat does not)
+        for j in range(width):
+            np.add(pooled, self.embedding[padded[:, j]], out=pooled, where=present[:, j, None])
+        pooled /= np.maximum(lengths, 1)[:, None]  # an empty text pools to zeros
         outputs = np.tanh(pooled @ self.proj_w.T + self.proj_b)
-        return ForwardCache(token_ids=ids, pooled=pooled, outputs=outputs)
+        return ForwardCache(token_ids=flat, lengths=lengths, pooled=pooled, outputs=outputs)
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         return self.forward(texts).outputs
@@ -119,18 +146,20 @@ class ReferenceEncoder:
     def backward(self, cache: ForwardCache, d_outputs: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of a scalar loss w.r.t. parameters, given dL/d(outputs)."""
         d_pre = d_outputs * (1.0 - cache.outputs**2)  # tanh'
-        grads = {
+        d_pooled = d_pre @ self.proj_w
+        lengths = cache.lengths
+        contrib = d_pooled / np.maximum(lengths, 1)[:, None]
+        # ufunc.at adds in index order, text by text and token by token; on
+        # the flat array it takes numpy's fast one-dimensional path
+        dim = self.config.embed_dim
+        cells = (cache.token_ids[:, None] * dim + np.arange(dim)).ravel()
+        d_embedding = np.zeros(self.embedding.size)
+        np.add.at(d_embedding, cells, np.repeat(contrib, lengths, axis=0).ravel())
+        return {
             "proj_w": d_pre.T @ cache.pooled,
             "proj_b": d_pre.sum(axis=0),
-            "embedding": np.zeros_like(self.embedding),
+            "embedding": d_embedding.reshape(self.embedding.shape),
         }
-        d_pooled = d_pre @ self.proj_w
-        for i, row in enumerate(cache.token_ids):
-            if row:
-                contrib = d_pooled[i] / len(row)
-                for bucket in row:
-                    grads["embedding"][bucket] += contrib
-        return grads
 
 
 class SubprocessEncoder:

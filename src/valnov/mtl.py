@@ -10,8 +10,9 @@ step is left untouched by that step's update.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -144,7 +145,22 @@ class MtlModel:
         task = Task(task)
         if not instances:
             return []
-        logits = self.forward(instances, task)
+        return self._labels(instances, self.forward(instances, task), task)
+
+    def predict_both(self, instances: Sequence[ArgumentInstance]) -> list[Prediction]:
+        """Validity then novelty predictions from one encoding pass."""
+        if not instances:
+            return []
+        embeddings = self.encoder.encode([instance_text(i) for i in instances])
+        out = []
+        for task in (Task.VALIDITY, Task.NOVELTY):
+            head = self.heads[task]
+            out += self._labels(instances, embeddings @ head["w"].T + head["b"], task)
+        return out
+
+    def _labels(
+        self, instances: Sequence[ArgumentInstance], logits: np.ndarray, task: Task
+    ) -> list[Prediction]:
         out = []
         for inst, pair in zip(instances, logits):
             value = LabelValue.POSITIVE if pair[1] > pair[0] else LabelValue.NEGATIVE
@@ -152,11 +168,6 @@ class MtlModel:
                 Prediction(instance_id=inst.id, task=task, value=value, source=self.name)
             )
         return out
-
-    def predict_both(self, instances: Sequence[ArgumentInstance]) -> list[Prediction]:
-        return self.predict(instances, Task.VALIDITY) + self.predict(
-            instances, Task.NOVELTY
-        )
 
 
 def cross_entropy_and_grad(
@@ -174,18 +185,31 @@ def cross_entropy_and_grad(
     return float(loss), d_logits / n
 
 
+def task_targets(instances: Sequence[ArgumentInstance], task: Task) -> np.ndarray:
+    """1 where the mapped label of ``task`` is positive, else 0."""
+    return np.array(
+        [int(mapped_value(i, task) is LabelValue.POSITIVE) for i in instances]
+    )
+
+
 def batch_loss_and_grads(
-    model: MtlModel, batch: Sequence[ArgumentInstance], task: Task
+    model: MtlModel,
+    batch: Sequence[ArgumentInstance],
+    task: Task,
+    texts: Sequence[str] | None = None,
+    targets: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Cross-entropy on the selected head plus gradients for the encoder
-    and that head."""
+    and that head. ``texts`` and ``targets``, when given, are the batch's
+    encoder inputs and 0/1 targets, built once by the caller."""
     task = Task(task)
-    cache = model.encoder.forward([instance_text(i) for i in batch])
+    if texts is None:
+        texts = [instance_text(i) for i in batch]
+    if targets is None:
+        targets = task_targets(batch, task)
+    cache = model.encoder.forward(texts)
     head = model.heads[task]
     logits = cache.outputs @ head["w"].T + head["b"]
-    targets = np.array(
-        [int(mapped_value(i, task) is LabelValue.POSITIVE) for i in batch]
-    )
     loss, d_logits = cross_entropy_and_grad(logits, targets)
     grads = {
         f"head.{task.value}.w": d_logits.T @ cache.outputs,
@@ -198,21 +222,21 @@ def batch_loss_and_grads(
 
 
 class _TaskStream:
-    """Per-task instance stream, shuffled without replacement; reshuffles
-    once exhausted."""
+    """Per-task stream of instance indices, shuffled without replacement;
+    reshuffles once exhausted."""
 
-    def __init__(self, instances: Sequence[ArgumentInstance], rng: np.random.Generator):
-        self.instances = list(instances)
+    def __init__(self, size: int, rng: np.random.Generator):
+        self.size = size
         self.rng = rng
-        self.order: list[int] = []
+        self.order = np.zeros(0, dtype=np.int64)
         self.cursor = 0
 
-    def next_batch(self, size: int) -> list[ArgumentInstance]:
+    def next_batch(self, size: int) -> np.ndarray:
         if self.cursor >= len(self.order):
-            self.order = list(self.rng.permutation(len(self.instances)))
+            self.order = self.rng.permutation(self.size)
             self.cursor = 0
         end = min(self.cursor + size, len(self.order))
-        batch = [self.instances[i] for i in self.order[self.cursor:end]]
+        batch = self.order[self.cursor:end]
         self.cursor = end
         return batch
 
@@ -262,10 +286,13 @@ def train(
     if not train_set or not dev_set:
         raise ConfigurationError("train and dev sets must be non-empty")
     rng = np.random.default_rng(config.seed)
+    tasks = (Task.VALIDITY, Task.NOVELTY)
     streams = {
-        Task.VALIDITY: _TaskStream(train_set, np.random.default_rng(rng.integers(2**63))),
-        Task.NOVELTY: _TaskStream(train_set, np.random.default_rng(rng.integers(2**63))),
+        task: _TaskStream(len(train_set), np.random.default_rng(rng.integers(2**63)))
+        for task in tasks
     }
+    texts = [instance_text(i) for i in train_set]
+    targets = {task: task_targets(train_set, task) for task in tasks}
     optimizer = AdamW(config.learning_rate, weight_decay=config.weight_decay)
     params = model.parameters()
     steps_per_epoch = max(1, -(-len(train_set) // config.batch_size))
@@ -284,7 +311,13 @@ def train(
             step += 1
             task = sample_task(rng, config.task_probabilities)
             batch = streams[task].next_batch(config.batch_size)
-            loss, grads = batch_loss_and_grads(model, batch, task)
+            loss, grads = batch_loss_and_grads(
+                model,
+                [train_set[i] for i in batch],
+                task,
+                texts=[texts[i] for i in batch],
+                targets=targets[task][batch],
+            )
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at step {step} (task {task.value})")
             losses.append(loss)
@@ -292,11 +325,12 @@ def train(
                 if name in accumulated:
                     accumulated[name] += grad
                 else:
-                    accumulated[name] = grad.copy()
+                    accumulated[name] = grad  # a fresh array, ours to update
             since_update += 1
             if since_update >= config.grad_accumulation:
-                for name in accumulated:
-                    accumulated[name] /= since_update
+                if since_update > 1:
+                    for name in accumulated:
+                        accumulated[name] /= since_update
                 optimizer.step(params, accumulated)
                 accumulated = {}
                 since_update = 0
@@ -327,16 +361,41 @@ ENCODER_CHECKPOINT_FORMAT = "valnov-encoder-checkpoint"
 CHECKPOINT_VERSION = 1
 
 
-def _pack_params(params: dict[str, np.ndarray]) -> dict:
-    return {
-        name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-        for name, arr in params.items()
-    }
+_SLICE = 4096  # values per json.dumps call when writing a checkpoint
+
+
+def _checkpoint_text(blob: dict, params: dict[str, np.ndarray]) -> str:
+    """``json.dumps`` of ``blob`` with a last key "params" mapping each name
+    to {"shape": [...], "data": [flat values]}. The same text as one
+    json.dumps of the whole, but the values are encoded a slice at a time:
+    json.dumps holds a string per number until it joins them."""
+    parts = [json.dumps(blob)[:-1], ', "params": {']
+    for k, (name, arr) in enumerate(params.items()):
+        parts.append(f'{", " if k else ""}{json.dumps(name)}: ')
+        parts.append(f'{{"shape": {json.dumps(list(arr.shape))}, "data": [')
+        flat = arr.ravel()
+        for lo in range(0, flat.size, _SLICE):
+            parts.append(", " if lo else "")
+            parts.append(json.dumps(flat[lo : lo + _SLICE].tolist())[1:-1])
+        parts.append("]}")
+    parts.append("}}")
+    return "".join(parts)
 
 
 def _unpack_params(packed: dict, params: dict[str, np.ndarray]) -> None:
     for name, rec in packed.items():
         params[name][...] = np.array(rec["data"]).reshape(rec["shape"])
+
+
+def _config_from_blob(cls: type, blob: dict, path: str | Path):
+    """Rebuild a config dataclass from its ``dataclasses.asdict`` blob;
+    JSON arrays come back as tuples."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    if not isinstance(blob, dict) or sorted(blob) != sorted(names):
+        raise ConfigurationError(
+            f"{path}: checkpoint {cls.__name__} needs exactly the keys {names}"
+        )
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()})
 
 
 def save_checkpoint(
@@ -347,27 +406,12 @@ def save_checkpoint(
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "name": model.name,
-        "encoder_config": {
-            "vocab_buckets": model.encoder.config.vocab_buckets,
-            "embed_dim": model.encoder.config.embed_dim,
-            "projection_dim": model.encoder.config.projection_dim,
-            "seed": model.encoder.config.seed,
-        },
-        "train_config": {
-            "learning_rate": config.learning_rate,
-            "epochs": config.epochs,
-            "grad_accumulation": config.grad_accumulation,
-            "batch_size": config.batch_size,
-            "weight_decay": config.weight_decay,
-            "seed": config.seed,
-            "task_probabilities": list(config.task_probabilities),
-            "combined_metric": config.combined_metric,
-        },
+        "encoder_config": dataclasses.asdict(model.encoder.config),
+        "train_config": dataclasses.asdict(config),
         "best_epoch": result.best_epoch,
         "history": [list(h.as_tuple()) for h in result.history],
-        "params": _pack_params(model.parameters()),
     }
-    atomic_write_text(Path(path), json.dumps(blob))
+    atomic_write_text(Path(path), _checkpoint_text(blob, model.parameters()))
 
 
 def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[EpochRecord], int]:
@@ -377,19 +421,9 @@ def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[Epoch
         raise ConfigurationError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise ConfigurationError(f"{path}: unsupported checkpoint version {blob.get('version')}")
-    enc_cfg = EncoderConfig(**blob["encoder_config"])
-    tc = blob["train_config"]
-    config = TrainConfig(
-        learning_rate=tc["learning_rate"],
-        epochs=tc["epochs"],
-        grad_accumulation=tc["grad_accumulation"],
-        batch_size=tc["batch_size"],
-        weight_decay=tc["weight_decay"],
-        seed=tc["seed"],
-        task_probabilities=tuple(tc["task_probabilities"]),
-        combined_metric=tc["combined_metric"],
-    )
-    model = MtlModel(enc_cfg, seed=tc["seed"], name=blob.get("name", "mtl"))
+    enc_cfg = _config_from_blob(EncoderConfig, blob["encoder_config"], path)
+    config = _config_from_blob(TrainConfig, blob["train_config"], path)
+    model = MtlModel(enc_cfg, seed=config.seed, name=blob.get("name", "mtl"))
     _unpack_params(blob["params"], model.parameters())
     history = [EpochRecord(int(e), float(l), float(f)) for e, l, f in blob["history"]]
     return model, config, history, int(blob["best_epoch"])
@@ -401,16 +435,10 @@ def save_encoder_checkpoint(
     blob = {
         "format": ENCODER_CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "encoder_config": {
-            "vocab_buckets": encoder.config.vocab_buckets,
-            "embed_dim": encoder.config.embed_dim,
-            "projection_dim": encoder.config.projection_dim,
-            "seed": encoder.config.seed,
-        },
+        "encoder_config": dataclasses.asdict(encoder.config),
         "epoch_losses": [float(x) for x in epoch_losses],
-        "params": _pack_params(encoder.parameters()),
     }
-    atomic_write_text(Path(path), json.dumps(blob))
+    atomic_write_text(Path(path), _checkpoint_text(blob, encoder.parameters()))
 
 
 def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[float]]:
@@ -422,6 +450,6 @@ def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[fl
         raise ConfigurationError(
             f"{path}: unsupported checkpoint version {blob.get('version')}"
         )
-    encoder = ReferenceEncoder(EncoderConfig(**blob["encoder_config"]))
+    encoder = ReferenceEncoder(_config_from_blob(EncoderConfig, blob["encoder_config"], path))
     _unpack_params(blob["params"], encoder.parameters())
     return encoder, [float(x) for x in blob["epoch_losses"]]

@@ -27,9 +27,15 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Update in place every parameter that has a gradient entry."""
+        """Update in place every parameter that has a gradient entry.
+
+        Works through two preallocated buffers per parameter; the
+        operations and their order are those of the textbook update
+        m̂ / (√v̂ + ε), so the result does not depend on the buffering.
+        """
         for name in sorted(grads):
             g = grads[name]
             p = params[name]
@@ -37,16 +43,22 @@ class AdamW:
                 self._m[name] = np.zeros_like(p)
                 self._v[name] = np.zeros_like(p)
                 self._t[name] = 0
+                self._scratch[name] = (np.empty_like(p), np.empty_like(p))
             self._t[name] += 1
             t = self._t[name]
             m = self._m[name]
             v = self._v[name]
+            a, b = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1.0 - self.beta1**t, out=a)  # m_hat
+            a *= self.learning_rate
+            np.divide(v, 1.0 - self.beta2**t, out=b)  # v_hat
+            np.sqrt(b, out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)
             if self.weight_decay:
-                p -= self.learning_rate * self.weight_decay * p
+                p -= np.multiply(p, self.learning_rate * self.weight_decay, out=a)

@@ -161,6 +161,11 @@ class TestSvmTrain:
             assert cur <= prev + 1e-3 * max(1.0, abs(prev))
         assert fit.trace[-1] == pytest.approx(fit.objective, rel=1e-6)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_steps_below_one_rejected(self, steps):
+        with pytest.raises(ConfigurationError, match="steps"):
+            svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=steps)
+
     def test_trace_off_by_default(self):
         fit = svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=200)
         assert fit.trace == ()

@@ -389,6 +389,23 @@ class TestErrorContract:
             "data",
         )
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_baseline_steps_below_one_is_configuration(self, workspace, capsys, steps):
+        root = workspace["root"]
+        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config["baseline"] = {"steps": steps}
+        config_path = root / f"steps-{steps}.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = root / f"e-steps{steps}"
+        err = self.run_expecting(
+            capsys,
+            ["baseline", "--config", str(config_path), "--run-dir", str(run_dir),
+             "--task", "both", "--split", "dev"],
+            "configuration",
+        )
+        assert "steps" in err
+        assert not list(run_dir.glob("model-*.json"))
+
     def test_schema_error_from_bad_csv(self, workspace, capsys):
         root = workspace["root"]
         csv_path = root / "no-conclusion.csv"

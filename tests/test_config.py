@@ -101,6 +101,17 @@ class TestLoading:
         with pytest.raises(ConfigurationError):
             load_config(path)
 
+    @pytest.mark.parametrize("steps", [0, -1])
+    def test_baseline_steps_below_one_rejected(self, tmp_path, steps):
+        path = self.write(tmp_path, {"baseline": {"steps": steps}})
+        with pytest.raises(ConfigurationError, match="steps"):
+            load_config(path)
+
+    def test_baseline_steps_null_or_positive_accepted(self, tmp_path):
+        for steps in (None, 1):
+            path = self.write(tmp_path, {"baseline": {"steps": steps}})
+            assert load_config(path).baseline.steps == steps
+
 
 class TestTrainConfig:
     def test_profile_hyperparameters(self):

@@ -1,12 +1,17 @@
 """Multi-task model, trainer, and checkpoints."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from valnov.corpus import LabelValue, Task
+from valnov.cli import main
+from valnov.corpus import LabelValue, Split, Task, save_instances_jsonl
 from valnov.encoder import EncoderConfig
 from valnov.errors import ConfigurationError, TrainingError
 from valnov.mtl import (
+    _checkpoint_text,
     EpochRecord,
     MtlModel,
     TRAIN_PROFILES,
@@ -22,7 +27,7 @@ from valnov.mtl import (
     select_best,
     train,
 )
-from valnov.synthetic import make_separable_corpus
+from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
 
@@ -266,6 +271,36 @@ class TestCheckpoints:
         assert best_epoch == result.best_epoch
         assert loaded.predict_both(dev_set) == model.predict_both(dev_set)
 
+    @pytest.mark.parametrize("section", ["encoder_config", "train_config"])
+    def test_config_blob_must_match_the_dataclass(self, tmp_path, section):
+        train_set, dev_set = make_separable_corpus(n_train=20, n_dev=8)
+        config = TrainConfig.from_profile("desk", epochs=1)
+        path = tmp_path / "model.json"
+        save_checkpoint(train(MtlModel(SMALL), train_set, dev_set, config), config, path)
+        blob = json.loads(path.read_text())
+        surplus = dict(blob[section], surplus=1)
+        missing = {k: v for k, v in blob[section].items() if k != "seed"}
+        for broken in (surplus, missing):
+            path.write_text(json.dumps(dict(blob, **{section: broken})))
+            with pytest.raises(ConfigurationError, match="needs exactly the keys"):
+                load_checkpoint(path)
+
+    def test_checkpoint_text_is_one_json_dumps(self):
+        rng = np.random.default_rng(0)
+        params = {
+            "empty": np.zeros((0, 3)),
+            "scalar": np.array(2.5),
+            "two slices": rng.normal(size=(2, 4096)),
+            "ragged": rng.normal(size=4097),
+            "special": np.array([np.nan, np.inf, -0.0, 1e-300]),
+        }
+        blob = {"format": "x", "nested": {"a": [1, 2]}}
+        packed = {
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            for name, arr in params.items()
+        }
+        assert _checkpoint_text(blob, params) == json.dumps(dict(blob, params=packed))
+
     def test_format_header_checked(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -294,3 +329,68 @@ class TestCheckpoints:
         save_checkpoint(result, config, path)
         with pytest.raises(ConfigurationError, match="not a"):
             load_encoder_checkpoint(path)
+
+
+# sha256 of the files written by `contrastive-train`, then `train
+# --init-encoder`, then `predict --task both` on the corpus of
+# test_cli_mtl_chain_is_byte_stable, recorded with the per-row encoder
+# loops and the allocating AdamW step
+GOLDEN_ENCODER_CHECKPOINT_SHA256 = (
+    "7f3b7b3d36dcbb1ba88ed7236e33c699b7c62abe506ef232bf2571860fa53ce2"
+)
+GOLDEN_MTL_CHAIN_SHA256 = {
+    "desk": (
+        "8e87483958eadc8c82ca736c1e18905d7e86a3bc82152f1eb4b6a64eb94ba593",
+        "300eea478c5a7747c4c0073c206f8fe66f2028514ca06f5f2e1feeb0e30893e7",
+    ),
+    "accumulate": (
+        "4fce50de4ae976f2ba979b1d716b4ff63ee834023910db05a5869810df02829c",
+        "2cc781c118dc79a713c36a8d39b25f9343b26b33573a9c8e89eeca4919f3ddca",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case,overrides",
+    [
+        ("desk", {}),
+        (
+            "accumulate",
+            {"epochs": 4, "batch_size": 8, "grad_accumulation": 3,
+             "task_probabilities": [0.3, 0.7]},
+        ),
+    ],
+)
+def test_cli_mtl_chain_is_byte_stable(tmp_path, case, overrides):
+    splits = make_profile_splits(seed=0)
+    for split, size in ((Split.TRAIN, 200), (Split.DEV, 60), (Split.TEST, 80)):
+        save_instances_jsonl(splits[split][:size], tmp_path / f"{split.value}.jsonl")
+    config = {
+        "profile": "desk",
+        "contrastive": {"learning_rate": 1e-3},
+        "train_overrides": overrides,
+        "data": {
+            "train_path": str(tmp_path / "train.jsonl"),
+            "dev_path": str(tmp_path / "dev.jsonl"),
+            "test_path": str(tmp_path / "test.jsonl"),
+        },
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    c = str(tmp_path / "config.json")
+    encoder = tmp_path / "contrastive" / "encoder-checkpoint.json"
+    checkpoint = tmp_path / "mtl" / "checkpoint.json"
+    assert main(["contrastive-train", "--config", c,
+                 "--run-dir", str(tmp_path / "contrastive")]) == 0
+    assert main(["train", "--config", c, "--run-dir", str(tmp_path / "mtl"),
+                 "--init-encoder", str(encoder)]) == 0
+    assert main(["predict", "--config", c, "--run-dir", str(tmp_path / "predict"),
+                 "--checkpoint", str(checkpoint), "--task", "both"]) == 0
+
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert digest(encoder) == GOLDEN_ENCODER_CHECKPOINT_SHA256
+    assert (
+        digest(checkpoint),
+        digest(tmp_path / "predict" / "predictions.csv"),
+    ) == GOLDEN_MTL_CHAIN_SHA256[case]
