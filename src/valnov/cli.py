@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -212,11 +211,6 @@ def _train_once(
     init_encoder: str | None,
     checkpoint_name: str = "checkpoint.json",
 ) -> tuple[mtl.TrainResult, Path]:
-    if config.pretrained.kind != "reference":
-        raise ConfigurationError(
-            "training updates encoder weights and needs pretrained.kind "
-            '"reference"; external encoders are inference-only'
-        )
     train_config = config.train_config(seed=seed)
     if init_encoder is not None:
         encoder, _ = mtl.load_encoder_checkpoint(_require_file(init_encoder))
@@ -507,14 +501,7 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
         history = [h.as_tuple() for h in result.history]
         return seed, history, report
 
-    workers = max(1, config.sweep.parallelism)
-    if workers == 1:
-        results = [one(seed) for seed in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, seeds))
-
-    summary = seed_summary(results)
+    summary = seed_summary([one(seed) for seed in seeds])
     run.write_text(
         "seed-summary.json",
         json.dumps(

@@ -29,16 +29,6 @@ class DataSettings:
 
 
 @dataclass(frozen=True)
-class PretrainedSettings:
-    """Which encoder to load: the trainable reference encoder, or an
-    external embedding service (inference only)."""
-
-    kind: str = "reference"
-    command: str | None = None
-    endpoint: str | None = None
-
-
-@dataclass(frozen=True)
 class PromptSettings:
     provider: str = "replay-only"
     endpoint: str | None = None
@@ -78,14 +68,12 @@ class BaselineSettings:
 @dataclass(frozen=True)
 class SweepSettings:
     runs: int = 3
-    parallelism: int = 1
 
 
 @dataclass(frozen=True)
 class RunConfig:
     data: DataSettings = field(default_factory=DataSettings)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    pretrained: PretrainedSettings = field(default_factory=PretrainedSettings)
     profile: str = "clteaml-2"
     train_overrides: dict[str, Any] = field(default_factory=dict)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
@@ -108,7 +96,6 @@ class RunConfig:
 _NESTED = {
     "data": DataSettings,
     "encoder": EncoderConfig,
-    "pretrained": PretrainedSettings,
     "contrastive": ContrastiveConfig,
     "prompting": PromptSettings,
     "baseline": BaselineSettings,

@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import DataError, SchemaError
+from .errors import DataError, ParseError, SchemaError
 from .fsutil import atomic_write_text
 
 
@@ -311,27 +311,65 @@ def save_instances_jsonl(instances: Iterable[ArgumentInstance], path: str | Path
     )
 
 
+def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> list:
+    """``build`` applied to each non-blank line's JSON object. Undecodable
+    lines raise ParseError, records with a missing or ill-typed field
+    SchemaError; both messages carry ``path:line``."""
+    out = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{line_no}"
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(rec, dict):
+                    raise SchemaError(f"{where}: expected a JSON object")
+                try:
+                    out.append(build(rec))
+                except KeyError as exc:
+                    raise SchemaError(f"{where}: missing field {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise SchemaError(f"{where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return out
+
+
+def _text(rec: Mapping[str, Any], name: str) -> str:
+    value = rec[name]
+    if not isinstance(value, str):
+        raise TypeError(f"field {name!r} must be a string")
+    return value
+
+
+def _raw_label(rec: Mapping[str, Any], name: str) -> int:
+    value = rec[name]
+    # bool is an int subclass, and int() would truncate 0.9 to a valid 0
+    if type(value) is not int or value not in (-1, 0, 1):
+        raise ValueError(f"field {name!r} must be -1, 0 or 1, got {value!r}")
+    return value
+
+
+def _instance_from_record(rec: Mapping[str, Any]) -> ArgumentInstance:
+    return ArgumentInstance(
+        id=_text(rec, "id"),
+        topic=_text(rec, "topic"),
+        premise=_text(rec, "premise"),
+        conclusion=_text(rec, "conclusion"),
+        validity_raw=_raw_label(rec, "validity_raw"),
+        novelty_raw=_raw_label(rec, "novelty_raw"),
+        validity_confidence=Confidence(rec["validity_confidence"]),
+        novelty_confidence=Confidence(rec["novelty_confidence"]),
+        split=Split(rec["split"]),
+    )
+
+
 def load_instances_jsonl(path: str | Path) -> list[ArgumentInstance]:
-    instances = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            instances.append(
-                ArgumentInstance(
-                    id=rec["id"],
-                    topic=rec["topic"],
-                    premise=rec["premise"],
-                    conclusion=rec["conclusion"],
-                    validity_raw=int(rec["validity_raw"]),
-                    novelty_raw=int(rec["novelty_raw"]),
-                    validity_confidence=Confidence(rec["validity_confidence"]),
-                    novelty_confidence=Confidence(rec["novelty_confidence"]),
-                    split=Split(rec["split"]),
-                )
-            )
-    return instances
+    return _load_jsonl(path, _instance_from_record)
 
 
 def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) -> None:
@@ -354,18 +392,12 @@ def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) ->
 
 
 def load_triplets_jsonl(path: str | Path) -> list[TripletExample]:
-    triplets = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            triplets.append(
-                TripletExample(
-                    anchor=rec["anchor"],
-                    positive=rec["positive"],
-                    negative=rec["negative"],
-                    topic=rec["topic"],
-                )
-            )
-    return triplets
+    return _load_jsonl(
+        path,
+        lambda rec: TripletExample(
+            anchor=_text(rec, "anchor"),
+            positive=_text(rec, "positive"),
+            negative=_text(rec, "negative"),
+            topic=_text(rec, "topic"),
+        ),
+    )

@@ -15,23 +15,16 @@ embedding gradient token by token in the same order, so outputs and
 gradients are bit-identical to the per-row loops. (With ``embed_dim``
 1 that mean sums pairwise instead, and pooling may differ from it in
 the last bit.)
-
-Pretrained initialization is exposed as an adapter boundary: the
-"external" backend delegates encoding to an out-of-process model over a
-line protocol (subprocess stdio) or an HTTP endpoint returning a JSON
-array of numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import subprocess
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import ConfigurationError
 
@@ -69,15 +62,6 @@ def _hash_token(token: str, buckets: int) -> int:
     return int.from_bytes(digest, "little") % buckets
 
 
-class Encoder(Protocol):
-    """Read-only encoding surface shared by all backends."""
-
-    @property
-    def projection_dim(self) -> int: ...
-
-    def encode(self, texts: Sequence[str]) -> np.ndarray: ...
-
-
 @dataclass
 class ForwardCache:
     """Per-batch intermediates needed by ReferenceEncoder.backward."""
@@ -100,10 +84,6 @@ class ReferenceEncoder:
         )
         self.proj_b = np.zeros(config.projection_dim)
         self._ids: dict[str, np.ndarray] = {}
-
-    @property
-    def projection_dim(self) -> int:
-        return self.config.projection_dim
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "proj_w": self.proj_w, "proj_b": self.proj_b}
@@ -161,119 +141,3 @@ class ReferenceEncoder:
             "embedding": d_embedding.reshape(self.embedding.shape),
         }
 
-
-class SubprocessEncoder:
-    """Encodes by piping lines to a child process and reading one
-    space-separated decimal vector per line back."""
-
-    def __init__(self, command: Sequence[str], projection_dim: int):
-        self.command = list(command)
-        self._projection_dim = projection_dim
-        try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise ConfigurationError(f"cannot start external encoder {self.command}: {exc}")
-
-    @property
-    def projection_dim(self) -> int:
-        return self._projection_dim
-
-    def encode(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self._projection_dim))
-        assert self._proc.stdin is not None and self._proc.stdout is not None
-        for i, text in enumerate(texts):
-            self._proc.stdin.write(text.replace("\n", " ") + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-            if not line:
-                raise ConfigurationError("external encoder closed its output stream")
-            vec = np.array([float(x) for x in line.split()])
-            if vec.shape[0] != self._projection_dim:
-                raise ConfigurationError(
-                    f"external encoder returned dim {vec.shape[0]}, "
-                    f"configured heads expect dim {self._projection_dim}"
-                )
-            out[i] = vec
-        return out
-
-    def close(self) -> None:
-        if self._proc.poll() is None:
-            self._proc.terminate()
-            self._proc.wait(timeout=5)
-
-
-class HttpEncoder:
-    """Encodes by POSTing UTF-8 text to an endpoint that returns a JSON
-    array of numbers."""
-
-    def __init__(self, endpoint: str, projection_dim: int, timeout: float = 10.0):
-        self.endpoint = endpoint
-        self._projection_dim = projection_dim
-        self.timeout = timeout
-
-    @property
-    def projection_dim(self) -> int:
-        return self._projection_dim
-
-    def encode(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.zeros((len(texts), self._projection_dim))
-        for i, text in enumerate(texts):
-            try:
-                resp = requests.post(
-                    self.endpoint, data=text.encode("utf-8"), timeout=self.timeout
-                )
-                resp.raise_for_status()
-                vec = np.array(resp.json(), dtype=float)
-            except (requests.RequestException, ValueError) as exc:
-                raise ConfigurationError(
-                    f"external encoder endpoint {self.endpoint} unusable: {exc}"
-                )
-            if vec.ndim != 1 or vec.shape[0] != self._projection_dim:
-                raise ConfigurationError(
-                    f"external encoder returned dim {vec.shape[0] if vec.ndim == 1 else vec.shape}, "
-                    f"configured heads expect dim {self._projection_dim}"
-                )
-            out[i] = vec
-        return out
-
-
-@dataclass(frozen=True)
-class PretrainedSource:
-    """Named checkpoint descriptor for load_pretrained.
-
-    kind "reference" builds a fresh deterministic ReferenceEncoder;
-    kind "external" attaches an out-of-process encoder (exactly one of
-    ``command`` or ``endpoint`` must be set) and probes it once to verify
-    reachability and output dimension.
-    """
-
-    kind: str
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    command: tuple[str, ...] | None = None
-    endpoint: str | None = None
-    probe_text: str = "probe"
-
-
-def load_pretrained(source: PretrainedSource) -> Encoder:
-    if source.kind == "reference":
-        return ReferenceEncoder(source.encoder)
-    if source.kind == "external":
-        dim = source.encoder.projection_dim
-        if bool(source.command) == bool(source.endpoint):
-            raise ConfigurationError(
-                "external encoder needs exactly one of command or endpoint"
-            )
-        backend: Encoder
-        if source.command:
-            backend = SubprocessEncoder(source.command, dim)
-        else:
-            backend = HttpEncoder(source.endpoint, dim)
-        backend.encode([source.probe_text])  # reachability + dimension check
-        return backend
-    raise ConfigurationError(f"unknown pretrained source kind {source.kind!r}")

@@ -3,8 +3,7 @@
 Confusion matrices, per-label precision/recall/F1, macro F1, the
 configurable combined two-task score, confidence-bucket accuracy,
 per-topic error rates, seed-variance aggregation, and report emission
-(JSON for machines, an aligned table for humans, two-column series
-files for external plotting).
+(JSON for machines, an aligned table for humans).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import (
@@ -392,10 +390,3 @@ def render_text(report: EvalReport) -> str:
     if report.flagged_count:
         lines.append(f"flagged predictions: {report.flagged_count}")
     return "\n".join(lines) + "\n"
-
-
-def write_series(path: str | Path, pairs: Sequence[tuple[float, float]]) -> None:
-    """Two-column whitespace-delimited series file for external plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y in pairs:
-            fh.write(f"{x} {y}\n")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .encoder import EncoderConfig, ReferenceEncoder
-from .errors import ConfigurationError, TrainingError
+from .errors import ConfigurationError, ParseError, SchemaError, TrainingError
 from .evaluation import DEFAULT_COMBINED_METRIC, combined_score
 from .fsutil import atomic_write_text
 from .optim import AdamW
@@ -298,9 +298,6 @@ def train(
     steps_per_epoch = max(1, -(-len(train_set) // config.batch_size))
 
     history: list[EpochRecord] = []
-    best_f1 = -1.0
-    best_epoch = 0
-    best_params = model.snapshot()
     step = 0
     accumulated: dict[str, np.ndarray] = {}
     since_update = 0
@@ -345,13 +342,11 @@ def train(
                 dev_combined_f1=dev_f1,
             )
         )
-        if dev_f1 > best_f1:
-            best_f1 = dev_f1
-            best_epoch = epoch
+        if select_best(history) == epoch:
             best_params = model.snapshot()
 
     model.restore(best_params)
-    return TrainResult(model=model, history=history, best_epoch=best_epoch)
+    return TrainResult(model=model, history=history, best_epoch=select_best(history))
 
 
 # --- checkpoint format: JSON, format/version header, flat parameter lists ---
@@ -382,9 +377,44 @@ def _checkpoint_text(blob: dict, params: dict[str, np.ndarray]) -> str:
     return "".join(parts)
 
 
-def _unpack_params(packed: dict, params: dict[str, np.ndarray]) -> None:
-    for name, rec in packed.items():
-        params[name][...] = np.array(rec["data"]).reshape(rec["shape"])
+def _unpack_params(packed: dict, params: dict[str, np.ndarray], path: str | Path) -> None:
+    """Copy the checkpoint's records into the live arrays. A checkpoint must
+    hold exactly the model's parameters, each with the live shape and only
+    finite values; anything else would predict with fresh or broken weights."""
+    if not isinstance(packed, dict) or sorted(packed) != sorted(params):
+        raise SchemaError(f"{path}: checkpoint params need exactly the names {sorted(params)}")
+    for name, live in params.items():
+        rec = packed[name]
+        try:
+            shape = tuple(rec["shape"])
+            data = np.array(rec["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"{path}: parameter {name!r} is not a shape/data record") from exc
+        if shape != live.shape or data.shape != (live.size,):
+            raise SchemaError(
+                f"{path}: parameter {name!r} declares shape {list(shape)} with "
+                f"{data.size} values; the model needs shape {list(live.shape)}"
+            )
+        if not np.isfinite(data).all():
+            raise SchemaError(f"{path}: parameter {name!r} has non-finite values")
+        live[...] = data.reshape(live.shape)
+
+
+def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
+    """The decoded checkpoint, after its format, version and field checks."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or JSON
+        raise ParseError(f"{path}: unreadable checkpoint ({exc})") from exc
+    if not isinstance(blob, dict) or blob.get("format") != fmt:
+        raise ConfigurationError(f"{path}: not a {fmt} file")
+    if blob.get("version") != CHECKPOINT_VERSION:
+        raise ConfigurationError(f"{path}: unsupported checkpoint version {blob.get('version')}")
+    missing = [name for name in fields if name not in blob]
+    if missing:
+        raise SchemaError(f"{path}: checkpoint lacks {missing}")
+    return blob
 
 
 def _config_from_blob(cls: type, blob: dict, path: str | Path):
@@ -395,7 +425,10 @@ def _config_from_blob(cls: type, blob: dict, path: str | Path):
         raise ConfigurationError(
             f"{path}: checkpoint {cls.__name__} needs exactly the keys {names}"
         )
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()})
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()})
+    except TypeError as exc:  # a value of the wrong type fails its range check
+        raise ConfigurationError(f"{path}: checkpoint {cls.__name__}: {exc}") from exc
 
 
 def save_checkpoint(
@@ -415,18 +448,21 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[EpochRecord], int]:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigurationError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported checkpoint version {blob.get('version')}")
+    blob = _read_checkpoint(
+        path,
+        CHECKPOINT_FORMAT,
+        ("encoder_config", "train_config", "best_epoch", "history", "params"),
+    )
     enc_cfg = _config_from_blob(EncoderConfig, blob["encoder_config"], path)
     config = _config_from_blob(TrainConfig, blob["train_config"], path)
     model = MtlModel(enc_cfg, seed=config.seed, name=blob.get("name", "mtl"))
-    _unpack_params(blob["params"], model.parameters())
-    history = [EpochRecord(int(e), float(l), float(f)) for e, l, f in blob["history"]]
-    return model, config, history, int(blob["best_epoch"])
+    _unpack_params(blob["params"], model.parameters(), path)
+    try:
+        history = [EpochRecord(int(e), float(l), float(f)) for e, l, f in blob["history"]]
+        best_epoch = int(blob["best_epoch"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed history or best_epoch ({exc})") from exc
+    return model, config, history, best_epoch
 
 
 def save_encoder_checkpoint(
@@ -442,14 +478,13 @@ def save_encoder_checkpoint(
 
 
 def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[float]]:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != ENCODER_CHECKPOINT_FORMAT:
-        raise ConfigurationError(f"{path}: not a {ENCODER_CHECKPOINT_FORMAT} file")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(
-            f"{path}: unsupported checkpoint version {blob.get('version')}"
-        )
+    blob = _read_checkpoint(
+        path, ENCODER_CHECKPOINT_FORMAT, ("encoder_config", "epoch_losses", "params")
+    )
     encoder = ReferenceEncoder(_config_from_blob(EncoderConfig, blob["encoder_config"], path))
-    _unpack_params(blob["params"], encoder.parameters())
-    return encoder, [float(x) for x in blob["epoch_losses"]]
+    _unpack_params(blob["params"], encoder.parameters(), path)
+    try:
+        epoch_losses = [float(x) for x in blob["epoch_losses"]]
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{path}: malformed epoch_losses ({exc})") from exc
+    return encoder, epoch_losses

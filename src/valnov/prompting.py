@@ -29,7 +29,7 @@ from .corpus import (
     confidence_for,
     mapped_value,
 )
-from .errors import CacheMissError, ConfigurationError, DataError, ProviderError
+from .errors import CacheMissError, ConfigurationError, DataError, ParseError, ProviderError
 from .fsutil import atomic_write_text
 from .predictions import Prediction, PredictionSet
 
@@ -192,12 +192,21 @@ class ReplayCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> str | None:
+        """The recorded completion, or None when ``key`` has no record. A
+        record that cannot be read is an error, never a miss: replaying it
+        as a miss would silently re-query the provider."""
         path = self._path(key)
         if not path.exists():
             return None
-        with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
-        return record["raw_text"]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                record = json.load(fh)
+        except ValueError as exc:  # undecodable bytes or JSON
+            raise ParseError(f"{path}: corrupt cache record ({exc})") from exc
+        raw_text = record.get("raw_text") if isinstance(record, dict) else None
+        if not isinstance(raw_text, str):
+            raise ParseError(f"{path}: cache record has no string raw_text")
+        return raw_text
 
     def put(self, key: str, request: PromptRequest, raw_text: str) -> None:
         record = {

@@ -10,12 +10,14 @@ realize a given 2x2 count table as gold instances plus predictions.
 from __future__ import annotations
 
 import csv
+import io
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import ArgumentInstance, Confidence, LabelValue, Split, Task
+from .fsutil import atomic_write_text
 from .predictions import Prediction, PredictionSet
 
 # Per split: joint class counts in the order
@@ -112,21 +114,22 @@ _CSV_HEADER = [
 def write_instances_csv(instances: Sequence[ArgumentInstance], path: str | Path) -> Path:
     """Write instances in the default loadable column layout."""
     path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for inst in instances:
-            writer.writerow(
-                [
-                    inst.topic,
-                    inst.premise,
-                    inst.conclusion,
-                    inst.validity_raw,
-                    inst.validity_confidence.value,
-                    inst.novelty_raw,
-                    inst.novelty_confidence.value,
-                ]
-            )
+    buffer = io.StringIO()  # keeps the writer's \r\n line ends
+    writer = csv.writer(buffer)
+    writer.writerow(_CSV_HEADER)
+    for inst in instances:
+        writer.writerow(
+            [
+                inst.topic,
+                inst.premise,
+                inst.conclusion,
+                inst.validity_raw,
+                inst.validity_confidence.value,
+                inst.novelty_raw,
+                inst.novelty_confidence.value,
+            ]
+        )
+    atomic_write_text(path, buffer.getvalue())
     return path
 
 

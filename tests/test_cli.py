@@ -8,6 +8,8 @@ from valnov.cli import main
 from valnov.corpus import Task, save_instances_jsonl
 from valnov.predictions import load_predictions, save_predictions, Prediction
 from valnov.corpus import LabelValue
+from valnov.encoder import EncoderConfig, ReferenceEncoder
+from valnov.mtl import load_checkpoint, save_encoder_checkpoint
 from valnov.synthetic import make_separable_corpus
 
 
@@ -116,19 +118,37 @@ class TestTrain:
         echoed = load_config(trained.parent / "config.json")
         assert echoed == load_config(workspace["config"])
 
+    def test_history_series_files(self, trained):
+        _, _, history, _ = load_checkpoint(trained)
+        series = {
+            "train-loss.dat": [(h.epoch, h.train_loss) for h in history],
+            "dev-combined-f1.dat": [(h.epoch, h.dev_combined_f1) for h in history],
+        }
+        for name, rows in series.items():
+            expected = "".join(f"{epoch} {value}\n" for epoch, value in rows)
+            assert (trained.parent / name).read_text(encoding="utf-8") == expected
+
     def test_external_encoder_rejected_for_training(self, workspace, capsys):
+        # the external-encoder settings and sweep.parallelism were removed;
+        # a config that still sets them fails on the unknown key
         root = workspace["root"]
-        bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
-        bad["pretrained"] = {"kind": "external", "command": "true"}
-        bad_path = root / "config-external.json"
-        bad_path.write_text(json.dumps(bad), encoding="utf-8")
-        code = main(
-            ["train", "--config", str(bad_path), "--run-dir", str(root / "train-ext")]
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: configuration: ")
-        assert err.count("\n") == 1
+        stale_settings = [
+            ("pretrained", {"pretrained": {"kind": "external", "command": "true"}}),
+            ("parallelism", {"sweep": {"runs": 2, "parallelism": 2}}),
+        ]
+        for key, stale in stale_settings:
+            bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
+            bad.update(stale)
+            bad_path = root / f"config-{key}.json"
+            bad_path.write_text(json.dumps(bad), encoding="utf-8")
+            run_dir = root / f"train-{key}"
+            code = main(["train", "--config", str(bad_path), "--run-dir", str(run_dir)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: configuration: ")
+            assert err.count("\n") == 1
+            assert f"'{key}'" in err
+            assert not (run_dir / "checkpoint.json").exists()
 
 
 class TestPredictEvaluate:
@@ -322,6 +342,39 @@ class TestSeedSweep:
             assert (sub / "report.json").is_file()
 
 
+def _broken_checkpoint(text: str, case: str) -> str:
+    """``text`` of a checkpoint, damaged as ``case`` names."""
+    if case == "truncated":
+        return text[: len(text) // 2]
+    blob = json.loads(text)
+    params = blob["params"]
+    name = next(n for n, rec in params.items() if len(rec["shape"]) == 2)
+    if case == "missing-key":
+        del params[name]
+    elif case == "extra-key":
+        params["extra"] = {"shape": [1], "data": [0.0]}
+    elif case == "wrong-shape":  # same number of values, transposed
+        params[name]["shape"] = params[name]["shape"][::-1]
+    elif case == "short-data":
+        params[name]["data"] = params[name]["data"][:-1]
+    elif case == "nan":
+        params[name]["data"][3] = float("nan")
+    elif case == "config-type":
+        blob["encoder_config"]["embed_dim"] = "12"
+    return json.dumps(blob)
+
+
+CHECKPOINT_DAMAGE = [
+    ("truncated", "parse"),
+    ("missing-key", "schema"),
+    ("extra-key", "schema"),
+    ("wrong-shape", "schema"),
+    ("short-data", "schema"),
+    ("nan", "schema"),
+    ("config-type", "configuration"),
+]
+
+
 class TestErrorContract:
     def run_expecting(self, capsys, argv, category):
         code = main(argv)
@@ -423,3 +476,138 @@ class TestErrorContract:
              str(root / "e6"), "--splits", "train"],
             "schema",
         )
+
+    @pytest.mark.parametrize("case, category", CHECKPOINT_DAMAGE)
+    def test_predict_on_broken_checkpoint(self, workspace, trained, capsys, case, category):
+        root = workspace["root"]
+        broken = root / f"checkpoint-{case}.json"
+        broken.write_text(
+            _broken_checkpoint(trained.read_text(encoding="utf-8"), case), encoding="utf-8"
+        )
+        run_dir = root / f"pred-{case}"
+        err = self.run_expecting(
+            capsys,
+            ["predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--checkpoint", str(broken)],
+            category,
+        )
+        assert str(broken) in err
+        assert not (run_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize("case, category", CHECKPOINT_DAMAGE)
+    def test_train_on_broken_encoder_checkpoint(self, workspace, capsys, case, category):
+        root = workspace["root"]
+        good = root / "encoder-good.json"
+        config = EncoderConfig(vocab_buckets=256, embed_dim=12, projection_dim=8)
+        save_encoder_checkpoint(ReferenceEncoder(config), [0.5], good)
+        broken = root / f"encoder-{case}.json"
+        broken.write_text(
+            _broken_checkpoint(good.read_text(encoding="utf-8"), case), encoding="utf-8"
+        )
+        run_dir = root / f"init-{case}"
+        err = self.run_expecting(
+            capsys,
+            ["train", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--init-encoder", str(broken)],
+            category,
+        )
+        assert str(broken) in err
+        assert not (run_dir / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "case, category, detail",
+        [
+            ("truncated", "parse", "invalid JSON"),
+            ("not-an-object", "schema", "JSON object"),
+            ("missing-premise", "schema", "'premise'"),
+            ("premise-not-text", "schema", "'premise'"),
+            ("bad-split", "schema", "holdout"),
+            ("bad-confidence", "schema", "sure"),
+            ("fractional-label", "schema", "'validity_raw'"),
+            ("boolean-label", "schema", "'novelty_raw'"),
+        ],
+    )
+    def test_broken_instances_jsonl(self, workspace, capsys, case, category, detail):
+        root = workspace["root"]
+        first, second = (root / "train.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        rec = json.loads(second)
+        damaged = {
+            "truncated": second[: len(second) // 2],
+            "not-an-object": json.dumps([rec]),
+            "missing-premise": json.dumps({k: v for k, v in rec.items() if k != "premise"}),
+            "premise-not-text": json.dumps(dict(rec, premise=5)),
+            "bad-split": json.dumps(dict(rec, split="holdout")),
+            "bad-confidence": json.dumps(dict(rec, novelty_confidence="sure")),
+            "fractional-label": json.dumps(dict(rec, validity_raw=0.9)),
+            "boolean-label": json.dumps(dict(rec, novelty_raw=True)),
+        }[case]
+        path = root / f"instances-{case}.jsonl"
+        path.write_text(f"{first}\n\n{damaged}\n", encoding="utf-8")
+        run_dir = root / f"train-{case}"
+        err = self.run_expecting(
+            capsys,
+            ["train", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--train", str(path)],
+            category,
+        )
+        assert f"{path}:3: " in err
+        assert detail in err
+        assert not (run_dir / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "case, category, detail",
+        [
+            ("truncated", "parse", "invalid JSON"),
+            ("missing-negative", "schema", "'negative'"),
+            ("null-negative", "schema", "'negative'"),
+        ],
+    )
+    def test_broken_triplets_jsonl(self, workspace, capsys, case, category, detail):
+        root = workspace["root"]
+        good = {"anchor": "a", "positive": "p", "negative": "n", "topic": "t"}
+        damaged = {
+            "truncated": json.dumps(good)[:20],
+            "missing-negative": json.dumps({k: v for k, v in good.items() if k != "negative"}),
+            "null-negative": json.dumps(dict(good, negative=None)),
+        }[case]
+        path = root / f"triplets-{case}.jsonl"
+        path.write_text(f"{json.dumps(good)}\n{damaged}\n", encoding="utf-8")
+        run_dir = root / f"contrastive-{case}"
+        err = self.run_expecting(
+            capsys,
+            ["contrastive-train", "--config", workspace["config"], "--run-dir",
+             str(run_dir), "--triplets", str(path)],
+            category,
+        )
+        assert f"{path}:2: " in err
+        assert detail in err
+        assert not (run_dir / "encoder-checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "record",
+        ['{"key": "k", "raw_text": "ye', '{"key": "k"}', '{"raw_text": 1}', '["yes"]'],
+        ids=["truncated", "no-raw-text", "raw-text-not-a-string", "not-an-object"],
+    )
+    def test_corrupt_cache_record(self, workspace, capsys, request, record):
+        # replay-only and a live provider alike: a corrupt record is never a miss
+        root = workspace["root"]
+        case = request.node.callspec.id
+        cache_dir = root / f"cache-{case}"
+        fill = ["prompt-predict", "--config", workspace["config"], "--run-dir",
+                str(root / f"fill-{case}"), "--task", "validity", "--split", "dev",
+                "--cache-dir", str(cache_dir)]
+        assert main(fill) == 0
+        victim = sorted(cache_dir.glob("*.json"))[5]
+        victim.write_text(record, encoding="utf-8")
+        for provider in ("replay", "config"):
+            run_dir = root / f"replay-{case}-{provider}"
+            err = self.run_expecting(
+                capsys,
+                ["prompt-predict", "--config", workspace[provider], "--run-dir",
+                 str(run_dir), "--task", "validity", "--split", "dev",
+                 "--cache-dir", str(cache_dir)],
+                "parse",
+            )
+            assert str(victim) in err
+            assert not (run_dir / "predictions.csv").exists()
+        assert victim.read_text(encoding="utf-8") == record  # never overwritten

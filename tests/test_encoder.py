@@ -1,6 +1,4 @@
-"""Reference encoder: tokenization, forward/backward, external backends."""
-
-import sys
+"""Reference encoder: tokenization, forward/backward, token-id memo."""
 
 import numpy as np
 import pytest
@@ -8,12 +6,8 @@ import pytest
 from valnov import encoder as encoder_mod
 from valnov.encoder import (
     EncoderConfig,
-    HttpEncoder,
-    PretrainedSource,
     ReferenceEncoder,
-    SubprocessEncoder,
     _hash_token,
-    load_pretrained,
     tokenize,
 )
 from valnov.errors import ConfigurationError
@@ -232,69 +226,3 @@ class TestTokenIdMemo:
         )
         assert counted.count("alpha beta") == 2  # once per encoder
 
-
-class TestExternalBackends:
-    def test_subprocess_round_trip(self):
-        child = (
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    n = len(line.split())\n"
-            "    print(' '.join(str(float(n + i)) for i in range(3)))\n"
-            "    sys.stdout.flush()\n"
-        )
-        enc = SubprocessEncoder([sys.executable, "-c", child], projection_dim=3)
-        try:
-            out = enc.encode(["a b", "a b c d"])
-            assert np.allclose(out, [[2, 3, 4], [4, 5, 6]])
-        finally:
-            enc.close()
-
-    def test_subprocess_dimension_mismatch(self):
-        child = (
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    print('1.0 2.0')\n"
-            "    sys.stdout.flush()\n"
-        )
-        enc = SubprocessEncoder([sys.executable, "-c", child], projection_dim=3)
-        try:
-            with pytest.raises(ConfigurationError, match="dim 2"):
-                enc.encode(["text"])
-        finally:
-            enc.close()
-
-    def test_subprocess_bad_command(self):
-        with pytest.raises(ConfigurationError):
-            SubprocessEncoder(["/nonexistent-encoder-binary"], projection_dim=3)
-
-    def test_http_endpoint_unreachable(self):
-        enc = HttpEncoder("http://127.0.0.1:1/encode", projection_dim=3, timeout=0.2)
-        with pytest.raises(ConfigurationError, match="unusable"):
-            enc.encode(["text"])
-
-
-class TestLoadPretrained:
-    def test_reference_kind(self):
-        enc = load_pretrained(PretrainedSource(kind="reference"))
-        assert isinstance(enc, ReferenceEncoder)
-
-    def test_external_needs_exactly_one_backend(self):
-        with pytest.raises(ConfigurationError, match="exactly one"):
-            load_pretrained(PretrainedSource(kind="external"))
-
-    def test_external_probe_runs(self):
-        child = (
-            "import sys\n"
-            "for line in sys.stdin:\n"
-            "    print(' '.join('0.5' for _ in range(32)))\n"
-            "    sys.stdout.flush()\n"
-        )
-        enc = load_pretrained(
-            PretrainedSource(kind="external", command=(sys.executable, "-c", child))
-        )
-        assert enc.projection_dim == 32
-        enc.close()
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            load_pretrained(PretrainedSource(kind="mystery"))

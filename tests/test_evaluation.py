@@ -23,7 +23,6 @@ from valnov.evaluation import (
     report_to_json,
     seed_summary,
     topic_error_rates,
-    write_series,
 )
 from valnov.predictions import Prediction
 
@@ -371,9 +370,3 @@ class TestReportSerialization:
         report = evaluate([p for p in preds if p.task is Task.VALIDITY], golds)
         assert "n/a (single task)" in render_text(report)
 
-
-class TestWriteSeries:
-    def test_two_column_format(self, tmp_path):
-        path = tmp_path / "series.dat"
-        write_series(path, [(0, 1.5), (1, 0.75)])
-        assert path.read_text(encoding="utf-8") == "0 1.5\n1 0.75\n"

@@ -1,5 +1,7 @@
 """Shape and label guarantees of the bundled synthetic corpora."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,11 @@ from valnov.synthetic import (
     make_profile_splits,
     make_random_eval_fixture,
     make_separable_corpus,
+    write_instances_csv,
     write_profile_csvs,
 )
+
+from conftest import make_instance
 
 
 class TestProfileFixture:
@@ -77,6 +82,43 @@ class TestProfileFixture:
         assert class_distribution(loaded).counts == (331, 18, 296, 105)
         assert len({i.topic for i in loaded}) == 22
         assert all(i.split is Split.TRAIN for i in loaded)
+
+
+class TestInstancesCsv:
+    def test_bytes(self, tmp_path):
+        path = tmp_path / "one.csv"
+        inst = make_instance(id="a", topic='t, "q"', premise="p\nline", conclusion="c")
+        assert write_instances_csv([inst], path) == path
+        assert path.read_bytes() == (
+            b"topic,Premise,Conclusion,Validity,Validity-Confidence,Novelty,"
+            b'Novelty-Confidence\r\n"t, ""q""","p\nline",c,1,unknown,1,unknown\r\n'
+        )
+
+    def test_profile_csv_digests(self, tmp_path):
+        # recorded from the writer that streamed rows straight into the file
+        expected = {
+            Split.TRAIN: "5267b2a4bed03997b606c086f88a60b8d6127dd1834e0324c901fe47fb864237",
+            Split.DEV: "63f9d9c2f496dac68f1e990ded901776b35ed260cdfd26261d6086b963dff140",
+            Split.TEST: "4cb5034cd37f5ea2eaaff6037ed2716238b40a92c864ffc6b28d40705c08a417",
+        }
+        for split, path in write_profile_csvs(tmp_path).items():
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[split]
+
+    @pytest.mark.parametrize("existing", [None, b"old contents\n"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
+        path = tmp_path / "train.csv"
+        if existing is not None:
+            path.write_bytes(existing)
+        # the lone surrogate cannot be encoded, so the write fails after
+        # the rows before it are rendered
+        rows = [make_instance(id="a"), make_instance(id="b", premise="p \ud800")]
+        with pytest.raises(UnicodeEncodeError):
+            write_instances_csv(rows, path)
+        if existing is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["train.csv"]
+            assert path.read_bytes() == existing
 
 
 class TestSeparableCorpus:
