@@ -46,7 +46,6 @@ def base_config(out: Path, seed: int) -> dict:
             "cache_dir": str(out / "cache"),
             "parallelism": 4,
         },
-        "output_dir": str(out.parent),
     }
 
 

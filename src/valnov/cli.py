@@ -47,8 +47,8 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     evaluate,
+    load_report,
     render_text,
-    report_from_json,
     report_to_json,
     seed_summary,
 )
@@ -85,15 +85,29 @@ class _RunDir:
         self.output_names: list[str] = []
         path.mkdir(parents=True, exist_ok=True)
 
-    def record_input(self, label: str, path: str | Path) -> None:
+    def record_input(self, label: str, path: str | Path) -> Path:
+        """``path``, checked to be a file, with its digest recorded as ``label``."""
+        path = _require_file(path)
         self.inputs[label] = {"path": str(path), "sha256": sha256_file(path)}
+        return path
 
-    def write_text(self, name: str, text: str) -> Path:
-        out = self.path / name
-        atomic_write_text(out, text)
-        if name not in self.output_names:
-            self.output_names.append(name)
-        return out
+    def instances(self, label: str, path: str | None, split: Split) -> list[ArgumentInstance]:
+        """Instances from ``path``, or from the config's file for ``split``."""
+        data = self.config.data
+        default = {Split.TRAIN: data.train_path, Split.DEV: data.dev_path,
+                   Split.TEST: data.test_path}[split]
+        path = self.record_input(label, path or default)
+        if path.suffix == ".jsonl":
+            return load_instances_jsonl(path)
+        return load_corpus(path, column_map=data.column_map or None, split=split)
+
+    def write_text(self, name: str, text: str) -> None:
+        atomic_write_text(self.path / name, text)
+        self.track_output(name)
+
+    def save_predictions(self, preds: PredictionSet) -> None:
+        save_predictions(preds, self.path / "predictions.csv")
+        self.track_output("predictions.csv")
 
     def track_output(self, name: str) -> None:
         if name not in self.output_names:
@@ -122,57 +136,27 @@ def _require_file(path: str | Path) -> Path:
     return path
 
 
-def _load_instances(
-    path: str | Path, config: RunConfig, split: Split
-) -> list[ArgumentInstance]:
-    path = _require_file(path)
-    if path.suffix == ".jsonl":
-        return load_instances_jsonl(path)
-    return load_corpus(path, column_map=config.data.column_map or None, split=split)
+# --- subcommands: each fills the run directory that main() finalizes ---
 
 
-def _split_path(config: RunConfig, split: Split) -> str:
-    return {
-        Split.TRAIN: config.data.train_path,
-        Split.DEV: config.data.dev_path,
-        Split.TEST: config.data.test_path,
-    }[split]
-
-
-def _save_prediction_file(run: _RunDir, name: str, preds: PredictionSet) -> Path:
-    out = run.path / name
-    save_predictions(preds, out)
-    run.track_output(name)
-    return out
-
-
-# --- subcommands ---
-
-
-def cmd_prepare_data(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "prepare-data", config)
-
-    splits_arg = [Split(s.strip()) for s in args.splits.split(",") if s.strip()]
+def cmd_prepare_data(args: argparse.Namespace, run: _RunDir) -> None:
     per_split: dict[Split, list[ArgumentInstance]] = {}
     if args.synthetic == "profile":
-        generated = make_profile_splits(seed=config.seed)
-        for split in splits_arg:
+        generated = make_profile_splits(seed=run.config.seed)
+        for split in args.splits:
             per_split[split] = generated[split]
             csv_path = write_instances_csv(per_split[split], run.path / f"{split.value}.csv")
             run.track_output(csv_path.name)
     elif args.synthetic == "separable":
         train, dev = make_separable_corpus()
         for split, instances in ((Split.TRAIN, train), (Split.DEV, dev)):
-            if split in splits_arg:
+            if split in args.splits:
                 per_split[split] = instances
                 csv_path = write_instances_csv(instances, run.path / f"{split.value}.csv")
                 run.track_output(csv_path.name)
     else:
-        for split in splits_arg:
-            path = _split_path(config, split)
-            per_split[split] = _load_instances(path, config, split)
-            run.record_input(split.value, path)
+        for split in args.splits:
+            per_split[split] = run.instances(split.value, None, split)
 
     stats: dict[str, object] = {"splits": {}}
     for split, instances in per_split.items():
@@ -197,83 +181,61 @@ def cmd_prepare_data(args: argparse.Namespace) -> int:
         stats["train_triplets"] = len(triplets)
 
     run.write_text("stats.json", json.dumps(stats, indent=2, sort_keys=True))
-    run.finalize()
     print(json.dumps(stats, sort_keys=True))
-    return 0
 
 
 def _train_once(
-    config: RunConfig,
     run: _RunDir,
     train_set: Sequence[ArgumentInstance],
     dev_set: Sequence[ArgumentInstance],
     seed: int,
     init_encoder: str | None,
-    checkpoint_name: str = "checkpoint.json",
-) -> tuple[mtl.TrainResult, Path]:
-    train_config = config.train_config(seed=seed)
+) -> mtl.TrainResult:
+    """Train into ``run``: the checkpoint plus the loss and dev-F1 series."""
+    train_config = run.config.train_config(seed=seed)
     if init_encoder is not None:
-        encoder, _ = mtl.load_encoder_checkpoint(_require_file(init_encoder))
-        run.record_input("init-encoder", init_encoder)
+        encoder, _ = mtl.load_encoder_checkpoint(run.record_input("init-encoder", init_encoder))
         model = mtl.MtlModel(encoder.config, seed=seed, encoder=encoder)
     else:
-        model = mtl.MtlModel(config.encoder, seed=seed)
+        model = mtl.MtlModel(run.config.encoder, seed=seed)
     result = mtl.train(model, train_set, dev_set, train_config)
-    out = run.path / checkpoint_name
-    mtl.save_checkpoint(result, train_config, out)
-    run.track_output(checkpoint_name)
-    return result, out
+    mtl.save_checkpoint(result, train_config, run.path / "checkpoint.json")
+    run.track_output("checkpoint.json")
+    history = result.history
+    run.write_text("train-loss.dat", "".join(f"{h.epoch} {h.train_loss}\n" for h in history))
+    run.write_text(
+        "dev-combined-f1.dat", "".join(f"{h.epoch} {h.dev_combined_f1}\n" for h in history)
+    )
+    return result
 
 
-def _write_history_series(run: _RunDir, history, prefix: str = "") -> None:
-    loss_lines = "".join(f"{h.epoch} {h.train_loss}\n" for h in history)
-    f1_lines = "".join(f"{h.epoch} {h.dev_combined_f1}\n" for h in history)
-    run.write_text(f"{prefix}train-loss.dat", loss_lines)
-    run.write_text(f"{prefix}dev-combined-f1.dat", f1_lines)
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "train", config)
-    train_path = args.train or _split_path(config, Split.TRAIN)
-    dev_path = args.dev or _split_path(config, Split.DEV)
-    train_set = _load_instances(train_path, config, Split.TRAIN)
-    dev_set = _load_instances(dev_path, config, Split.DEV)
-    run.record_input("train", train_path)
-    run.record_input("dev", dev_path)
-
-    seed = config.seed if args.seed is None else args.seed
-    result, _ = _train_once(config, run, train_set, dev_set, seed, args.init_encoder)
-    _write_history_series(run, result.history)
-    run.finalize()
+def cmd_train(args: argparse.Namespace, run: _RunDir) -> None:
+    train_set = run.instances("train", args.train, Split.TRAIN)
+    dev_set = run.instances("dev", args.dev, Split.DEV)
+    seed = run.config.seed if args.seed is None else args.seed
+    result = _train_once(run, train_set, dev_set, seed, args.init_encoder)
     best = result.history[result.best_epoch]
     print(
         f"best epoch {best.epoch}: dev combined F1 {best.dev_combined_f1:.4f} "
         f"(train loss {best.train_loss:.4f})"
     )
-    return 0
 
 
-def cmd_contrastive_train(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "contrastive-train", config)
+def cmd_contrastive_train(args: argparse.Namespace, run: _RunDir) -> None:
+    config = run.config
     if args.triplets:
-        triplets_path = _require_file(args.triplets)
-        triplets = load_triplets_jsonl(triplets_path)
-        run.record_input("triplets", triplets_path)
+        triplets = load_triplets_jsonl(run.record_input("triplets", args.triplets))
     else:
-        train_path = args.train or _split_path(config, Split.TRAIN)
-        train_set = _load_instances(train_path, config, Split.TRAIN)
-        run.record_input("train", train_path)
-        triplets = extract_triplets(train_set)
+        triplets = extract_triplets(run.instances("train", args.train, Split.TRAIN))
 
     encoder = ReferenceEncoder(config.encoder)
     result = contrastive_train(encoder, triplets, config.contrastive)
     satisfied = constraint_satisfaction(
         result.encoder, triplets, dist=config.contrastive.distance
     )
-    out = run.path / "encoder-checkpoint.json"
-    mtl.save_encoder_checkpoint(result.encoder, result.epoch_losses, out)
+    mtl.save_encoder_checkpoint(
+        result.encoder, result.epoch_losses, run.path / "encoder-checkpoint.json"
+    )
     run.track_output("encoder-checkpoint.json")
     run.write_text(
         "contrastive-loss.dat",
@@ -290,9 +252,7 @@ def cmd_contrastive_train(args: argparse.Namespace) -> int:
             indent=2,
         ),
     )
-    run.finalize()
     print(f"triplet constraints satisfied: {satisfied:.3f} over {len(triplets)} triplets")
-    return 0
 
 
 def _tasks_from_arg(value: str) -> list[Task]:
@@ -301,39 +261,23 @@ def _tasks_from_arg(value: str) -> list[Task]:
     return [Task(value)]
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "predict", config)
-    checkpoint_path = _require_file(args.checkpoint)
-    model, _, _, _ = mtl.load_checkpoint(checkpoint_path)
-    run.record_input("checkpoint", checkpoint_path)
-    on_path = args.on or _split_path(config, Split.TEST)
-    instances = _load_instances(on_path, config, Split(args.split))
-    run.record_input("instances", on_path)
-
+def cmd_predict(args: argparse.Namespace, run: _RunDir) -> None:
+    model, _, _, _ = mtl.load_checkpoint(run.record_input("checkpoint", args.checkpoint))
+    instances = run.instances("instances", args.on, Split.TEST)
     if args.task == "both":
         predictions = model.predict_both(instances)
     else:
         predictions = model.predict(instances, Task(args.task))
-    preds = PredictionSet(predictions=predictions, source_tag=model.name)
-    _save_prediction_file(run, "predictions.csv", preds)
-    run.finalize()
+    run.save_predictions(PredictionSet(predictions=predictions, source_tag=model.name))
     print(f"wrote {len(predictions)} predictions from {model.name}")
-    return 0
 
 
-def cmd_prompt_predict(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "prompt-predict", config)
+def cmd_prompt_predict(args: argparse.Namespace, run: _RunDir) -> None:
     task = Task(args.task)
-    train_path = args.train or _split_path(config, Split.TRAIN)
-    train_set = _load_instances(train_path, config, Split.TRAIN)
-    run.record_input("train", train_path)
-    on_path = args.on or _split_path(config, Split.TEST)
-    targets = _load_instances(on_path, config, Split(args.split))
-    run.record_input("targets", on_path)
+    train_set = run.instances("train", args.train, Split.TRAIN)
+    targets = run.instances("targets", args.on, Split.TEST)
 
-    settings = config.prompting
+    settings = run.config.prompting
     provider = make_provider(
         settings.provider,
         endpoint=settings.endpoint,
@@ -351,7 +295,7 @@ def cmd_prompt_predict(args: argparse.Namespace) -> int:
         parallelism=settings.parallelism,
         requests_per_second=settings.requests_per_second,
     )
-    _save_prediction_file(run, "predictions.csv", preds)
+    run.save_predictions(preds)
     run.write_text(
         "few-shot.json",
         json.dumps(
@@ -363,25 +307,15 @@ def cmd_prompt_predict(args: argparse.Namespace) -> int:
         ),
     )
     flagged = sum(1 for p in preds if p.flagged)
-    run.finalize()
     print(f"wrote {len(targets)} {task.value} predictions ({flagged} flagged)")
-    return 0
 
 
-def cmd_baseline(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "baseline", config)
-    train_path = args.train or _split_path(config, Split.TRAIN)
-    train_set = _load_instances(train_path, config, Split.TRAIN)
-    run.record_input("train", train_path)
-    on_path = args.on or _split_path(config, Split.TEST)
-    targets = _load_instances(on_path, config, Split(args.split))
-    run.record_input("targets", on_path)
+def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
+    settings = run.config.baseline
+    train_set = run.instances("train", args.train, Split.TRAIN)
+    targets = run.instances("targets", args.on, Split.TEST)
 
-    c_by_task = {
-        Task.VALIDITY: config.baseline.c_validity,
-        Task.NOVELTY: config.baseline.c_novelty,
-    }
+    c_by_task = {Task.VALIDITY: settings.c_validity, Task.NOVELTY: settings.c_novelty}
     tfidf, X, target_rows = baseline_mod.featurize(train_set, targets)
     fits = {
         task: baseline_mod.svm_train(
@@ -389,8 +323,8 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             baseline_mod.task_labels(train_set, task),
             dim=len(tfidf.vocabulary),
             C=c_by_task[task],
-            steps=config.baseline.steps,
-            seed=config.baseline.seed,
+            steps=settings.steps,
+            seed=settings.seed,
         )
         for task in _tasks_from_arg(args.task)
     }
@@ -413,83 +347,54 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         all_predictions.extend(
             baseline_mod.predict_corpus(fit.model, tfidf, targets, task, rows=target_rows)
         )
-    preds = PredictionSet(predictions=all_predictions, source_tag="svm")
-    _save_prediction_file(run, "predictions.csv", preds)
+    run.save_predictions(PredictionSet(predictions=all_predictions, source_tag="svm"))
     run.write_text(
         "baseline-stats.json",
         json.dumps({"objective": objectives, "counters": counters}, indent=2),
     )
-    run.finalize()
     print(f"wrote {len(all_predictions)} svm predictions")
-    return 0
 
 
-def cmd_mix(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "mix", config)
-    validity_path = _require_file(args.validity)
-    novelty_path = _require_file(args.novelty)
-    validity_set = load_predictions(validity_path)
-    novelty_set = load_predictions(novelty_path)
-    run.record_input("validity", validity_path)
-    run.record_input("novelty", novelty_path)
-    mixed = mix(validity_set, novelty_set)
-    _save_prediction_file(run, "predictions.csv", mixed)
-    run.finalize()
+def cmd_mix(args: argparse.Namespace, run: _RunDir) -> None:
+    mixed = mix(
+        load_predictions(run.record_input("validity", args.validity)),
+        load_predictions(run.record_input("novelty", args.novelty)),
+    )
+    run.save_predictions(mixed)
     print(f"mixed predictions: {mixed.source_tag}")
-    return 0
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "evaluate", config)
-    predictions_path = _require_file(args.predictions)
-    preds = load_predictions(predictions_path)
-    run.record_input("predictions", predictions_path)
-    golds_path = args.golds or _split_path(config, Split.TEST)
-    golds = _load_instances(golds_path, config, Split(args.split))
-    run.record_input("golds", golds_path)
-
-    metric = args.metric or config.combined_metric
+def cmd_evaluate(args: argparse.Namespace, run: _RunDir) -> None:
+    preds = load_predictions(run.record_input("predictions", args.predictions))
+    golds = run.instances("golds", args.golds, Split.TEST)
     tag = "+".join(sorted({p.source for p in preds}))
-    report = evaluate(preds, golds, metric=metric, source_tag=tag)
+    report = evaluate(preds, golds, metric=run.config.combined_metric, source_tag=tag)
     run.write_text("report.json", report_to_json(report))
     text = render_text(report)
     run.write_text("report.txt", text)
-    run.finalize()
     print(text, end="")
-    return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    report_path = _require_file(args.report)
-    with open(report_path, encoding="utf-8") as fh:
-        report = report_from_json(fh.read())
-    text = render_text(report)
+def cmd_report(args: argparse.Namespace) -> None:
+    text = render_text(load_report(_require_file(args.report)))
     if args.out:
         atomic_write_text(args.out, text)
     print(text, end="")
-    return 0
 
 
-def cmd_seed_sweep(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    run = _RunDir(Path(args.run_dir), "seed-sweep", config)
-    train_path = args.train or _split_path(config, Split.TRAIN)
-    dev_path = args.dev or _split_path(config, Split.DEV)
-    train_set = _load_instances(train_path, config, Split.TRAIN)
-    dev_set = _load_instances(dev_path, config, Split.DEV)
-    run.record_input("train", train_path)
-    run.record_input("dev", dev_path)
+def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
+    config = run.config
+    train_set = run.instances("train", args.train, Split.TRAIN)
+    dev_set = run.instances("dev", args.dev, Split.DEV)
 
     n_runs = args.runs if args.runs is not None else config.sweep.runs
     base_seed = config.seed if args.seed is None else args.seed
     seeds = list(range(base_seed, base_seed + n_runs))
 
-    def one(seed: int) -> tuple[int, list, EvalReport]:
+    runs: list[tuple[int, list, EvalReport]] = []
+    for seed in seeds:
         sub = _RunDir(run.path / f"seed-{seed}", "train", config)
-        result, _ = _train_once(config, sub, train_set, dev_set, seed, args.init_encoder)
-        _write_history_series(sub, result.history)
+        result = _train_once(sub, train_set, dev_set, seed, args.init_encoder)
         report = evaluate(
             result.model.predict_both(dev_set),
             dev_set,
@@ -498,10 +403,9 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
         )
         sub.write_text("report.json", report_to_json(report))
         sub.finalize()
-        history = [h.as_tuple() for h in result.history]
-        return seed, history, report
+        runs.append((seed, [h.as_tuple() for h in result.history], report))
 
-    summary = seed_summary([one(seed) for seed in seeds])
+    summary = seed_summary(runs)
     run.write_text(
         "seed-summary.json",
         json.dumps(
@@ -520,12 +424,10 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
             f"loss-{label}.dat",
             "".join(f"{e} {row[idx]}\n" for e, row in enumerate(summary.loss_envelope)),
         )
-    run.finalize()
     print(
         f"{summary.n_runs} runs: dev combined F1 "
         f"{summary.mean_combined_f1:.4f} +/- {summary.std_combined_f1:.4f}"
     )
-    return 0
 
 
 # --- parser ---
@@ -534,6 +436,15 @@ def cmd_seed_sweep(args: argparse.Namespace) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON run config (defaults apply)")
     sub.add_argument("--run-dir", required=True, help="output directory for this stage")
+
+
+def _splits(value: str) -> list[Split]:
+    try:
+        return [Split(s.strip()) for s in value.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{value!r}: splits are comma-separated names from train, dev, test"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -546,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("prepare-data", help="load/generate corpora, emit stats")
     _add_common(p)
-    p.add_argument("--splits", default="train,dev,test")
+    p.add_argument("--splits", type=_splits, default="train,dev,test")
     p.add_argument(
         "--synthetic",
         choices=["profile", "separable"],
@@ -573,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--on", default=None, help="instances file (default: test path)")
-    p.add_argument("--split", default="test", help="split tag for CSV loading")
     p.add_argument("--task", choices=["validity", "novelty", "both"], default="both")
     p.set_defaults(func=cmd_predict)
 
@@ -582,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["validity", "novelty"], required=True)
     p.add_argument("--train", default=None, help="few-shot example pool")
     p.add_argument("--on", default=None, help="instances file (default: test path)")
-    p.add_argument("--split", default="test")
     p.add_argument("--cache-dir", default=None, help="override replay cache directory")
     p.set_defaults(func=cmd_prompt_predict)
 
@@ -591,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["validity", "novelty", "both"], default="both")
     p.add_argument("--train", default=None)
     p.add_argument("--on", default=None)
-    p.add_argument("--split", default="test")
     p.set_defaults(func=cmd_baseline)
 
     p = commands.add_parser("mix", help="validity from one file, novelty from another")
@@ -604,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--predictions", required=True)
     p.add_argument("--golds", default=None, help="gold instances (default: test path)")
-    p.add_argument("--split", default="test")
-    p.add_argument("--metric", default=None, help="combined metric key")
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("report", help="render a saved report.json")
@@ -626,16 +532,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand. Every stage but ``report`` runs into its own
+    run directory, whose config echo and manifest are written only when
+    the stage succeeds."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "report":
+            args.func(args)
+        else:
+            run = _RunDir(Path(args.run_dir), args.command, load_config(args.config))
+            args.func(args, run)
+            run.finalize()
     except tuple(cls for cls, _ in _ERROR_CATEGORIES) as exc:
         for cls, category in _ERROR_CATEGORIES:
             if isinstance(exc, cls):
                 print(f"error: {category}: {exc}", file=sys.stderr)
                 break
         return 2
+    return 0
 
 
 if __name__ == "__main__":

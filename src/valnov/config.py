@@ -80,7 +80,6 @@ class RunConfig:
     prompting: PromptSettings = field(default_factory=PromptSettings)
     baseline: BaselineSettings = field(default_factory=BaselineSettings)
     combined_metric: str = DEFAULT_COMBINED_METRIC
-    output_dir: str = "runs"
     seed: int = 0
     sweep: SweepSettings = field(default_factory=SweepSettings)
 

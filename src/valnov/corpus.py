@@ -102,9 +102,8 @@ DEFAULT_COLUMN_MAP: dict[str, str] = {
     "novelty_confidence": "Novelty-Confidence",
 }
 
-# Raw cell value -> integer raw label. Other encodings are loadable by
-# overriding this table in the run config.
-DEFAULT_VALUE_MAP: dict[str, int] = {"-1": -1, "0": 0, "1": 1}
+# Raw cell value -> integer raw label.
+_RAW_LABELS: dict[str, int] = {"-1": -1, "0": 0, "1": 1}
 
 _CONFIDENCE_ALIASES = {
     "very confident": Confidence.VERY_CONFIDENT,
@@ -128,22 +127,26 @@ def load_corpus(
     path: str | Path,
     column_map: Mapping[str, str] | None = None,
     split: Split = Split.TRAIN,
-    value_map: Mapping[str, int] | None = None,
 ) -> list[ArgumentInstance]:
     """Load a delimited data file (comma or tab, sniffed from the header).
 
     Confidence columns may be absent (-> unknown); an ``id`` column is used
     when mapped, otherwise ids are row indices. Raises SchemaError for a
     missing required column, DataError for bad cell values (message names
-    the data row index, 0-based).
+    the data row index, 0-based), ParseError for a file that is not UTF-8.
     """
     path = Path(path)
     columns = dict(DEFAULT_COLUMN_MAP)
     if column_map:
         columns.update(column_map)
-    values = dict(DEFAULT_VALUE_MAP) if value_map is None else dict(value_map)
     split = Split(split)
+    try:
+        return _read_corpus(path, columns, split)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
+
+def _read_corpus(path: Path, columns: Mapping[str, str], split: Split) -> list[ArgumentInstance]:
     with open(path, encoding="utf-8", newline="") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -169,12 +172,12 @@ def load_corpus(
 
             def raw_label(field: str) -> int:
                 text = cell(field)
-                if text not in values:
+                if text not in _RAW_LABELS:
                     raise DataError(
                         f"row {row_idx}: {field} value {text!r} not in "
-                        f"{sorted(values)}"
+                        f"{sorted(_RAW_LABELS)}"
                     )
-                return values[text]
+                return _RAW_LABELS[text]
 
             premise = cell("premise")
             conclusion = cell("conclusion")

@@ -5,10 +5,11 @@ import json
 import pytest
 
 from valnov.cli import main
-from valnov.corpus import Task, save_instances_jsonl
+from valnov.corpus import Task, load_instances_jsonl, save_instances_jsonl
 from valnov.predictions import load_predictions, save_predictions, Prediction
 from valnov.corpus import LabelValue
 from valnov.encoder import EncoderConfig, ReferenceEncoder
+from valnov.fsutil import sha256_file
 from valnov.mtl import load_checkpoint, save_encoder_checkpoint
 from valnov.synthetic import make_separable_corpus
 
@@ -135,6 +136,7 @@ class TestTrain:
         stale_settings = [
             ("pretrained", {"pretrained": {"kind": "external", "command": "true"}}),
             ("parallelism", {"sweep": {"runs": 2, "parallelism": 2}}),
+            ("output_dir", {"output_dir": "runs"}),
         ]
         for key, stale in stale_settings:
             bad = json.loads((root / "config.json").read_text(encoding="utf-8"))
@@ -157,7 +159,7 @@ class TestPredictEvaluate:
         code = main(
             ["predict", "--config", workspace["config"], "--run-dir", str(run_dir),
              "--checkpoint", str(trained), "--on", workspace["config"].replace(
-                 "config.json", "dev.jsonl"), "--split", "dev"]
+                 "config.json", "dev.jsonl")]
         )
         assert code == 0
         preds = load_predictions(run_dir / "predictions.csv")
@@ -191,13 +193,13 @@ class TestPredictEvaluate:
         pred_dir = workspace["root"] / "pred-eval"
         main(
             ["predict", "--config", workspace["config"], "--run-dir", str(pred_dir),
-             "--checkpoint", str(trained), "--split", "dev"]
+             "--checkpoint", str(trained)]
         )
         capsys.readouterr()
         eval_dir = workspace["root"] / "eval-run"
         code = main(
             ["evaluate", "--config", workspace["config"], "--run-dir", str(eval_dir),
-             "--predictions", str(pred_dir / "predictions.csv"), "--split", "dev"]
+             "--predictions", str(pred_dir / "predictions.csv")]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -220,13 +222,25 @@ class TestPredictEvaluate:
         assert "Evaluation over 16 instances" in stdout
 
 
+@pytest.fixture(scope="module")
+def saved_report(workspace, trained):
+    """``report.json`` of an evaluate run over the trained model's predictions."""
+    root = workspace["root"]
+    common = ["--config", workspace["config"]]
+    assert main(["predict", *common, "--run-dir", str(root / "pred-report"),
+                 "--checkpoint", str(trained)]) == 0
+    assert main(["evaluate", *common, "--run-dir", str(root / "eval-report"),
+                 "--predictions", str(root / "pred-report" / "predictions.csv")]) == 0
+    return root / "eval-report" / "report.json"
+
+
 class TestPromptPredictCli:
     def test_mock_then_replay_identical(self, workspace, capsys):
         root = workspace["root"]
         warm_dir = root / "gpt-warm"
         code = main(
             ["prompt-predict", "--config", workspace["config"], "--run-dir",
-             str(warm_dir), "--task", "validity", "--split", "dev"]
+             str(warm_dir), "--task", "validity"]
         )
         assert code == 0
         assert "0 flagged" in capsys.readouterr().out
@@ -237,7 +251,7 @@ class TestPromptPredictCli:
         replay_dir = root / "gpt-replay"
         code = main(
             ["prompt-predict", "--config", workspace["replay"], "--run-dir",
-             str(replay_dir), "--task", "validity", "--split", "dev"]
+             str(replay_dir), "--task", "validity"]
         )
         assert code == 0
         assert (warm_dir / "predictions.csv").read_bytes() == (
@@ -248,7 +262,7 @@ class TestPromptPredictCli:
         root = workspace["root"]
         code = main(
             ["prompt-predict", "--config", workspace["replay"], "--run-dir",
-             str(root / "gpt-cold"), "--task", "novelty", "--split", "dev",
+             str(root / "gpt-cold"), "--task", "novelty",
              "--cache-dir", str(root / "empty-cache")]
         )
         assert code == 2
@@ -261,8 +275,7 @@ class TestBaselineMix:
     def test_baseline_outputs(self, workspace, capsys):
         run_dir = workspace["root"] / "svm-run"
         code = main(
-            ["baseline", "--config", workspace["config"], "--run-dir", str(run_dir),
-             "--split", "dev"]
+            ["baseline", "--config", workspace["config"], "--run-dir", str(run_dir)]
         )
         assert code == 0
         preds = load_predictions(run_dir / "predictions.csv")
@@ -278,7 +291,7 @@ class TestBaselineMix:
         stats = []
         for name in ("svm-count-a", "svm-count-b"):
             args = ["baseline", "--config", workspace["config"], "--run-dir",
-                    str(root / name), "--split", "dev"]
+                    str(root / name)]
             assert main(args) == 0
             stats.append(json.loads((root / name / "baseline-stats.json").read_text()))
         assert stats[0] == stats[1]  # deterministic per seed
@@ -316,7 +329,7 @@ class TestBaselineMix:
         code = main(
             ["evaluate", "--config", workspace["config"], "--run-dir",
              str(root / "mix-eval"), "--predictions",
-             str(root / "mix-run" / "predictions.csv"), "--split", "dev"]
+             str(root / "mix-run" / "predictions.csv")]
         )
         assert code == 0
         assert "combined score" in capsys.readouterr().out
@@ -340,6 +353,118 @@ class TestSeedSweep:
             sub = run_dir / f"seed-{seed}"
             assert (sub / "checkpoint.json").is_file()
             assert (sub / "report.json").is_file()
+
+
+@pytest.fixture(scope="module")
+def dev_predictions(workspace):
+    """Prediction files over the dev instances: one per task, both tasks,
+    and a validity file that covers only three instances."""
+    dev = load_instances_jsonl(workspace["root"] / "dev.jsonl")
+    preds = {
+        task.value: [Prediction(inst.id, task, LabelValue.POSITIVE, "svm") for inst in dev]
+        for task in (Task.VALIDITY, Task.NOVELTY)
+    }
+    preds["both"] = preds["validity"] + preds["novelty"]
+    preds["partial"] = preds["validity"][:3]
+    paths = {name: workspace["root"] / f"dev-{name}.csv" for name in preds}
+    for name, path in paths.items():
+        save_predictions(preds[name], path)
+    return paths
+
+
+# subcommand -> (extra arguments, manifest input labels, manifest output names)
+STAGE_MANIFESTS = {
+    "prepare-data": (
+        ["--splits", "train,dev"],
+        {"train", "dev"},
+        {"instances-train.jsonl", "instances-dev.jsonl", "triplets.jsonl", "stats.json"},
+    ),
+    "train": (
+        [], {"train", "dev"}, {"checkpoint.json", "train-loss.dat", "dev-combined-f1.dat"}
+    ),
+    "contrastive-train": (
+        [],
+        {"train"},
+        {"encoder-checkpoint.json", "contrastive-loss.dat", "contrastive-stats.json"},
+    ),
+    "predict": (["--checkpoint", "{checkpoint}"], {"checkpoint", "instances"},
+                {"predictions.csv"}),
+    "prompt-predict": (
+        ["--task", "validity", "--cache-dir", "{root}/manifest-cache"],
+        {"train", "targets"},
+        {"predictions.csv", "few-shot.json"},
+    ),
+    "baseline": (
+        [],
+        {"train", "targets"},
+        {"model-validity.json", "model-novelty.json", "predictions.csv",
+         "baseline-stats.json"},
+    ),
+    "mix": (["--validity", "{validity}", "--novelty", "{novelty}"],
+            {"validity", "novelty"}, {"predictions.csv"}),
+    "evaluate": (["--predictions", "{both}"], {"predictions", "golds"},
+                 {"report.json", "report.txt"}),
+    "seed-sweep": (
+        ["--runs", "2"],
+        {"train", "dev"},
+        {"seed-summary.json", "loss-min.dat", "loss-mean.dat", "loss-max.dat"},
+    ),
+}
+
+
+class TestStageDriver:
+    """What every run-directory subcommand leaves behind in its manifest."""
+
+    @pytest.mark.parametrize("command", sorted(STAGE_MANIFESTS))
+    def test_manifest_records_stage(self, workspace, trained, dev_predictions, command):
+        root = workspace["root"]
+        extra, inputs, outputs = STAGE_MANIFESTS[command]
+        fill = {"root": root, "checkpoint": trained, **dev_predictions}
+        run_dir = root / f"manifest-{command}"
+        argv = [command, "--config", workspace["config"], "--run-dir", str(run_dir)]
+        assert main(argv + [arg.format(**fill) for arg in extra]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["command"] == command
+        assert set(manifest["inputs"]) == inputs
+        assert set(manifest["outputs"]) == outputs | {"config.json"}
+        for name, digest in manifest["outputs"].items():
+            assert digest == sha256_file(run_dir / name)
+
+    def test_seed_sweep_sub_runs_are_train_manifests(self, workspace):
+        run_dir = workspace["root"] / "manifest-sweep-subs"
+        argv = ["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
+                "--runs", "2", "--seed", "3"]
+        assert main(argv) == 0
+        for seed in (3, 4):
+            sub = run_dir / f"seed-{seed}"
+            manifest = json.loads((sub / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["command"] == "train"
+            assert manifest["inputs"] == {}
+            assert set(manifest["outputs"]) == {
+                "checkpoint.json", "train-loss.dat", "dev-combined-f1.dat", "report.json",
+                "config.json",
+            }
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("train", ["--train", "{root}/nope.jsonl"]),
+            ("evaluate", ["--predictions", "{partial}"]),
+            ("prompt-predict", ["--task", "novelty", "--cache-dir", "{root}/no-cache"]),
+        ],
+        ids=["missing-input", "coverage", "cache-miss"],
+    )
+    def test_failed_stage_writes_no_manifest(
+        self, workspace, dev_predictions, capsys, command, extra
+    ):
+        root = workspace["root"]
+        fill = {"root": root, **dev_predictions}
+        run_dir = root / f"failed-{command}"
+        argv = [command, "--config", workspace["replay"], "--run-dir", str(run_dir)]
+        assert main(argv + [arg.format(**fill) for arg in extra]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (run_dir / "manifest.json").exists()
+        assert not (run_dir / "config.json").exists()
 
 
 def _broken_checkpoint(text: str, case: str) -> str:
@@ -410,7 +535,7 @@ class TestErrorContract:
         self.run_expecting(
             capsys,
             ["evaluate", "--config", workspace["config"], "--run-dir",
-             str(root / "e3"), "--predictions", str(broken), "--split", "dev"],
+             str(root / "e3"), "--predictions", str(broken)],
             "parse",
         )
 
@@ -424,7 +549,7 @@ class TestErrorContract:
         self.run_expecting(
             capsys,
             ["evaluate", "--config", workspace["config"], "--run-dir",
-             str(root / "e4"), "--predictions", str(partial), "--split", "dev"],
+             str(root / "e4"), "--predictions", str(partial)],
             "coverage",
         )
 
@@ -438,7 +563,7 @@ class TestErrorContract:
             capsys,
             ["baseline", "--config", workspace["config"], "--run-dir",
              str(root / "e5"), "--train", str(root / "skewed.jsonl"),
-             "--task", "validity", "--split", "dev"],
+             "--task", "validity"],
             "data",
         )
 
@@ -453,7 +578,7 @@ class TestErrorContract:
         err = self.run_expecting(
             capsys,
             ["baseline", "--config", str(config_path), "--run-dir", str(run_dir),
-             "--task", "both", "--split", "dev"],
+             "--task", "both"],
             "configuration",
         )
         assert "steps" in err
@@ -594,7 +719,7 @@ class TestErrorContract:
         case = request.node.callspec.id
         cache_dir = root / f"cache-{case}"
         fill = ["prompt-predict", "--config", workspace["config"], "--run-dir",
-                str(root / f"fill-{case}"), "--task", "validity", "--split", "dev",
+                str(root / f"fill-{case}"), "--task", "validity",
                 "--cache-dir", str(cache_dir)]
         assert main(fill) == 0
         victim = sorted(cache_dir.glob("*.json"))[5]
@@ -604,10 +729,65 @@ class TestErrorContract:
             err = self.run_expecting(
                 capsys,
                 ["prompt-predict", "--config", workspace[provider], "--run-dir",
-                 str(run_dir), "--task", "validity", "--split", "dev",
+                 str(run_dir), "--task", "validity",
                  "--cache-dir", str(cache_dir)],
                 "parse",
             )
             assert str(victim) in err
             assert not (run_dir / "predictions.csv").exists()
         assert victim.read_text(encoding="utf-8") == record  # never overwritten
+
+    @pytest.mark.parametrize(
+        "case, category",
+        [("truncated", "parse"), ("not-utf8", "parse"), ("empty-object", "schema"),
+         ("support-not-a-count", "schema"), ("topic-row-short", "schema")],
+    )
+    def test_broken_report(self, workspace, saved_report, capsys, case, category):
+        root = workspace["root"]
+        text = saved_report.read_text(encoding="utf-8")
+        blob = json.loads(text)
+        if case == "support-not-a-count":
+            blob["validity"]["negative"]["support"] = "8"
+        elif case == "topic-row-short":
+            blob["topic_errors"]["novelty"] = [["topic", 0.5]]
+        damaged = {
+            "truncated": text[: len(text) // 2].encode("utf-8"),
+            "not-utf8": b'{"source_tag": "\xff\xfe"}',
+            "empty-object": b"{}",
+        }.get(case, json.dumps(blob).encode("utf-8"))
+        broken = root / f"report-{case}.json"
+        broken.write_bytes(damaged)
+        out_path = root / f"rendered-{case}.txt"
+        err = self.run_expecting(
+            capsys, ["report", "--report", str(broken), "--out", str(out_path)], category
+        )
+        assert str(broken) in err
+        assert not out_path.exists()
+
+    def test_unknown_split_name_is_rejected_by_parser(self, workspace, capsys):
+        run_dir = workspace["root"] / "prep-bogus"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["prepare-data", "--config", workspace["config"], "--run-dir",
+                  str(run_dir), "--splits", "train,bogus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --splits: 'train,bogus'" in err
+        assert "Traceback" not in err
+        assert not run_dir.exists()
+
+    def test_non_utf8_csv_is_parse(self, workspace, capsys):
+        root = workspace["root"]
+        bad = root / "not-utf8.csv"
+        bad.write_bytes(
+            b"topic,Premise,Conclusion,Validity,Novelty\n"
+            b"t,p \xff\xfe,c,1,1\n"
+        )
+        run_dir = root / "svm-not-utf8"
+        err = self.run_expecting(
+            capsys,
+            ["baseline", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--train", str(bad)],
+            "parse",
+        )
+        assert str(bad) in err
+        assert not (run_dir / "predictions.csv").exists()

@@ -115,16 +115,6 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="duplicate id"):
             load_corpus(path, column_map={"id": "id"})
 
-    def test_custom_value_map(self, tmp_path):
-        path = tmp_path / "d.csv"
-        path.write_text(
-            "topic,Premise,Conclusion,Validity,Novelty\nt,p,c,yes,no\n",
-            encoding="utf-8",
-        )
-        instances = load_corpus(path, value_map={"yes": 1, "no": -1})
-        assert instances[0].validity_raw == 1
-        assert instances[0].novelty_raw == -1
-
 
 class TestMapLabel:
     def test_one_is_positive(self):
