@@ -145,9 +145,8 @@ def tfidf_rows(model: TfidfModel, analysed: Sequence[list[str]]) -> CsrRows:
             if (idx := vocabulary.get(term)) is not None
         ]
         norm = math.sqrt(sum(weight * weight for _, weight in row))
-        for idx, weight in row:
-            indices.append(idx)
-            values.append(weight / norm)
+        indices.extend([idx for idx, _ in row])
+        values.extend([weight / norm for _, weight in row])
         indptr.append(len(indices))
     return CsrRows(
         indptr=np.frombuffer(indptr, dtype=np.int64),
@@ -223,6 +222,13 @@ def svm_train(
     step touches v, at the example's nonzeros. The tail sum Σ w is kept
     as S·v − u: S sums a over the tail, and each change δ to v adds S·δ
     to u. A step costs O(nnz(x)).
+
+    A step gathers v at the example's indices once and takes
+    ``ndarray.dot``: for two float64 vectors it calls the same BLAS dot
+    as ``@``, without the matmul dispatch that dominates a dot of a few
+    dozen elements. The violating update adds to that gathered copy and
+    scatters it back, the values ``v[idx] += delta`` would store (the
+    indices of a row are distinct).
     """
     n = len(X)
     if n == 0 or set(y) != {-1, 1}:
@@ -262,7 +268,8 @@ def svm_train(
             order = rng.permutation(n).tolist()
         idx, x, label, x_sq = examples[order[t % n]]
         eta = 1.0 / (lam * (t + 1))
-        vx = float(v[idx] @ x)
+        vi = v[idx]
+        vx = float(vi.dot(x))
         violates = label * (a * vx + b) < 1.0
         # at t = 0 the decay would zero w, which v = 0 already is
         if t:
@@ -271,11 +278,14 @@ def svm_train(
             violations += 1
             scale = eta * label / a
             delta = scale * x
-            v[idx] += delta
+            vi += delta
+            v[idx] = vi
             # clamped: a step that cancels v can round ‖v‖² below zero
             v_sq = max(0.0, v_sq + scale * (2.0 * vx + scale * x_sq))
             if a_sum:
-                u[idx] += a_sum * delta
+                ui = u[idx]
+                ui += a_sum * delta
+                u[idx] = ui
             b += eta * label
         norm = a * math.sqrt(v_sq)
         if norm > radius:

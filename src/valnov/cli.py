@@ -394,6 +394,8 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     runs: list[tuple[int, list, EvalReport]] = []
     for seed in seeds:
         sub = _RunDir(run.path / f"seed-{seed}", "train", config)
+        # the parent's records of the same files, so they are hashed once
+        sub.inputs.update((label, run.inputs[label]) for label in ("train", "dev"))
         result = _train_once(sub, train_set, dev_set, seed, args.init_encoder)
         report = evaluate(
             result.model.predict_both(dev_set),

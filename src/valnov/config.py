@@ -15,7 +15,7 @@ from typing import Any, Mapping
 
 from .contrastive import ContrastiveConfig
 from .encoder import EncoderConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ParseError
 from .evaluation import DEFAULT_COMBINED_METRIC
 from .mtl import TrainConfig
 
@@ -127,11 +127,13 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     if path is None:
         return RunConfig()
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
     return _build(RunConfig, data, str(path))

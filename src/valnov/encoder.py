@@ -44,9 +44,18 @@ class EncoderConfig:
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on Unicode whitespace, strip leading/trailing
-    punctuation per token; tokens that become empty are dropped."""
+    punctuation per token; tokens that become empty are dropped.
+
+    A token whose first and last characters are alphanumeric is kept
+    whole without looking up any category: no code point for which
+    ``str.isalnum()`` holds is in a ``P*`` category, so there is nothing
+    to strip.
+    """
     tokens = []
     for raw in text.lower().split():
+        if raw[0].isalnum() and raw[-1].isalnum():
+            tokens.append(raw)
+            continue
         start, end = 0, len(raw)
         while start < end and unicodedata.category(raw[start]).startswith("P"):
             start += 1

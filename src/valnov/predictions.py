@@ -121,36 +121,40 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     path = Path(path)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     predictions: list[Prediction] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != FILE_HEADER:
-            raise ParseError(f"{path}:1: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(FILE_HEADER):
-                raise ParseError(f"{path}:{line_no}: expected {len(FILE_HEADER)} fields")
-            inst_id, task_s, value_s, source, flagged_s = row
-            try:
-                task = Task(task_s)
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: unknown task {task_s!r}")
-            try:
-                value = LabelValue(value_s)
-            except ValueError:
-                raise ParseError(f"{path}:{line_no}: unknown value {value_s!r}")
-            if flagged_s not in ("true", "false"):
-                raise ParseError(f"{path}:{line_no}: bad flagged value {flagged_s!r}")
-            predictions.append(
-                Prediction(
-                    instance_id=inst_id,
-                    task=task,
-                    value=value,
-                    source=source,
-                    flagged=flagged_s == "true",
-                )
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != FILE_HEADER:
+        raise ParseError(f"{path}:1: bad header {header!r}")
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(FILE_HEADER):
+            raise ParseError(f"{path}:{line_no}: expected {len(FILE_HEADER)} fields")
+        inst_id, task_s, value_s, source, flagged_s = row
+        try:
+            task = Task(task_s)
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: unknown task {task_s!r}")
+        try:
+            value = LabelValue(value_s)
+        except ValueError:
+            raise ParseError(f"{path}:{line_no}: unknown value {value_s!r}")
+        if flagged_s not in ("true", "false"):
+            raise ParseError(f"{path}:{line_no}: bad flagged value {flagged_s!r}")
+        predictions.append(
+            Prediction(
+                instance_id=inst_id,
+                task=task,
+                value=value,
+                source=source,
+                flagged=flagged_s == "true",
             )
+        )
     _check_unique(predictions, context=str(path))
     return predictions

@@ -18,8 +18,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-import requests
-
 from .corpus import (
     ArgumentInstance,
     Confidence,
@@ -269,6 +267,10 @@ class HttpProvider:
         self.timeout = timeout
 
     def generate(self, request: PromptRequest) -> str:
+        # imported here: it is the slowest import of the package, and only
+        # this provider needs it
+        import requests
+
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"

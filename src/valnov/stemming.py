@@ -6,6 +6,12 @@ and R2 are carried through every rewrite as suffix strings of the
 current word, so region membership tests stay cheap and replacements
 that eat into a region shrink it the same way the rewrite shrinks the
 word.
+
+Each suffix step returns at once when the word ends in none of its
+suffixes, and otherwise tries only the suffixes that end in the word's
+last letter, kept in the step table's order. Every suffix the word ends
+in is among them, so the first match is the one a scan of the whole
+table finds.
 """
 
 _VOWELS = "aeiouy"
@@ -72,6 +78,21 @@ _STEP4 = (
     "ic",
 )
 
+
+def _by_last_letter(suffixes: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
+    """The suffixes grouped by their last letter, each group in table order."""
+    table: dict[str, tuple[str, ...]] = {}
+    for suffix in suffixes:
+        table[suffix[-1]] = table.get(suffix[-1], ()) + (suffix,)
+    return table
+
+
+_STEP1A_BY_LAST = _by_last_letter(_STEP1A)
+_STEP1B_BY_LAST = _by_last_letter(_STEP1B)
+_STEP2_BY_LAST = _by_last_letter(_STEP2)
+_STEP3_BY_LAST = _by_last_letter(_STEP3)
+_STEP4_BY_LAST = _by_last_letter(_STEP4)
+
 # irregular forms and words that must not be touched at all
 _SPECIAL = {
     "skis": "ski",
@@ -119,6 +140,8 @@ _SPECIAL = {
 
 def _mark_consonant_y(word: str) -> str:
     """Uppercase each y that acts as a consonant (word-initial or after a vowel)."""
+    if "y" not in word:
+        return word
     chars = list(word)
     if chars[0] == "y":
         chars[0] = "Y"
@@ -187,7 +210,9 @@ def _ends_short_syllable(word: str) -> bool:
 
 
 def _step1a(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    for suffix in _STEP1A:
+    if not word.endswith(_STEP1A):
+        return word, r1, r2
+    for suffix in _STEP1A_BY_LAST[word[-1]]:
         if not word.endswith(suffix):
             continue
         if suffix == "sses":
@@ -202,7 +227,9 @@ def _step1a(word: str, r1: str, r2: str) -> tuple[str, str, str]:
 
 
 def _step1b(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    for suffix in _STEP1B:
+    if not word.endswith(_STEP1B):
+        return word, r1, r2
+    for suffix in _STEP1B_BY_LAST[word[-1]]:
         if not word.endswith(suffix):
             continue
         if suffix in ("eed", "eedly"):
@@ -230,7 +257,9 @@ def _step1c(word: str, r1: str, r2: str) -> tuple[str, str, str]:
 
 
 def _step2(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    for suffix in _STEP2:
+    if not word.endswith(_STEP2):
+        return word, r1, r2
+    for suffix in _STEP2_BY_LAST[word[-1]]:
         if not word.endswith(suffix):
             continue
         if r1.endswith(suffix):
@@ -265,7 +294,9 @@ def _step2(word: str, r1: str, r2: str) -> tuple[str, str, str]:
 
 
 def _step3(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    for suffix in _STEP3:
+    if not word.endswith(_STEP3):
+        return word, r1, r2
+    for suffix in _STEP3_BY_LAST[word[-1]]:
         if not word.endswith(suffix):
             continue
         if r1.endswith(suffix):
@@ -286,7 +317,9 @@ def _step3(word: str, r1: str, r2: str) -> tuple[str, str, str]:
 
 
 def _step4(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    for suffix in _STEP4:
+    if not word.endswith(_STEP4):
+        return word, r1, r2
+    for suffix in _STEP4_BY_LAST[word[-1]]:
         if not word.endswith(suffix):
             continue
         if r2.endswith(suffix):

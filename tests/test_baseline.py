@@ -418,3 +418,74 @@ def test_cli_predictions_are_byte_stable(tmp_path):
         b"negative",
     }
     assert hashlib.sha256(data).hexdigest() == GOLDEN_PREDICTIONS_SHA256
+
+
+def _zipf_corpus(seed, n, prefix):
+    """Instances over a Zipfian pseudo-word vocabulary with inflections,
+    edge punctuation and a few label cue words in the conclusion."""
+    rng = np.random.default_rng(seed)
+    syllables = [c + v for c in "bdfgklmnprstvz" for v in "aeiouy"]
+    vocab = sorted(
+        {"".join(rng.choice(syllables, size=rng.integers(2, 5))) for _ in range(3000)}
+    )
+    weights = 1.0 / np.arange(1, len(vocab) + 1)
+    weights /= weights.sum()
+    suffixes = ["s", "es", "ed", "ing", "ly", "ness", "ement", "ational", "ies", "fulness"]
+    marks = ["", "", "", "", ",", ".", "(", ")", "'s", '"', "—"]
+
+    def text(size, cues=()):
+        words = list(rng.choice(vocab, size=size, p=weights)) + list(cues)
+        out = []
+        for word in words:
+            if rng.random() < 0.3:
+                word += suffixes[rng.integers(len(suffixes))]
+            mark = marks[rng.integers(len(marks))]
+            out.append(mark + word if mark in ("(", '"') else word + mark)
+        return " ".join(out).capitalize()
+
+    instances = []
+    for i in range(n):
+        validity, novelty = int(rng.integers(2)) * 2 - 1, int(rng.integers(2)) * 2 - 1
+        cues = [f"v{validity + 1}cue", f"n{novelty + 1}cue"] if rng.random() < 0.7 else []
+        instances.append(
+            make_instance(
+                id=f"{prefix}{i:04d}",
+                premise=text(int(rng.integers(20, 40))),
+                conclusion=text(int(rng.integers(6, 12)), cues),
+                validity=validity,
+                novelty=novelty,
+            )
+        )
+    return instances
+
+
+# sha256 of each file `baseline --task both` writes for _zipf_corpus,
+# recorded before the tokenize, stemming and solver fast paths
+GOLDEN_ZIPF_BASELINE_SHA256 = {
+    "model-validity.json": "2cec8a1fdaa2fb0cdf23c0fdf4e58b0051d74da772c59b48e4ebca0b6fd86bda",
+    "model-novelty.json": "2bcac1a3141c74081229d83d7a2f03a5e5150692a52f0a19f9826031dff5d4bf",
+    "predictions.csv": "3660993fe72c0d22a25551fcd9f8885ba840f003759ab7ff09e05227cf36886e",
+    "baseline-stats.json": "1d93900d1b849a2b247884fa930d0347270c78ac1797399b2993ecf4cc335634",
+}
+
+
+def test_zipf_baseline_outputs_are_byte_stable(tmp_path):
+    save_instances_jsonl(_zipf_corpus(11, 400, "tr"), tmp_path / "train.jsonl")
+    save_instances_jsonl(_zipf_corpus(12, 150, "te"), tmp_path / "test.jsonl")
+    # C = 1 for validity so both of its labels are predicted
+    (tmp_path / "config.json").write_text(json.dumps({"baseline": {"c_validity": 1.0}}))
+    code = main(
+        ["baseline", "--config", str(tmp_path / "config.json"), "--run-dir", str(tmp_path / "run"),
+         "--train", str(tmp_path / "train.jsonl"), "--on", str(tmp_path / "test.jsonl"),
+         "--task", "both"]
+    )
+    assert code == 0
+    rows = (tmp_path / "run" / "predictions.csv").read_text().splitlines()[1:]
+    assert {tuple(row.split(",")[1:3]) for row in rows} == {
+        (task, value) for task in ("validity", "novelty") for value in ("positive", "negative")
+    }
+    digests = {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in GOLDEN_ZIPF_BASELINE_SHA256
+    }
+    assert digests == GOLDEN_ZIPF_BASELINE_SHA256

@@ -439,7 +439,11 @@ class TestStageDriver:
             sub = run_dir / f"seed-{seed}"
             manifest = json.loads((sub / "manifest.json").read_text(encoding="utf-8"))
             assert manifest["command"] == "train"
-            assert manifest["inputs"] == {}
+            assert manifest["inputs"] == {
+                label: {"path": str(path), "sha256": sha256_file(path)}
+                for label, path in (("train", workspace["root"] / "train.jsonl"),
+                                    ("dev", workspace["root"] / "dev.jsonl"))
+            }
             assert set(manifest["outputs"]) == {
                 "checkpoint.json", "train-loss.dat", "dev-combined-f1.dat", "report.json",
                 "config.json",
@@ -791,3 +795,29 @@ class TestErrorContract:
         )
         assert str(bad) in err
         assert not (run_dir / "predictions.csv").exists()
+
+    def test_non_utf8_config_is_parse(self, workspace, capsys):
+        root = workspace["root"]
+        bad = root / "config-not-utf8.json"
+        bad.write_bytes(b'{"profile": "desk \xff\xfe"}')
+        run_dir = root / "train-config-not-utf8"
+        err = self.run_expecting(
+            capsys, ["train", "--config", str(bad), "--run-dir", str(run_dir)], "parse"
+        )
+        assert str(bad) in err
+        assert not (run_dir / "manifest.json").exists()
+
+    def test_non_utf8_predictions_is_parse(self, workspace, dev_predictions, capsys):
+        root = workspace["root"]
+        bad = root / "predictions-not-utf8.csv"
+        text = dev_predictions["both"].read_bytes()
+        bad.write_bytes(text.replace(b",svm,", b",svm \xff\xfe,", 1))
+        run_dir = root / "eval-not-utf8"
+        err = self.run_expecting(
+            capsys,
+            ["evaluate", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--predictions", str(bad)],
+            "parse",
+        )
+        assert str(bad) in err
+        assert not (run_dir / "manifest.json").exists()

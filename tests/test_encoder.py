@@ -1,7 +1,12 @@
 """Reference encoder: tokenization, forward/backward, token-id memo."""
 
+import sys
+import unicodedata
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from valnov import encoder as encoder_mod
 from valnov.encoder import (
@@ -25,6 +30,51 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+
+def test_alphanumeric_code_points_are_never_punctuation():
+    # the fact tokenize's fast path rests on, over every code point
+    clashes = [
+        hex(cp)
+        for cp in range(sys.maxunicode + 1)
+        if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+    ]
+    assert clashes == []
+
+
+def scan_tokenize(text):
+    """tokenize as a category scan of both ends of every token."""
+    tokens = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if end > start:
+            tokens.append(raw[start:end])
+    return tokens
+
+
+# punctuation (ASCII and not), symbols, marks, digits, cased letters that
+# change under lower(), and whitespace
+_PUNCTUATION_HEAVY = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(
+            list(".,;:!?'\"()[]{}-_/\\@#%&*«»¿¡—–…、。「」‘’“”·$+<=>^`|~²½")
+            + ["\u0301", "\u0308"]  # combining marks: neither punctuation nor alphanumeric
+            + list("aZ9ßİΣσK٣")
+            + [" ", "\t", "\n", "\u00a0", "\u2003", "\u3000"]
+        ),
+        st.characters(),
+    ),
+    max_size=60,
+)
+
+
+@given(_PUNCTUATION_HEAVY)
+def test_tokenize_matches_category_scan(text):
+    assert tokenize(text) == scan_tokenize(text)
 
 
 def small_encoder(seed=0):

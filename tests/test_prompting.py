@@ -1,12 +1,16 @@
 """Prompt construction, completion providers, replay cache, parsing."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valnov
 from valnov.corpus import Confidence, LabelValue, Task
 from valnov.errors import (
     CacheMissError,
@@ -308,6 +312,15 @@ class TestMakeProvider:
         provider.timeout = 0.2
         with pytest.raises(ProviderError, match="retry"):
             complete(provider, PromptRequest(prompt="p"), ReplayCache(tmp_path))
+
+
+def test_cli_import_leaves_requests_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(valnov.__file__).parents[1])}
+    code = "import sys, valnov.cli; print('requests' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
 
 
 class TestParseResponse:

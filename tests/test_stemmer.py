@@ -6,13 +6,17 @@ mismatches); they serve as the behavioral oracle for this from-scratch
 version.
 """
 
+import hashlib
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from valnov.stemming import stem
+from valnov.encoder import tokenize
+from valnov.stemming import _STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4, stem
+from valnov.synthetic import make_profile_splits
 
 # (input, expected) covering every rule step, region edge cases, and the
 # special-word list.
@@ -182,3 +186,40 @@ def test_deterministic_and_lowercase(word):
 @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=12))
 def test_case_insensitive(word):
     assert stem(word) == stem(word.lower())
+
+
+def _suffix_word_list() -> list[str]:
+    """Seeded stems followed by every suffix the rule steps test, with
+    doubled-consonant and ``y`` variants, plus every profile-corpus token."""
+    rng = np.random.default_rng(2001)
+    letters = np.array(list(string.ascii_lowercase))
+    bases = ["".join(rng.choice(letters, size=rng.integers(1, 7))) for _ in range(120)]
+    bases += ["gener", "commun", "arsen", "y", "ay", "sky", "proceed", "hop", "bl", "at"]
+    suffixes = sorted(set(_STEP1A + _STEP1B + _STEP2 + _STEP3 + _STEP4))
+    words = []
+    for base in bases:
+        for suffix in ("", *suffixes):
+            words += [
+                base + suffix,
+                base + base[-1] + suffix,
+                base + "y" + suffix,
+                "y" + base + suffix,
+                base + "ey" + suffix,
+            ]
+    splits = make_profile_splits(seed=0)
+    for instances in splits.values():
+        for inst in instances:
+            words += tokenize(f"{inst.premise} {inst.conclusion}")
+    return words
+
+
+# sha256 of the stems of _suffix_word_list, one per line, recorded before
+# the suffix-dispatched rule steps
+GOLDEN_STEMS_SHA256 = "7ef4fc1cea10fd662db12e5ca5dfce2c6c4a59c0f50bb9ecf332a83c1deca34c"
+
+
+def test_stems_of_suffix_word_list_are_unchanged():
+    words = _suffix_word_list()
+    assert len(words) > 40_000
+    text = "\n".join(stem(word) for word in words)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_STEMS_SHA256
