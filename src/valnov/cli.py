@@ -189,12 +189,13 @@ def _train_once(
     train_set: Sequence[ArgumentInstance],
     dev_set: Sequence[ArgumentInstance],
     seed: int,
-    init_encoder: str | None,
+    init_encoder: Path | None,
 ) -> mtl.TrainResult:
-    """Train into ``run``: the checkpoint plus the loss and dev-F1 series."""
+    """Train into ``run``: the checkpoint plus the loss and dev-F1 series.
+    ``init_encoder`` is an encoder checkpoint the caller has recorded."""
     train_config = run.config.train_config(seed=seed)
     if init_encoder is not None:
-        encoder, _ = mtl.load_encoder_checkpoint(run.record_input("init-encoder", init_encoder))
+        encoder, _ = mtl.load_encoder_checkpoint(init_encoder)
         model = mtl.MtlModel(encoder.config, seed=seed, encoder=encoder)
     else:
         model = mtl.MtlModel(run.config.encoder, seed=seed)
@@ -209,11 +210,18 @@ def _train_once(
     return result
 
 
+def _init_encoder(run: _RunDir, args: argparse.Namespace) -> Path | None:
+    """The recorded ``--init-encoder`` checkpoint, if one was given."""
+    if args.init_encoder is None:
+        return None
+    return run.record_input("init-encoder", args.init_encoder)
+
+
 def cmd_train(args: argparse.Namespace, run: _RunDir) -> None:
     train_set = run.instances("train", args.train, Split.TRAIN)
     dev_set = run.instances("dev", args.dev, Split.DEV)
     seed = run.config.seed if args.seed is None else args.seed
-    result = _train_once(run, train_set, dev_set, seed, args.init_encoder)
+    result = _train_once(run, train_set, dev_set, seed, _init_encoder(run, args))
     best = result.history[result.best_epoch]
     print(
         f"best epoch {best.epoch}: dev combined F1 {best.dev_combined_f1:.4f} "
@@ -386,6 +394,7 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     config = run.config
     train_set = run.instances("train", args.train, Split.TRAIN)
     dev_set = run.instances("dev", args.dev, Split.DEV)
+    init_encoder = _init_encoder(run, args)
 
     n_runs = args.runs if args.runs is not None else config.sweep.runs
     base_seed = config.seed if args.seed is None else args.seed
@@ -394,9 +403,8 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     runs: list[tuple[int, list, EvalReport]] = []
     for seed in seeds:
         sub = _RunDir(run.path / f"seed-{seed}", "train", config)
-        # the parent's records of the same files, so they are hashed once
-        sub.inputs.update((label, run.inputs[label]) for label in ("train", "dev"))
-        result = _train_once(sub, train_set, dev_set, seed, args.init_encoder)
+        sub.inputs.update(run.inputs)  # the parent's records: each file is hashed once
+        result = _train_once(sub, train_set, dev_set, seed, init_encoder)
         report = evaluate(
             result.model.predict_both(dev_set),
             dev_set,

@@ -11,9 +11,10 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .contrastive import ContrastiveConfig
+from .decode import decode
 from .encoder import EncoderConfig
 from .errors import ConfigurationError, ParseError
 from .evaluation import DEFAULT_COMBINED_METRIC
@@ -84,42 +85,14 @@ class RunConfig:
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
-        overrides: dict[str, Any] = dict(self.train_overrides)
-        if "task_probabilities" in overrides:
-            overrides["task_probabilities"] = tuple(overrides["task_probabilities"])
-        overrides.setdefault("combined_metric", self.combined_metric)
-        overrides["seed"] = self.seed if seed is None else seed
-        return TrainConfig.from_profile(self.profile, **overrides)
-
-
-_NESTED = {
-    "data": DataSettings,
-    "encoder": EncoderConfig,
-    "contrastive": ContrastiveConfig,
-    "prompting": PromptSettings,
-    "baseline": BaselineSettings,
-    "sweep": SweepSettings,
-}
-
-
-def _build(cls: type, data: Mapping[str, Any], where: str) -> Any:
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - names)
-    if unknown:
-        raise ConfigurationError(f"unknown config key(s) {unknown} under {where}")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        nested = _NESTED.get(name)
-        if nested is not None and cls is RunConfig:
-            if not isinstance(value, Mapping):
-                raise ConfigurationError(f"config key {name!r} must be an object")
-            kwargs[name] = _build(nested, value, f"{where}.{name}")
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad config under {where}: {exc}") from exc
+        """The profile's TrainConfig with ``train_overrides`` decoded onto it."""
+        overrides = {"combined_metric": self.combined_metric, **self.train_overrides,
+                     "seed": self.seed if seed is None else seed}
+        try:
+            typed = decode(TrainConfig, overrides, "config.train_overrides")
+        except TypeError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        return TrainConfig.from_profile(self.profile, **{k: getattr(typed, k) for k in overrides})
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
@@ -136,7 +109,12 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
-    return _build(RunConfig, data, str(path))
+    try:
+        config = decode(RunConfig, data, "config")
+    except TypeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
+    config.train_config()  # a bad override or profile fails here, not mid-stage
+    return config
 
 
 def resolved_config_json(config: RunConfig) -> str:

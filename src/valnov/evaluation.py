@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from types import UnionType
-from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Sequence
 
 from .corpus import (
     ArgumentInstance,
@@ -23,6 +22,7 @@ from .corpus import (
     confidence_for,
     mapped_value,
 )
+from .decode import decode
 from .errors import ConfigurationError, CoverageError, ParseError, SchemaError
 from .predictions import Prediction
 
@@ -322,37 +322,6 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(asdict(report), indent=2, ensure_ascii=False)
 
 
-def _decode(tp: Any, value: Any, where: str) -> Any:
-    """``value``, parsed from JSON, checked against the annotated type ``tp``
-    and rebuilt as it (dataclasses, tuples). TypeError names the field."""
-    origin, args = get_origin(tp), get_args(tp)
-    if is_dataclass(tp):
-        if not isinstance(value, dict):
-            raise TypeError(f"{where} must be an object, got {value!r}")
-        hints = get_type_hints(tp)
-        kwargs = {}
-        for f in fields(tp):
-            if f.name in value:
-                kwargs[f.name] = _decode(hints[f.name], value[f.name], f"{where}.{f.name}")
-            elif f.default is MISSING and f.default_factory is MISSING:
-                raise TypeError(f"{where} lacks the field {f.name!r}")
-        return tp(**kwargs)
-    if origin is UnionType:  # ``X | None``
-        return None if value is None else _decode(args[0], value, where)
-    if origin is dict and isinstance(value, dict):
-        return {k: _decode(args[1], v, f"{where}.{k}") for k, v in value.items()}
-    if origin is list and isinstance(value, list):
-        return [_decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if origin is tuple and isinstance(value, list) and len(value) == len(args):
-        return tuple(_decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
-    if origin is not None:
-        raise TypeError(f"{where} must be {tp}, got {value!r}")
-    kinds = (int, float) if tp is float else tp
-    if isinstance(value, bool) or not isinstance(value, kinds):  # bool is an int
-        raise TypeError(f"{where} must be {tp.__name__}, got {value!r}")
-    return value
-
-
 def report_from_json(text: str, where: str = "report") -> EvalReport:
     """Inverse of report_to_json. Invalid JSON raises ParseError, a missing
     or ill-typed field SchemaError; both messages start with ``where``."""
@@ -361,7 +330,7 @@ def report_from_json(text: str, where: str = "report") -> EvalReport:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
     try:
-        return _decode(EvalReport, data, "report")
+        return decode(EvalReport, data, "report")
     except TypeError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
+from .decode import decode
 from .encoder import EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, ParseError, SchemaError, TrainingError
 from .evaluation import DEFAULT_COMBINED_METRIC, combined_score
@@ -418,17 +419,16 @@ def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
 
 
 def _config_from_blob(cls: type, blob: dict, path: str | Path):
-    """Rebuild a config dataclass from its ``dataclasses.asdict`` blob;
-    JSON arrays come back as tuples."""
+    """Rebuild a config dataclass from its ``dataclasses.asdict`` blob."""
     names = [f.name for f in dataclasses.fields(cls)]
     if not isinstance(blob, dict) or sorted(blob) != sorted(names):
         raise ConfigurationError(
             f"{path}: checkpoint {cls.__name__} needs exactly the keys {names}"
         )
     try:
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in blob.items()})
-    except TypeError as exc:  # a value of the wrong type fails its range check
-        raise ConfigurationError(f"{path}: checkpoint {cls.__name__}: {exc}") from exc
+        return decode(cls, blob, cls.__name__)
+    except TypeError as exc:
+        raise ConfigurationError(f"{path}: checkpoint {exc}") from exc
 
 
 def save_checkpoint(
@@ -455,14 +455,15 @@ def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[Epoch
     )
     enc_cfg = _config_from_blob(EncoderConfig, blob["encoder_config"], path)
     config = _config_from_blob(TrainConfig, blob["train_config"], path)
-    model = MtlModel(enc_cfg, seed=config.seed, name=blob.get("name", "mtl"))
-    _unpack_params(blob["params"], model.parameters(), path)
     try:
-        history = [EpochRecord(int(e), float(l), float(f)) for e, l, f in blob["history"]]
-        best_epoch = int(blob["best_epoch"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed history or best_epoch ({exc})") from exc
-    return model, config, history, best_epoch
+        name = decode(str, blob.get("name", "mtl"), "name")
+        rows = decode(list[tuple[int, float, float]], blob["history"], "history")
+        best_epoch = decode(int, blob["best_epoch"], "best_epoch")
+    except TypeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    model = MtlModel(enc_cfg, seed=config.seed, name=name)
+    _unpack_params(blob["params"], model.parameters(), path)
+    return model, config, [EpochRecord(*row) for row in rows], best_epoch
 
 
 def save_encoder_checkpoint(
@@ -484,7 +485,7 @@ def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[fl
     encoder = ReferenceEncoder(_config_from_blob(EncoderConfig, blob["encoder_config"], path))
     _unpack_params(blob["params"], encoder.parameters(), path)
     try:
-        epoch_losses = [float(x) for x in blob["epoch_losses"]]
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed epoch_losses ({exc})") from exc
+        epoch_losses = decode(list[float], blob["epoch_losses"], "epoch_losses")
+    except TypeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return encoder, epoch_losses

@@ -267,9 +267,9 @@ class HttpProvider:
         self.timeout = timeout
 
     def generate(self, request: PromptRequest) -> str:
-        # imported here: it is the slowest import of the package, and only
-        # this provider needs it
-        import requests
+        # imported here: only this provider talks to the network
+        import http.client
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
@@ -282,18 +282,21 @@ class HttpProvider:
             "presence_penalty": request.presence_penalty,
             "max_tokens": request.max_tokens,
         }
+        post = urllib.request.Request(
+            self.endpoint, data=json.dumps(body).encode("utf-8"), headers=headers
+        )
         try:
-            response = requests.post(
-                self.endpoint, json=body, headers=headers, timeout=self.timeout
-            )
-            response.raise_for_status()
-            payload = response.json()
-            return payload["choices"][0]["text"]
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
+            # an HTTP error status, a refused connection and a timeout are all OSErrors
+            with urllib.request.urlopen(post, timeout=self.timeout) as response:
+                text = json.load(response)["choices"][0]["text"]
+            if not isinstance(text, str):
+                raise TypeError(f"choice text is {text!r}")
+        except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:
             raise ProviderError(
                 f"completion call to {self.endpoint} failed ({exc}); "
                 "check endpoint/API key and retry"
             ) from exc
+        return text
 
 
 def make_provider(

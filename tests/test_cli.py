@@ -5,12 +5,20 @@ import json
 import pytest
 
 from valnov.cli import main
+from valnov.config import (
+    DataSettings,
+    PromptSettings,
+    RunConfig,
+    SweepSettings,
+    resolved_config_json,
+)
 from valnov.corpus import Task, load_instances_jsonl, save_instances_jsonl
 from valnov.predictions import load_predictions, save_predictions, Prediction
 from valnov.corpus import LabelValue
 from valnov.encoder import EncoderConfig, ReferenceEncoder
 from valnov.fsutil import sha256_file
 from valnov.mtl import load_checkpoint, save_encoder_checkpoint
+from valnov.prompting import PromptRequest, build_prompt, cache_key, select_few_shot
 from valnov.synthetic import make_separable_corpus
 
 
@@ -449,6 +457,32 @@ class TestStageDriver:
                 "config.json",
             }
 
+    def test_seed_sweep_records_init_encoder_once(self, workspace, monkeypatch):
+        import valnov.cli
+
+        root = workspace["root"]
+        encoder = root / "sweep-encoder.json"
+        config = EncoderConfig(vocab_buckets=256, embed_dim=12, projection_dim=8)
+        save_encoder_checkpoint(ReferenceEncoder(config), [0.5], encoder)
+        hashed = []
+
+        def counting_sha256(path):
+            hashed.append(str(path))
+            return sha256_file(path)
+
+        monkeypatch.setattr(valnov.cli, "sha256_file", counting_sha256)
+        run_dir = root / "manifest-sweep-init"
+        assert main(["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
+                     "--runs", "2", "--seed", "3", "--init-encoder", str(encoder)]) == 0
+        assert hashed.count(str(encoder)) == 1
+        record = {"path": str(encoder), "sha256": sha256_file(encoder)}
+        parent = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert set(parent["inputs"]) == {"train", "dev", "init-encoder"}
+        assert parent["inputs"]["init-encoder"] == record
+        for seed in (3, 4):
+            sub = json.loads((run_dir / f"seed-{seed}" / "manifest.json").read_text("utf-8"))
+            assert sub["inputs"] == parent["inputs"]
+
     @pytest.mark.parametrize(
         "command, extra",
         [
@@ -821,3 +855,171 @@ class TestErrorContract:
         )
         assert str(bad) in err
         assert not (run_dir / "manifest.json").exists()
+
+
+# dotted config key, ill-typed value, subcommand run on it, text the error names
+ILL_TYPED_CONFIG = [
+    ("seed", "x", "train", "config.seed must be int"),
+    ("encoder.embed_dim", 12.5, "train", "config.encoder.embed_dim must be int"),
+    ("prompting.parallelism", "4", "prompt-predict",
+     "config.prompting.parallelism must be int"),
+    ("train_overrides.epochs", "2", "train", "config.train_overrides.epochs must be int"),
+    ("train_overrides.epochz", 2, "train", "['epochz'] under config.train_overrides"),
+    ("train_overrides.task_probabilities", 0.5, "train",
+     "config.train_overrides.task_probabilities must be tuple[float, float]"),
+    ("sweep.runs", "2", "seed-sweep", "config.sweep.runs must be int"),
+    ("baseline.c_validity", "0.1", "baseline", "config.baseline.c_validity must be float"),
+    ("profile", ["desk"], "train", "config.profile must be str"),
+    ("prompting.temperature", "0", "prompt-predict",
+     "config.prompting.temperature must be float"),
+    ("baseline.steps", True, "baseline", "config.baseline.steps must be int"),
+    ("data.column_map.topic", 5, "prepare-data", "config.data.column_map.topic must be str"),
+]
+
+STAGE_ARGS = {
+    "prompt-predict": ["--task", "validity", "--cache-dir", "{root}/typed-cache"],
+    "prepare-data": ["--splits", "train"],
+}
+
+
+def _set_key(config: dict, dotted: str, value) -> dict:
+    """A deep copy of ``config`` with the dotted key set to ``value``."""
+    config = json.loads(json.dumps(config))
+    *sections, name = dotted.split(".")
+    node = config
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    return config
+
+
+class TestIllTypedInputs:
+    @pytest.mark.parametrize(
+        "dotted, value, command, detail", ILL_TYPED_CONFIG, ids=[c[0] for c in ILL_TYPED_CONFIG]
+    )
+    def test_ill_typed_config_value_is_configuration(
+        self, workspace, capsys, dotted, value, command, detail
+    ):
+        root = workspace["root"]
+        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config_path = root / f"typed-{dotted}.json"
+        config_path.write_text(json.dumps(_set_key(config, dotted, value)), encoding="utf-8")
+        run_dir = root / f"typed-{dotted}"
+        extra = [arg.format(root=root) for arg in STAGE_ARGS.get(command, [])]
+        code = main([command, "--config", str(config_path), "--run-dir", str(run_dir), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: configuration: ") and err.count("\n") == 1
+        assert detail in err
+        assert "Traceback" not in err
+        assert not run_dir.exists()
+
+    def _damaged_checkpoint(self, workspace, trained, name, damage):
+        blob = json.loads(trained.read_text(encoding="utf-8"))
+        damage(blob)
+        path = workspace["root"] / f"checkpoint-{name}.json"
+        path.write_text(json.dumps(blob), encoding="utf-8")
+        return path
+
+    def test_checkpoint_train_config_type_is_configuration(self, workspace, trained, capsys):
+        def damage(blob):
+            blob["train_config"]["seed"] = "3"
+
+        broken = self._damaged_checkpoint(workspace, trained, "seed-text", damage)
+        run_dir = workspace["root"] / "pred-seed-text"
+        code = main(["predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+                     "--checkpoint", str(broken)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"error: configuration: {broken}: checkpoint TrainConfig.seed must be int, got '3'\n"
+        )
+        assert not (run_dir / "predictions.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("best_epoch", "1", "best_epoch must be int"),
+            ("best_epoch", 1.7, "best_epoch must be int"),
+            ("best_epoch", True, "best_epoch must be int"),
+            ("history", "0.5", "history[0][1] must be float"),
+            ("name", 5, "name must be str"),
+        ],
+        ids=["best-epoch-text", "best-epoch-fraction", "best-epoch-bool", "history-cell-text",
+             "name-not-text"],
+    )
+    def test_ill_typed_checkpoint_metadata_is_schema(
+        self, workspace, trained, capsys, field, value, detail
+    ):
+        def damage(blob):
+            if field == "history":
+                blob["history"][0][1] = value
+            else:
+                blob[field] = value
+
+        broken = self._damaged_checkpoint(workspace, trained, f"{field}-{value}", damage)
+        run_dir = workspace["root"] / f"pred-meta-{field}-{value}"
+        code = main(["predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+                     "--checkpoint", str(broken)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: schema: {broken}: ") and err.count("\n") == 1
+        assert detail in err
+        assert not (run_dir / "predictions.csv").exists()
+
+    def test_ill_typed_encoder_epoch_losses_is_schema(self, workspace, capsys):
+        root = workspace["root"]
+        good = root / "encoder-losses.json"
+        config = EncoderConfig(vocab_buckets=256, embed_dim=12, projection_dim=8)
+        save_encoder_checkpoint(ReferenceEncoder(config), [0.5, 0.25], good)
+        blob = json.loads(good.read_text(encoding="utf-8"))
+        blob["epoch_losses"][1] = "0.25"
+        broken = root / "encoder-losses-text.json"
+        broken.write_text(json.dumps(blob), encoding="utf-8")
+        run_dir = root / "init-losses-text"
+        code = main(["train", "--config", workspace["config"], "--run-dir", str(run_dir),
+                     "--init-encoder", str(broken)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: schema: {broken}: epoch_losses[1] must be float, got '0.25'\n"
+        assert not (run_dir / "checkpoint.json").exists()
+
+    def test_int_temperature_keeps_echo_and_cache_keys(self, workspace):
+        # no coercion: 0 stays 0, so the echo and every cache key are the
+        # bytes a config written with 0 has always produced
+        root = workspace["root"]
+        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config_path = root / "int-temperature.json"
+        config_path.write_text(
+            json.dumps(_set_key(config, "prompting.temperature", 0)), encoding="utf-8"
+        )
+        run_dir, cache_dir = root / "int-temperature", root / "int-temperature-cache"
+        assert main(["prompt-predict", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--task", "validity", "--cache-dir", str(cache_dir)]) == 0
+
+        settings = PromptSettings(**dict(config["prompting"], temperature=0))
+        expected = RunConfig(
+            data=DataSettings(**config["data"]),
+            encoder=EncoderConfig(**config["encoder"]),
+            profile="desk",
+            prompting=settings,
+            sweep=SweepSettings(**config["sweep"]),
+        )
+        assert (run_dir / "config.json").read_text(encoding="utf-8") == resolved_config_json(
+            expected
+        )
+        assert '"temperature": 0\n' in (run_dir / "config.json").read_text(encoding="utf-8")
+
+        train = load_instances_jsonl(root / "train.jsonl")
+        few_shot = select_few_shot(train, Task.VALIDITY)
+        targets = load_instances_jsonl(root / "dev.jsonl")
+
+        def keys(decoding):
+            return {
+                cache_key(PromptRequest(build_prompt(few_shot, t, Task.VALIDITY), **decoding))
+                for t in targets
+            }
+
+        written = {path.stem for path in cache_dir.glob("*.json")}
+        assert written == keys(settings.decoding())
+        assert written.isdisjoint(keys(dict(settings.decoding(), temperature=0.0)))

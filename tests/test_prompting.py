@@ -1,9 +1,11 @@
 """Prompt construction, completion providers, replay cache, parsing."""
 
+import http.server
 import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -312,6 +314,99 @@ class TestMakeProvider:
         provider.timeout = 0.2
         with pytest.raises(ProviderError, match="retry"):
             complete(provider, PromptRequest(prompt="p"), ReplayCache(tmp_path))
+
+
+@pytest.fixture
+def completion_server():
+    """A completions endpoint on 127.0.0.1 that answers every POST with
+    ``server.reply`` (status, body bytes) after ``server.release`` is set,
+    and keeps each request's headers and JSON body in ``server.seen``."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            server.seen.append((dict(self.headers), json.loads(body)))
+            server.release.wait(5)
+            status, payload = server.reply
+            try:
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+            except ConnectionError:  # the client has already given up
+                pass
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    server.seen, server.release = [], threading.Event()
+    server.release.set()
+    server.reply = (200, b"{}")
+    server.endpoint = f"http://127.0.0.1:{server.server_port}/v1/completions"
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.release.set()
+        server.shutdown()
+        server.server_close()
+        thread.join(5)
+        assert not thread.is_alive()
+
+
+class TestHttpProvider:
+    REQUEST = PromptRequest(prompt="topic: t\nvalid:", temperature=0.5, max_tokens=3)
+
+    @pytest.mark.parametrize("api_key", ["k-123", None])
+    def test_success_returns_text_and_posts_the_request(self, completion_server, api_key):
+        completion_server.reply = (200, json.dumps({"choices": [{"text": " yes"}]}).encode())
+        provider = make_provider(
+            "http-openai-compatible", endpoint=completion_server.endpoint, api_key=api_key
+        )
+        assert provider.generate(self.REQUEST) == " yes"
+        [(headers, body)] = completion_server.seen
+        assert body == {
+            "model": "text-davinci-002",
+            "prompt": "topic: t\nvalid:",
+            "temperature": 0.5,
+            "frequency_penalty": 0.0,
+            "presence_penalty": 0.0,
+            "max_tokens": 3,
+        }
+        assert headers["Content-Type"] == "application/json"
+        if api_key:
+            assert headers["Authorization"] == "Bearer k-123"
+        else:
+            assert "Authorization" not in headers
+
+    @pytest.mark.parametrize(
+        "status, payload",
+        [
+            (500, b'{"error": "overloaded"}'),
+            (200, b"<html>not json</html>"),
+            (200, b'{"choices": []}'),
+            (200, b'{"object": "text_completion"}'),
+            (200, b'{"choices": [{"text": 5}]}'),
+            (200, b"\xff\xfe"),
+        ],
+        ids=["http-500", "not-json", "no-choices", "no-choices-key", "text-not-a-string",
+             "not-utf8"],
+    )
+    def test_failure_is_one_provider_error(self, completion_server, status, payload):
+        completion_server.reply = (status, payload)
+        provider = make_provider("http-openai-compatible", endpoint=completion_server.endpoint)
+        with pytest.raises(ProviderError, match=f"call to {completion_server.endpoint} failed"):
+            provider.generate(self.REQUEST)
+
+    def test_timeout_is_a_provider_error(self, completion_server):
+        completion_server.release.clear()  # the server answers only after the test
+        provider = make_provider("http-openai-compatible", endpoint=completion_server.endpoint)
+        provider.timeout = 0.2
+        with pytest.raises(ProviderError, match="timed out"):
+            provider.generate(self.REQUEST)
 
 
 def test_cli_import_leaves_requests_unloaded():
