@@ -71,6 +71,11 @@ _ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
     (TrainingError, "training"),
     (ConfigurationError, "configuration"),
     (FileNotFoundError, "usage"),
+    # a path naming the wrong kind of thing: --config a directory,
+    # --run-dir an existing file
+    (IsADirectoryError, "usage"),
+    (NotADirectoryError, "usage"),
+    (FileExistsError, "usage"),
 ]
 
 
@@ -189,13 +194,15 @@ def _train_once(
     train_set: Sequence[ArgumentInstance],
     dev_set: Sequence[ArgumentInstance],
     seed: int,
-    init_encoder: Path | None,
+    init_encoder: ReferenceEncoder | None,
 ) -> mtl.TrainResult:
     """Train into ``run``: the checkpoint plus the loss and dev-F1 series.
-    ``init_encoder`` is an encoder checkpoint the caller has recorded."""
+    Training starts from a copy of ``init_encoder``'s parameters, which
+    training would otherwise update in place."""
     train_config = run.config.train_config(seed=seed)
     if init_encoder is not None:
-        encoder, _ = mtl.load_encoder_checkpoint(init_encoder)
+        encoder = ReferenceEncoder(init_encoder.config)
+        encoder.set_parameters(init_encoder.parameters())
         model = mtl.MtlModel(encoder.config, seed=seed, encoder=encoder)
     else:
         model = mtl.MtlModel(run.config.encoder, seed=seed)
@@ -210,11 +217,12 @@ def _train_once(
     return result
 
 
-def _init_encoder(run: _RunDir, args: argparse.Namespace) -> Path | None:
-    """The recorded ``--init-encoder`` checkpoint, if one was given."""
+def _init_encoder(run: _RunDir, args: argparse.Namespace) -> ReferenceEncoder | None:
+    """The encoder of the recorded ``--init-encoder`` checkpoint, if one was given."""
     if args.init_encoder is None:
         return None
-    return run.record_input("init-encoder", args.init_encoder)
+    encoder, _ = mtl.load_encoder_checkpoint(run.record_input("init-encoder", args.init_encoder))
+    return encoder
 
 
 def cmd_train(args: argparse.Namespace, run: _RunDir) -> None:
@@ -457,6 +465,16 @@ def _splits(value: str) -> list[Split]:
         ) from None
 
 
+def _runs(value: str) -> int:
+    try:
+        runs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+    if runs < 2:
+        raise argparse.ArgumentTypeError(f"{value!r}: a seed summary needs at least 2 runs")
+    return runs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valnov",
@@ -533,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--train", default=None)
     p.add_argument("--dev", default=None)
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", type=_runs, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--init-encoder", default=None)
     p.set_defaults(func=cmd_seed_sweep)

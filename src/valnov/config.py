@@ -70,6 +70,12 @@ class BaselineSettings:
 class SweepSettings:
     runs: int = 3
 
+    def __post_init__(self):
+        if self.runs < 2:
+            raise ConfigurationError(
+                "sweep.runs must be >= 2: a seed summary needs at least 2 runs"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:

@@ -24,7 +24,7 @@ from .corpus import (
 )
 from .decode import decode
 from .errors import ConfigurationError, CoverageError, ParseError, SchemaError
-from .predictions import Prediction
+from .predictions import Prediction, task_index
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -83,15 +83,7 @@ def _pairs(
     task: Task,
 ) -> list[tuple[ArgumentInstance, Prediction]]:
     task = Task(task)
-    by_id: dict[str, Prediction] = {}
-    for p in predictions:
-        if p.task is not task:
-            continue
-        if p.instance_id in by_id:
-            raise CoverageError(
-                f"multiple {task.value} predictions for id {p.instance_id!r}"
-            )
-        by_id[p.instance_id] = p
+    by_id = task_index(predictions, task)
     missing = [g.id for g in golds if g.id not in by_id]
     if missing:
         raise CoverageError(f"missing {task.value} predictions for ids: {sorted(missing)}")

@@ -57,7 +57,9 @@ def _check_unique(predictions: Iterable[Prediction], context: str = "") -> None:
         seen.add(key)
 
 
-def _task_universe(predictions: Sequence[Prediction], task: Task) -> dict[str, Prediction]:
+def task_index(predictions: Sequence[Prediction], task: Task) -> dict[str, Prediction]:
+    """``task``'s predictions by instance id; a second one for an id is a
+    CoverageError."""
     by_id: dict[str, Prediction] = {}
     for p in predictions:
         if p.task is not task:
@@ -82,8 +84,8 @@ def mix(
     """Merge two prediction sets: validity labels from the first, novelty
     labels from the second. Both must cover the same instance-id universe
     for their respective task."""
-    validity = _task_universe(validity_set, Task.VALIDITY)
-    novelty = _task_universe(novelty_set, Task.NOVELTY)
+    validity = task_index(validity_set, Task.VALIDITY)
+    novelty = task_index(novelty_set, Task.NOVELTY)
     missing_nov = sorted(set(validity) - set(novelty))
     missing_val = sorted(set(novelty) - set(validity))
     if missing_nov or missing_val:

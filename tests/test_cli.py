@@ -1,6 +1,7 @@
 """End-to-end subcommand runs through main(), plus the error contract."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from valnov.predictions import load_predictions, save_predictions, Prediction
 from valnov.corpus import LabelValue
 from valnov.encoder import EncoderConfig, ReferenceEncoder
 from valnov.fsutil import sha256_file
-from valnov.mtl import load_checkpoint, save_encoder_checkpoint
+from valnov.mtl import load_checkpoint, load_encoder_checkpoint, save_encoder_checkpoint
 from valnov.prompting import PromptRequest, build_prompt, cache_key, select_few_shot
 from valnov.synthetic import make_separable_corpus
 
@@ -470,11 +471,19 @@ class TestStageDriver:
             hashed.append(str(path))
             return sha256_file(path)
 
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(str(path))
+            return load_encoder_checkpoint(path)
+
         monkeypatch.setattr(valnov.cli, "sha256_file", counting_sha256)
+        monkeypatch.setattr(valnov.cli.mtl, "load_encoder_checkpoint", counting_load)
         run_dir = root / "manifest-sweep-init"
         assert main(["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
                      "--runs", "2", "--seed", "3", "--init-encoder", str(encoder)]) == 0
         assert hashed.count(str(encoder)) == 1
+        assert loaded == [str(encoder)]
         record = {"path": str(encoder), "sha256": sha256_file(encoder)}
         parent = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
         assert set(parent["inputs"]) == {"train", "dev", "init-encoder"}
@@ -482,6 +491,13 @@ class TestStageDriver:
         for seed in (3, 4):
             sub = json.loads((run_dir / f"seed-{seed}" / "manifest.json").read_text("utf-8"))
             assert sub["inputs"] == parent["inputs"]
+        # seed 4 trains after seed 3, so an encoder shared across seeds would
+        # start it from seed 3's trained weights
+        single = root / "train-init-seed-4"
+        assert main(["train", "--config", workspace["config"], "--run-dir", str(single),
+                     "--seed", "4", "--init-encoder", str(encoder)]) == 0
+        swept = (run_dir / "seed-4" / "checkpoint.json").read_bytes()
+        assert swept == (single / "checkpoint.json").read_bytes()
 
     @pytest.mark.parametrize(
         "command, extra",
@@ -555,6 +571,23 @@ class TestErrorContract:
              str(workspace["root"] / "nope.jsonl")],
             "usage",
         )
+
+    @pytest.mark.parametrize(
+        "config, run_dir",
+        [("{root}", "{root}/e-config-dir"), ("{config}", "{file}"),
+         ("{config}", "{file}/run")],
+        ids=["config-is-directory", "run-dir-is-file", "run-dir-under-file"],
+    )
+    def test_path_of_wrong_kind_is_usage(self, workspace, capsys, config, run_dir):
+        root = workspace["root"]
+        fill = {"root": root, "config": workspace["config"], "file": root / "train.jsonl"}
+        run_dir = Path(run_dir.format(**fill))
+        self.run_expecting(
+            capsys,
+            ["train", "--config", config.format(**fill), "--run-dir", str(run_dir)],
+            "usage",
+        )
+        assert not run_dir.is_dir()
 
     def test_unknown_config_key_is_configuration(self, workspace, capsys):
         root = workspace["root"]
@@ -912,6 +945,26 @@ class TestIllTypedInputs:
         assert err.startswith("error: configuration: ") and err.count("\n") == 1
         assert detail in err
         assert "Traceback" not in err
+        assert not run_dir.exists()
+
+    def test_seed_sweep_of_one_run_is_rejected_before_training(self, workspace, capsys):
+        root = workspace["root"]
+        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config_path = root / "sweep-one-run.json"
+        config_path.write_text(json.dumps(_set_key(config, "sweep.runs", 1)), encoding="utf-8")
+        run_dir = root / "sweep-one-run"
+        assert main(["seed-sweep", "--config", str(config_path), "--run-dir", str(run_dir)]) == 2
+        assert capsys.readouterr().err == (
+            "error: configuration: sweep.runs must be >= 2: "
+            "a seed summary needs at least 2 runs\n"
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
+                  "--runs", "1"])
+        assert exit_info.value.code == 2
+        assert "argument --runs: '1': a seed summary needs at least 2 runs" in (
+            capsys.readouterr().err
+        )
         assert not run_dir.exists()
 
     def _damaged_checkpoint(self, workspace, trained, name, damage):
