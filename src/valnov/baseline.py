@@ -32,8 +32,6 @@ from .fsutil import atomic_write_text
 from .predictions import Prediction, PredictionSet
 from .stemming import stem
 
-DEFAULT_C = {Task.VALIDITY: 0.09, Task.NOVELTY: 4.7}
-
 SparseVector = dict[int, float]
 
 # the solver folds a into v once a falls below this; the lazy tail sum
@@ -153,12 +151,6 @@ def tfidf_rows(model: TfidfModel, analysed: Sequence[list[str]]) -> CsrRows:
         indices=np.frombuffer(indices, dtype=np.int64),
         values=np.frombuffer(values, dtype=np.float64),
     )
-
-
-def tfidf_transform(model: TfidfModel, document: str) -> SparseVector:
-    """tf·idf weights, L2-normalized; unseen terms dropped; {} is the zero vector."""
-    row = tfidf_rows(model, [_terms(document)])
-    return dict(zip(row.indices.tolist(), row.values.tolist()))
 
 
 def featurize(
@@ -331,34 +323,6 @@ def task_labels(instances: Sequence[ArgumentInstance], task: Task) -> list[int]:
     ]
 
 
-def fit_baseline(
-    instances: Sequence[ArgumentInstance],
-    task: Task,
-    C: float | None = None,
-    steps: int | None = None,
-    seed: int = 0,
-) -> tuple[TfidfModel, SvmFit]:
-    """Fit TF-IDF on the training text and train the per-task SVM."""
-    task = Task(task)
-    if C is None:
-        C = DEFAULT_C[task]
-    tfidf, X, _ = featurize(instances)
-    y = task_labels(instances, task)
-    fit = svm_train(X, y, dim=len(tfidf.vocabulary), C=C, steps=steps, seed=seed)
-    return tfidf, fit
-
-
-def baseline_predict(
-    model: LinearSvm,
-    tfidf: TfidfModel,
-    instance: ArgumentInstance,
-    task: Task,
-    source: str = "svm",
-) -> Prediction:
-    """sign(w·x + b): positive half-space → positive label, 0 → negative."""
-    return predict_corpus(model, tfidf, [instance], task, source=source).predictions[0]
-
-
 def predict_corpus(
     model: LinearSvm,
     tfidf: TfidfModel,
@@ -404,19 +368,3 @@ def save_baseline(path: str | Path, model: LinearSvm, tfidf: TfidfModel) -> None
         for key, value in payload.items()
     )
     atomic_write_text(Path(path), "{" + fields + "}")
-
-
-def load_baseline(path: str | Path) -> tuple[LinearSvm, TfidfModel]:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    tfidf = TfidfModel(
-        vocabulary={term: int(idx) for term, idx in payload["vocabulary"].items()},
-        idf=np.asarray(payload["idf"], dtype=float),
-        document_count=int(payload["document_count"]),
-    )
-    model = LinearSvm(
-        weights=np.asarray(payload["weights"], dtype=float),
-        bias=float(payload["bias"]),
-        C=float(payload["C"]),
-    )
-    return model, tfidf

@@ -9,6 +9,7 @@ and a manifest. Errors exit nonzero with a single
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -32,6 +33,7 @@ from .corpus import (
     save_instances_jsonl,
     save_triplets_jsonl,
     topic_overlap,
+    write_instances_csv,
 )
 from .encoder import ReferenceEncoder
 from .errors import (
@@ -55,11 +57,7 @@ from .evaluation import (
 from .fsutil import atomic_write_text, sha256_file
 from .predictions import PredictionSet, load_predictions, mix, save_predictions
 from .prompting import ReplayCache, make_provider, prompt_predict, select_few_shot
-from .synthetic import (
-    make_profile_splits,
-    make_separable_corpus,
-    write_instances_csv,
-)
+from .synthetic import make_profile_splits, make_separable_corpus
 
 _ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
     (SchemaError, "schema"),
@@ -136,6 +134,8 @@ class _RunDir:
 
 def _require_file(path: str | Path) -> Path:
     path = Path(path)
+    if path.is_dir():
+        raise IsADirectoryError(f"not a file: {path}")
     if not path.is_file():
         raise FileNotFoundError(f"input file not found: {path}")
     return path
@@ -562,13 +562,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand. Every stage but ``report`` runs into its own
     run directory, whose config echo and manifest are written only when
-    the stage succeeds."""
+    the stage succeeds. A stage that fails removes the directories it
+    created for its run directory, as far as they are still empty."""
     args = build_parser().parse_args(argv)
+    run_dir = None if args.command == "report" else Path(args.run_dir)
+    created = [] if run_dir is None else [
+        path for path in (run_dir, *run_dir.parents) if not path.exists()
+    ]
     try:
-        if args.command == "report":
+        if run_dir is None:
             args.func(args)
         else:
-            run = _RunDir(Path(args.run_dir), args.command, load_config(args.config))
+            run = _RunDir(run_dir, args.command, load_config(args.config))
             args.func(args, run)
             run.finalize()
     except tuple(cls for cls, _ in _ERROR_CATEGORIES) as exc:
@@ -576,6 +581,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             if isinstance(exc, cls):
                 print(f"error: {category}: {exc}", file=sys.stderr)
                 break
+        for path in created:  # innermost first; rmdir never deletes a file
+            with contextlib.suppress(OSError):
+                os.rmdir(path)
         return 2
     return 0
 

@@ -92,6 +92,11 @@ class RunConfig:
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         """The profile's TrainConfig with ``train_overrides`` decoded onto it."""
+        if "seed" in self.train_overrides:
+            raise ConfigurationError(
+                "config.train_overrides.seed has no effect: "
+                "a run's seed is the top-level seed or --seed"
+            )
         overrides = {"combined_metric": self.combined_metric, **self.train_overrides,
                      "seed": self.seed if seed is None else seed}
         try:

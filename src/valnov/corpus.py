@@ -1,14 +1,16 @@
 """Shared-task corpus handling.
 
-Loads delimited data files into ArgumentInstance records, maps the raw
-tri-valued labels onto binary task labels, computes dataset statistics
-(class distribution, topic overlap), and extracts contrastive triplets.
-All operations are pure.
+Loads delimited data files into ArgumentInstance records and writes
+them back under one column map, maps the raw tri-valued labels onto
+binary task labels, computes dataset statistics (class distribution,
+topic overlap), and extracts contrastive triplets. Apart from the
+readers and writers, all operations are pure.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -215,6 +217,29 @@ def _read_corpus(path: Path, columns: Mapping[str, str], split: Split) -> list[A
     return instances
 
 
+def write_instances_csv(instances: Sequence[ArgumentInstance], path: str | Path) -> Path:
+    """Write instances under the ``DEFAULT_COLUMN_MAP`` header, which
+    ``load_corpus`` reads back."""
+    path = Path(path)
+    buffer = io.StringIO()  # keeps the writer's \r\n line ends
+    writer = csv.writer(buffer)
+    writer.writerow(DEFAULT_COLUMN_MAP.values())
+    for inst in instances:
+        writer.writerow(
+            [
+                inst.topic,
+                inst.premise,
+                inst.conclusion,
+                inst.validity_raw,
+                inst.validity_confidence.value,
+                inst.novelty_raw,
+                inst.novelty_confidence.value,
+            ]
+        )
+    atomic_write_text(path, buffer.getvalue())
+    return path
+
+
 def map_label(raw: int, task: Task) -> TaskLabel:
     """Map a raw tri-valued label to a binary task label.
 
@@ -291,26 +316,9 @@ def extract_triplets(instances: Sequence[ArgumentInstance]) -> list[TripletExamp
 # --- canonical JSONL serialization used between pipeline stages ---
 
 def save_instances_jsonl(instances: Iterable[ArgumentInstance], path: str | Path) -> None:
+    # the enum fields are str subclasses, which json writes as their values
     atomic_write_text(
-        path,
-        "".join(
-            json.dumps(
-                {
-                    "id": inst.id,
-                    "topic": inst.topic,
-                    "premise": inst.premise,
-                    "conclusion": inst.conclusion,
-                    "validity_raw": inst.validity_raw,
-                    "novelty_raw": inst.novelty_raw,
-                    "validity_confidence": inst.validity_confidence.value,
-                    "novelty_confidence": inst.novelty_confidence.value,
-                    "split": inst.split.value,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
-            for inst in instances
-        ),
+        path, "".join(json.dumps(vars(inst), ensure_ascii=False) + "\n" for inst in instances)
     )
 
 
@@ -377,20 +385,7 @@ def load_instances_jsonl(path: str | Path) -> list[ArgumentInstance]:
 
 def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) -> None:
     atomic_write_text(
-        path,
-        "".join(
-            json.dumps(
-                {
-                    "anchor": t.anchor,
-                    "positive": t.positive,
-                    "negative": t.negative,
-                    "topic": t.topic,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
-            for t in triplets
-        ),
+        path, "".join(json.dumps(vars(t), ensure_ascii=False) + "\n" for t in triplets)
     )
 
 

@@ -259,18 +259,12 @@ class TrainResult:
     best_epoch: int
 
 
-def select_best(history: Sequence[tuple[int, float] | EpochRecord]) -> int:
+def select_best(history: Sequence[EpochRecord]) -> int:
     """Epoch index with the highest combined F1; ties go to the earliest."""
     if not history:
         raise ConfigurationError("empty history")
-    scores = [
-        h.dev_combined_f1 if isinstance(h, EpochRecord) else h[1] for h in history
-    ]
-    best = 0
-    for i, score in enumerate(scores):
-        if score > scores[best]:
-            best = i
-    return best
+    scores = [h.dev_combined_f1 for h in history]
+    return scores.index(max(scores))
 
 
 def train(

@@ -14,7 +14,7 @@ import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -158,19 +158,10 @@ def build_prompt(few_shot: FewShotSet, target: ArgumentInstance, task: Task) -> 
 
 
 def cache_key(request: PromptRequest) -> str:
-    """Stable content hash of everything that determines a completion."""
+    """Stable content hash of everything that determines a completion:
+    every field of the request."""
     payload = json.dumps(
-        {
-            "model_id": request.model_id,
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "frequency_penalty": request.frequency_penalty,
-            "presence_penalty": request.presence_penalty,
-            "max_tokens": request.max_tokens,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
+        vars(request), sort_keys=True, ensure_ascii=False, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -209,7 +200,7 @@ class ReplayCache:
     def put(self, key: str, request: PromptRequest, raw_text: str) -> None:
         record = {
             "key": key,
-            "request": asdict(request),
+            "request": vars(request),
             "raw_text": raw_text,
             "timestamp": time.time(),
         }

@@ -9,15 +9,11 @@ realize a given 2x2 count table as gold instances plus predictions.
 
 from __future__ import annotations
 
-import csv
-import io
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import ArgumentInstance, Confidence, LabelValue, Split, Task
-from .fsutil import atomic_write_text
 from .predictions import Prediction, PredictionSet
 
 # Per split: joint class counts in the order
@@ -98,49 +94,6 @@ def make_profile_split(split: Split, seed: int = 0) -> list[ArgumentInstance]:
 
 def make_profile_splits(seed: int = 0) -> dict[Split, list[ArgumentInstance]]:
     return {split: make_profile_split(split, seed=seed) for split in Split}
-
-
-_CSV_HEADER = [
-    "topic",
-    "Premise",
-    "Conclusion",
-    "Validity",
-    "Validity-Confidence",
-    "Novelty",
-    "Novelty-Confidence",
-]
-
-
-def write_instances_csv(instances: Sequence[ArgumentInstance], path: str | Path) -> Path:
-    """Write instances in the default loadable column layout."""
-    path = Path(path)
-    buffer = io.StringIO()  # keeps the writer's \r\n line ends
-    writer = csv.writer(buffer)
-    writer.writerow(_CSV_HEADER)
-    for inst in instances:
-        writer.writerow(
-            [
-                inst.topic,
-                inst.premise,
-                inst.conclusion,
-                inst.validity_raw,
-                inst.validity_confidence.value,
-                inst.novelty_raw,
-                inst.novelty_confidence.value,
-            ]
-        )
-    atomic_write_text(path, buffer.getvalue())
-    return path
-
-
-def write_profile_csvs(directory: str | Path, seed: int = 0) -> dict[Split, Path]:
-    """Write the statistics fixture as loadable train/dev/test CSV files."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    return {
-        split: write_instances_csv(instances, directory / f"{split.value}.csv")
-        for split, instances in make_profile_splits(seed=seed).items()
-    }
 
 
 _VALIDITY_MARKER = {True: "affirmed", False: "retracted"}

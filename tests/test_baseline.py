@@ -10,22 +10,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valnov.baseline import (
-    DEFAULT_C,
     CsrRows,
     LinearSvm,
     TfidfModel,
-    baseline_predict,
+    analyse,
     document_text,
-    fit_baseline,
-    load_baseline,
+    featurize,
     predict_corpus,
     save_baseline,
     svm_objective,
     svm_train,
+    task_labels,
     tfidf_fit,
-    tfidf_transform,
+    tfidf_rows,
 )
 from valnov.cli import main
+from valnov.config import BaselineSettings
 from valnov.corpus import LabelValue, Split, Task, mapped_value, save_instances_jsonl
 from valnov.errors import ConfigurationError, DataError
 from valnov.synthetic import make_profile_splits, make_separable_corpus
@@ -43,6 +43,12 @@ TOY_X = [
 ]
 TOY_Y = [1, 1, -1, -1]
 TOY_GRID_OBJECTIVE = 1.352719110294868
+
+
+def _weights(model, text):
+    """{column: weight} of the one TF-IDF row of ``text``; {} is the zero vector."""
+    row = tfidf_rows(model, analyse([text]))
+    return dict(zip(row.indices.tolist(), row.values.tolist()))
 
 
 class TestDocumentText:
@@ -67,7 +73,7 @@ class TestTfidf:
 
     def test_transform_hand_values(self):
         model = tfidf_fit(["cats run", "cats sleep"])
-        vec = tfidf_transform(model, "cats run")
+        vec = _weights(model, "cats run")
         w_cat = 1.0 * 1.0
         w_run = 1.0 * (math.log(3 / 2) + 1.0)
         norm = math.hypot(w_cat, w_run)
@@ -77,19 +83,19 @@ class TestTfidf:
 
     def test_term_frequency_counts_repeats(self):
         model = tfidf_fit(["cat", "dog"])
-        vec_single = tfidf_transform(model, "cat dog")
-        vec_double = tfidf_transform(model, "cat cat dog")
+        vec_single = _weights(model, "cat dog")
+        vec_double = _weights(model, "cat cat dog")
         # same idf, tf 2 vs 1 on "cat" tilts the normalized weight
         assert vec_double[model.vocabulary["cat"]] > vec_single[model.vocabulary["cat"]]
 
     def test_unseen_terms_dropped(self):
         model = tfidf_fit(["cats run"])
-        assert tfidf_transform(model, "dogs bark") == {}
+        assert _weights(model, "dogs bark") == {}
 
     def test_stemming_folds_inflections(self):
         model = tfidf_fit(["run runs running"])
         assert len(model.vocabulary) == 1
-        assert tfidf_transform(model, "running") == tfidf_transform(model, "run")
+        assert _weights(model, "running") == _weights(model, "run")
 
     def test_document_frequency_ignores_repeats_within_doc(self):
         model = tfidf_fit(["cat cat cat", "cat", "dog"])
@@ -102,7 +108,7 @@ class TestTfidf:
     @given(st.text(alphabet="abcd ", max_size=40))
     def test_transform_norm_is_one_or_zero(self, text):
         model = tfidf_fit(["ab cd", "ab ab", "dc ba"])
-        vec = tfidf_transform(model, text)
+        vec = _weights(model, text)
         norm = math.sqrt(sum(v * v for v in vec.values()))
         assert norm == pytest.approx(1.0) or norm == 0.0
 
@@ -177,10 +183,14 @@ class TestBaselinePredict:
         svm = LinearSvm(weights=np.array([2.0]), bias=bias, C=1.0)
         return svm, tfidf
 
+    @staticmethod
+    def predict_one(svm, tfidf, inst, task):
+        return predict_corpus(svm, tfidf, [inst], task).predictions[0]
+
     def test_positive_half_space(self):
         svm, tfidf = self.toy_models(bias=-1.0)
         inst = make_instance(premise="cat", conclusion="cat")
-        pred = baseline_predict(svm, tfidf, inst, Task.VALIDITY)
+        pred = self.predict_one(svm, tfidf, inst, Task.VALIDITY)
         assert pred.value is LabelValue.POSITIVE
         assert pred.source == "svm"
         assert not pred.flagged
@@ -188,14 +198,14 @@ class TestBaselinePredict:
     def test_zero_score_is_negative(self):
         svm, tfidf = self.toy_models(bias=0.0)
         inst = make_instance(premise="dog", conclusion="dog")  # zero vector
-        assert baseline_predict(svm, tfidf, inst, Task.VALIDITY).value is LabelValue.NEGATIVE
+        assert self.predict_one(svm, tfidf, inst, Task.VALIDITY).value is LabelValue.NEGATIVE
 
     def test_unseen_text_follows_bias_sign(self):
         svm_pos, tfidf = self.toy_models(bias=0.5)
         svm_neg, _ = self.toy_models(bias=-0.5)
         inst = make_instance(premise="dog", conclusion="dog")
-        assert baseline_predict(svm_pos, tfidf, inst, Task.NOVELTY).value is LabelValue.POSITIVE
-        assert baseline_predict(svm_neg, tfidf, inst, Task.NOVELTY).value is LabelValue.NEGATIVE
+        assert self.predict_one(svm_pos, tfidf, inst, Task.NOVELTY).value is LabelValue.POSITIVE
+        assert self.predict_one(svm_neg, tfidf, inst, Task.NOVELTY).value is LabelValue.NEGATIVE
 
     def test_predict_corpus_shape(self):
         svm, tfidf = self.toy_models(bias=1.0)
@@ -208,12 +218,15 @@ class TestBaselinePredict:
 
 class TestFitBaseline:
     def test_default_regularization(self):
-        assert DEFAULT_C == {Task.VALIDITY: 0.09, Task.NOVELTY: 4.7}
+        settings = BaselineSettings()
+        assert (settings.c_validity, settings.c_novelty) == (0.09, 4.7)
 
     @pytest.mark.parametrize("task", [Task.VALIDITY, Task.NOVELTY])
     def test_separates_marker_corpus(self, task):
         train, _ = make_separable_corpus(n_train=60, n_dev=0)
-        tfidf, fit = fit_baseline(train, task, C=1.0, seed=0)
+        tfidf, X, _ = featurize(train)
+        y = task_labels(train, task)
+        fit = svm_train(X, y, dim=len(tfidf.vocabulary), C=1.0, seed=0)
         preds = predict_corpus(fit.model, tfidf, train, task)
         gold_positive = {
             inst.id for inst in train if mapped_value(inst, task) is LabelValue.POSITIVE
@@ -223,30 +236,16 @@ class TestFitBaseline:
         }
         assert predicted_positive == gold_positive
 
-    def test_uses_task_default_c(self):
+    def test_uses_task_default_c(self, tmp_path):
         train, _ = make_separable_corpus(n_train=24, n_dev=0)
-        _, fit = fit_baseline(train, Task.NOVELTY, seed=0)
-        assert fit.model.C == DEFAULT_C[Task.NOVELTY]
-
-
-class TestSaveLoad:
-    def test_round_trip(self, tmp_path):
-        train, _ = make_separable_corpus(n_train=24, n_dev=0)
-        tfidf, fit = fit_baseline(train, Task.VALIDITY, C=1.0, seed=0)
-        path = tmp_path / "model.json"
-        save_baseline(path, fit.model, tfidf)
-        model2, tfidf2 = load_baseline(path)
-
-        assert np.array_equal(model2.weights, fit.model.weights)
-        assert model2.bias == fit.model.bias
-        assert model2.C == fit.model.C
-        assert tfidf2.vocabulary == tfidf.vocabulary
-        assert np.array_equal(tfidf2.idf, tfidf.idf)
-        assert tfidf2.document_count == tfidf.document_count
-
-        original = predict_corpus(fit.model, tfidf, train, Task.VALIDITY)
-        reloaded = predict_corpus(model2, tfidf2, train, Task.VALIDITY)
-        assert list(original) == list(reloaded)
+        save_instances_jsonl(train, tmp_path / "train.jsonl")
+        code = main(
+            ["baseline", "--run-dir", str(tmp_path / "run"), "--task", "novelty",
+             "--train", str(tmp_path / "train.jsonl"), "--on", str(tmp_path / "train.jsonl")]
+        )
+        assert code == 0
+        model = json.loads((tmp_path / "run" / "model-novelty.json").read_text(encoding="utf-8"))
+        assert model["C"] == BaselineSettings().c_novelty
 
 
 def test_saved_model_is_one_json_document(tmp_path):

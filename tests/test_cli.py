@@ -1,5 +1,6 @@
 """End-to-end subcommand runs through main(), plus the error contract."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,14 +14,23 @@ from valnov.config import (
     SweepSettings,
     resolved_config_json,
 )
-from valnov.corpus import Task, load_instances_jsonl, save_instances_jsonl
+from valnov.corpus import (
+    Confidence,
+    Split,
+    Task,
+    load_instances_jsonl,
+    save_instances_jsonl,
+)
 from valnov.predictions import load_predictions, save_predictions, Prediction
 from valnov.corpus import LabelValue
 from valnov.encoder import EncoderConfig, ReferenceEncoder
+from valnov.errors import DataError
 from valnov.fsutil import sha256_file
 from valnov.mtl import load_checkpoint, load_encoder_checkpoint, save_encoder_checkpoint
 from valnov.prompting import PromptRequest, build_prompt, cache_key, select_few_shot
-from valnov.synthetic import make_separable_corpus
+from valnov.synthetic import make_profile_splits, make_separable_corpus
+
+from conftest import make_instance
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +118,91 @@ class TestPrepareData:
         assert set(manifest["inputs"]) == {"train", "dev"}
         for record in manifest["inputs"].values():
             assert len(record["sha256"]) == 64
+
+
+# sha256 of every file but the config echo and manifest that
+# `prepare-data` writes, recorded before the JSONL writers and cache keys
+# were built from their dataclasses; "unicode" reads a non-ASCII corpus
+GOLDEN_PREPARE_DATA_SHA256 = {
+    "profile": {
+        "dev.csv": "63f9d9c2f496dac68f1e990ded901776b35ed260cdfd26261d6086b963dff140",
+        "instances-dev.jsonl": "3d4342b331dcc4b44eac2e85aadfb8457f0b9d2a3af59d9148a0eff242fe0eb6",
+        "instances-test.jsonl": "6b29f8fd9e562cf58ceba4b04ba00274712485abd0fb463527f7f84ea4c46720",
+        "instances-train.jsonl": "0fa39c535f3b745a51800e92e9415b09fdf11b5455eeeb0a00dfc37c52b86ae4",
+        "stats.json": "15d24542ca7785e98a5ff9cbccb4470dfd287cda7ca7226022a08d30cba8c030",
+        "test.csv": "4cb5034cd37f5ea2eaaff6037ed2716238b40a92c864ffc6b28d40705c08a417",
+        "train.csv": "5267b2a4bed03997b606c086f88a60b8d6127dd1834e0324c901fe47fb864237",
+        "triplets.jsonl": "6b4a4453cb2cec4ac15e6ff686dfe500752cfad650d50ab61ffe1c78bfc6480e",
+    },
+    "separable": {
+        "dev.csv": "a29cc88f20a42a39b44ed6a8122e55a946b8622d7e33640b283956a61c4b9bd4",
+        "instances-dev.jsonl": "44209aa6deed35a459cf76532330e3e9c81b39f87c7684dff4e8febb1e92b21c",
+        "instances-train.jsonl": "17764f8c0a877bcccac21da9a3f27e257624ced1d8c71408cf4ac7bec2d86ca7",
+        "stats.json": "88004ed9acea0343ce22a2f48976022726b94528954474cf9397ddf2cb844a6b",
+        "train.csv": "73626e2e34a0079de6b3f7c124e6220c33d0246afec344c9da1e0fe1f806871c",
+        "triplets.jsonl": "daf2b52b1c7039cac6a301ce146afe19a10400038d227e56427a2848e53f407e",
+    },
+    "unicode": {
+        "instances-train.jsonl": "0ffad3059516486bdd22d937dbed11a2a5a6b49a48dd89afb505ccce8ea1a3b7",
+        "stats.json": "d943cbd2a1b9cb36c378df7d54d3b3a53e3573c9c4c64bd3bd91302ea92d6265",
+        "triplets.jsonl": "ba0cbae200bb421c3a64cd0ccfd1d50e1aad25fefbe27db5efe4a956dbec245c",
+    },
+}
+# count and sha256 of the sorted, newline-joined replay-cache keys of a
+# mock `prompt-predict` fill for both tasks, recorded at the same point
+GOLDEN_FILL_CACHE_KEYS = (126, "fa443d82bb455b7d8d930aa2969d86cfcf26ad73a3f17846806d31e8f1c7a2d3")
+
+
+def _non_ascii_instances(n, prefix, split=Split.TRAIN):
+    """Instances whose text needs UTF-8; pairs share a premise and differ
+    in novelty, so they yield triplets."""
+    return [
+        make_instance(id=f"{prefix}{i}", topic="Énergie", premise=f"Prémisse {i // 2} — “ü”",
+                      conclusion=f"Schluss {i} ß 中文", validity=i % 3 - 1,
+                      novelty=1 if i % 2 else -1, vconf=Confidence.MAJORITY, split=split)
+        for i in range(n)
+    ]
+
+
+def _digests(run_dir):
+    return {
+        path.name: sha256_file(path)
+        for path in sorted(run_dir.iterdir())
+        if path.name not in ("config.json", "manifest.json")
+    }
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("corpus", ["profile", "separable", "unicode"])
+    def test_prepare_data_files(self, tmp_path, corpus):
+        if corpus == "unicode":
+            save_instances_jsonl(_non_ascii_instances(6, "x"), tmp_path / "train.jsonl")
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"data": {"train_path": str(tmp_path / "train.jsonl")}}))
+            args = ["--config", str(config), "--splits", "train"]
+        else:
+            args = ["--synthetic", corpus]
+        assert main(["prepare-data", "--run-dir", str(tmp_path / "run"), *args]) == 0
+        assert _digests(tmp_path / "run") == GOLDEN_PREPARE_DATA_SHA256[corpus]
+
+    def test_mock_fill_cache_keys(self, tmp_path):
+        splits = make_profile_splits(seed=0)
+        save_instances_jsonl(splits[Split.TRAIN], tmp_path / "train.jsonl")
+        targets = splits[Split.TEST][:60] + _non_ascii_instances(3, "u", Split.TEST)
+        save_instances_jsonl(targets, tmp_path / "targets.jsonl")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"prompting": {"provider": "mock", "cache_dir": str(tmp_path / "cache")}}
+        ))
+        for task in ("validity", "novelty"):
+            assert main(
+                ["prompt-predict", "--config", str(config), "--run-dir", str(tmp_path / task),
+                 "--task", task, "--train", str(tmp_path / "train.jsonl"),
+                 "--on", str(tmp_path / "targets.jsonl")]
+            ) == 0
+        keys = sorted(path.stem for path in (tmp_path / "cache").glob("*.json"))
+        digest = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+        assert (len(keys), digest) == GOLDEN_FILL_CACHE_KEYS
 
 
 class TestTrain:
@@ -517,8 +612,43 @@ class TestStageDriver:
         argv = [command, "--config", workspace["replay"], "--run-dir", str(run_dir)]
         assert main(argv + [arg.format(**fill) for arg in extra]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not (run_dir / "manifest.json").exists()
-        assert not (run_dir / "config.json").exists()
+        assert not run_dir.exists()  # the stage created it, and wrote nothing into it
+
+    @pytest.mark.parametrize(
+        "existing", ["", "run", "run/sub", "run/sub/stage"], ids=["none", "run", "sub", "stage"]
+    )
+    def test_failed_stage_removes_only_the_directories_it_created(
+        self, workspace, capsys, tmp_path, existing
+    ):
+        run_dir = tmp_path / "run" / "sub" / "stage"
+        if existing:
+            (tmp_path / existing).mkdir(parents=True)
+        argv = ["train", "--config", workspace["config"], "--run-dir", str(run_dir),
+                "--train", str(workspace["root"] / "nope.jsonl")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+        left = sorted(str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*"))
+        # the directories that existed before the stage, and nothing else
+        assert left == {"": [], "run": ["run"], "run/sub": ["run", "run/sub"],
+                        "run/sub/stage": ["run", "run/sub", "run/sub/stage"]}[existing]
+
+    def test_failed_stage_keeps_what_it_wrote(
+        self, workspace, dev_predictions, capsys, tmp_path, monkeypatch
+    ):
+        import valnov.cli
+
+        def failing_render(report):
+            raise DataError("cannot render")
+
+        # evaluate writes report.json before it renders the text table
+        monkeypatch.setattr(valnov.cli, "render_text", failing_render)
+        run_dir = tmp_path / "eval"
+        argv = ["evaluate", "--config", workspace["config"], "--run-dir", str(run_dir),
+                "--predictions", str(dev_predictions["both"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: data: cannot render\n"
+        assert [path.name for path in run_dir.iterdir()] == ["report.json"]
 
 
 def _broken_checkpoint(text: str, case: str) -> str:
@@ -589,6 +719,20 @@ class TestErrorContract:
         )
         assert not run_dir.is_dir()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--report", "{root}"],
+         ["evaluate", "--config", "{config}", "--run-dir", "{root}/e-dir-input",
+          "--predictions", "{root}"]],
+        ids=["report", "evaluate"],
+    )
+    def test_directory_input_is_not_a_file(self, workspace, capsys, argv):
+        root = workspace["root"]
+        argv = [arg.format(root=root, config=workspace["config"]) for arg in argv]
+        err = self.run_expecting(capsys, argv, "usage")
+        assert err == f"error: usage: not a file: {root}\n"
+        assert not (root / "e-dir-input").exists()
+
     def test_unknown_config_key_is_configuration(self, workspace, capsys):
         root = workspace["root"]
         bad = root / "bad-config.json"
@@ -625,7 +769,6 @@ class TestErrorContract:
         )
 
     def test_single_class_training_set_is_data(self, workspace, capsys):
-        from conftest import make_instance
 
         root = workspace["root"]
         skewed = [make_instance(id=f"s{k}", validity=1, novelty=1) for k in range(4)]
@@ -898,6 +1041,8 @@ ILL_TYPED_CONFIG = [
      "config.prompting.parallelism must be int"),
     ("train_overrides.epochs", "2", "train", "config.train_overrides.epochs must be int"),
     ("train_overrides.epochz", 2, "train", "['epochz'] under config.train_overrides"),
+    # any value: the run's seed always wins over this override
+    ("train_overrides.seed", "x", "train", "config.train_overrides.seed has no effect"),
     ("train_overrides.task_probabilities", 0.5, "train",
      "config.train_overrides.task_probabilities must be tuple[float, float]"),
     ("sweep.runs", "2", "seed-sweep", "config.sweep.runs must be int"),

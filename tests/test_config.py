@@ -69,6 +69,12 @@ class TestLoading:
         assert config.data.train_path == "x/train.tsv"
         assert config.sweep.runs == 5
 
+    @pytest.mark.parametrize("seed", [3, "x"])
+    def test_train_overrides_seed_rejected(self, tmp_path, seed):
+        path = self.write(tmp_path, {"train_overrides": {"seed": seed}})
+        with pytest.raises(ConfigurationError, match=r"train_overrides\.seed .*--seed"):
+            load_config(path)
+
     def test_unknown_top_level_key(self, tmp_path):
         path = self.write(tmp_path, {"optimiser": "adam"})
         with pytest.raises(ConfigurationError, match=r"unknown config key.*optimiser"):

@@ -118,7 +118,8 @@ def _field_keys(cls: type, prefix: tuple[str, ...] = ()) -> list[tuple[tuple[str
 
 
 # the RunConfig tree plus the TrainConfig fields ``train_overrides`` may
-# set; an override of ``seed`` is ignored, since the run's seed always wins
+# set; ``seed`` is not one of them: a run's seed is the top-level ``seed``
+# or ``--seed``, and ``train_overrides.seed`` is rejected whatever its value
 CONFIG_KEYS = _field_keys(RunConfig) + [
     (path, tp) for path, tp in _field_keys(TrainConfig, ("train_overrides",))
     if path[-1] != "seed"

@@ -183,11 +183,12 @@ def test_unselected_head_gets_no_gradient(tiny_corpus):
 
 class TestSelectBest:
     def test_highest_wins(self):
-        history = [(0, 0.2), (1, 0.9), (2, 0.5)]
+        history = [EpochRecord(0, 1.0, 0.2), EpochRecord(1, 1.0, 0.9), EpochRecord(2, 1.0, 0.5)]
         assert select_best(history) == 1
 
     def test_tie_goes_earliest(self):
-        assert select_best([(0, 0.5), (1, 0.5), (2, 0.4)]) == 0
+        history = [EpochRecord(0, 1.0, 0.5), EpochRecord(1, 0.5, 0.5), EpochRecord(2, 0.2, 0.4)]
+        assert select_best(history) == 0
 
     def test_epoch_records_accepted(self):
         history = [EpochRecord(0, 1.0, 0.3), EpochRecord(1, 0.5, 0.8)]

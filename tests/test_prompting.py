@@ -224,6 +224,21 @@ class TestCacheKey:
         assert len(key) == 64
         assert all(c in "0123456789abcdef" for c in key)
 
+    # recorded before the key was hashed from the request's own fields;
+    # an int temperature stays an int in the hashed JSON
+    @pytest.mark.parametrize(
+        "request_, key",
+        [
+            (PromptRequest(prompt="Prämisse — “ü” 中文", temperature=0, max_tokens=3),
+             "582d08e27febfd4fddd0b92b7b57edc0ed063249d616026703d23f57e305b137"),
+            (PromptRequest(prompt="p", temperature=0.5, presence_penalty=0.25),
+             "da243034c573b5a6e17c9639aa76c6af3d78c9f08ae8dd3252908b1de3561fcb"),
+        ],
+        ids=["non-ascii", "decoding"],
+    )
+    def test_pinned_keys(self, request_, key):
+        assert cache_key(request_) == key
+
     def test_no_collisions_over_fuzz_set(self):
         keys = set()
         n = 10_000

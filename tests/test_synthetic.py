@@ -1,11 +1,14 @@
 """Shape and label guarantees of the bundled synthetic corpora."""
 
+import csv
 import hashlib
 
 import numpy as np
 import pytest
 
 from valnov.corpus import (
+    DEFAULT_COLUMN_MAP,
+    Confidence,
     Split,
     Task,
     class_distribution,
@@ -13,6 +16,7 @@ from valnov.corpus import (
     load_corpus,
     mapped_value,
     topic_overlap,
+    write_instances_csv,
 )
 from valnov.evaluation import confusion
 from valnov.synthetic import (
@@ -22,8 +26,6 @@ from valnov.synthetic import (
     make_profile_splits,
     make_random_eval_fixture,
     make_separable_corpus,
-    write_instances_csv,
-    write_profile_csvs,
 )
 
 from conftest import make_instance
@@ -77,8 +79,8 @@ class TestProfileFixture:
         assert len(extract_triplets(train)) > 0
 
     def test_csv_round_trip_preserves_statistics(self, tmp_path):
-        paths = write_profile_csvs(tmp_path)
-        loaded = load_corpus(paths[Split.TRAIN], split=Split.TRAIN)
+        path = write_instances_csv(make_profile_split(Split.TRAIN), tmp_path / "train.csv")
+        loaded = load_corpus(path, split=Split.TRAIN)
         assert class_distribution(loaded).counts == (331, 18, 296, 105)
         assert len({i.topic for i in loaded}) == 22
         assert all(i.split is Split.TRAIN for i in loaded)
@@ -101,8 +103,18 @@ class TestInstancesCsv:
             Split.DEV: "63f9d9c2f496dac68f1e990ded901776b35ed260cdfd26261d6086b963dff140",
             Split.TEST: "4cb5034cd37f5ea2eaaff6037ed2716238b40a92c864ffc6b28d40705c08a417",
         }
-        for split, path in write_profile_csvs(tmp_path).items():
+        for split, instances in make_profile_splits().items():
+            path = write_instances_csv(instances, tmp_path / f"{split.value}.csv")
             assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[split]
+
+    def test_header_is_the_default_column_map(self, tmp_path):
+        # load_corpus numbers rows from 0 when the file has no id column
+        inst = make_instance(id="0", validity=0, novelty=-1, vconf=Confidence.MAJORITY,
+                             nconf=Confidence.CONFIDENT)
+        path = write_instances_csv([inst], tmp_path / "one.csv")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert next(csv.reader(fh)) == list(DEFAULT_COLUMN_MAP.values())
+        assert load_corpus(path) == [inst]
 
     @pytest.mark.parametrize("existing", [None, b"old contents\n"])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, existing):
