@@ -29,7 +29,7 @@ from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .encoder import tokenize
 from .errors import ConfigurationError, DataError
 from .fsutil import atomic_write_text
-from .predictions import Prediction, PredictionSet
+from .predictions import Prediction
 from .stemming import stem
 
 SparseVector = dict[int, float]
@@ -330,13 +330,13 @@ def predict_corpus(
     task: Task,
     source: str = "svm",
     rows: CsrRows | None = None,
-) -> PredictionSet:
+) -> list[Prediction]:
     """Predict every instance; ``rows`` are their TF-IDF rows if already built."""
     if rows is None:
         rows = tfidf_rows(tfidf, analyse([document_text(inst) for inst in instances]))
     task = Task(task)
     scores = rows.dots(model.weights) + model.bias
-    predictions = [
+    return [
         Prediction(
             instance_id=inst.id,
             task=task,
@@ -345,7 +345,6 @@ def predict_corpus(
         )
         for inst, score in zip(instances, scores.tolist())
     ]
-    return PredictionSet(predictions=predictions, source_tag=source)
 
 
 def save_baseline(path: str | Path, model: LinearSvm, tfidf: TfidfModel) -> None:

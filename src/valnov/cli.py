@@ -55,7 +55,7 @@ from .evaluation import (
     seed_summary,
 )
 from .fsutil import atomic_write_text, sha256_file
-from .predictions import PredictionSet, load_predictions, mix, save_predictions
+from .predictions import Prediction, load_predictions, mix, save_predictions, source_label
 from .prompting import ReplayCache, make_provider, prompt_predict, select_few_shot
 from .synthetic import make_profile_splits, make_separable_corpus
 
@@ -108,7 +108,7 @@ class _RunDir:
         atomic_write_text(self.path / name, text)
         self.track_output(name)
 
-    def save_predictions(self, preds: PredictionSet) -> None:
+    def save_predictions(self, preds: Sequence[Prediction]) -> None:
         save_predictions(preds, self.path / "predictions.csv")
         self.track_output("predictions.csv")
 
@@ -130,6 +130,20 @@ class _RunDir:
         atomic_write_text(
             self.path / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
         )
+
+
+@contextlib.contextmanager
+def _removed_on_error(path: Path):
+    """Run the block; if it raises, remove ``path`` and those of its parents
+    that did not exist before it, as far as they are empty."""
+    created = [p for p in (path, *path.parents) if not p.exists()]
+    try:
+        yield
+    except Exception:
+        for p in created:  # innermost first; rmdir never deletes a file
+            with contextlib.suppress(OSError):
+                os.rmdir(p)
+        raise
 
 
 def _require_file(path: str | Path) -> Path:
@@ -284,7 +298,7 @@ def cmd_predict(args: argparse.Namespace, run: _RunDir) -> None:
         predictions = model.predict_both(instances)
     else:
         predictions = model.predict(instances, Task(args.task))
-    run.save_predictions(PredictionSet(predictions=predictions, source_tag=model.name))
+    run.save_predictions(predictions)
     print(f"wrote {len(predictions)} predictions from {model.name}")
 
 
@@ -363,7 +377,7 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
         all_predictions.extend(
             baseline_mod.predict_corpus(fit.model, tfidf, targets, task, rows=target_rows)
         )
-    run.save_predictions(PredictionSet(predictions=all_predictions, source_tag="svm"))
+    run.save_predictions(all_predictions)
     run.write_text(
         "baseline-stats.json",
         json.dumps({"objective": objectives, "counters": counters}, indent=2),
@@ -377,7 +391,10 @@ def cmd_mix(args: argparse.Namespace, run: _RunDir) -> None:
         load_predictions(run.record_input("novelty", args.novelty)),
     )
     run.save_predictions(mixed)
-    print(f"mixed predictions: {mixed.source_tag}")
+    print(
+        f"mixed predictions: mix({source_label(mixed, Task.VALIDITY)},"
+        f"{source_label(mixed, Task.NOVELTY)})"
+    )
 
 
 def cmd_evaluate(args: argparse.Namespace, run: _RunDir) -> None:
@@ -410,17 +427,19 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
 
     runs: list[tuple[int, list, EvalReport]] = []
     for seed in seeds:
-        sub = _RunDir(run.path / f"seed-{seed}", "train", config)
-        sub.inputs.update(run.inputs)  # the parent's records: each file is hashed once
-        result = _train_once(sub, train_set, dev_set, seed, init_encoder)
-        report = evaluate(
-            result.model.predict_both(dev_set),
-            dev_set,
-            metric=config.combined_metric,
-            source_tag=f"{result.model.name}(seed={seed})",
-        )
-        sub.write_text("report.json", report_to_json(report))
-        sub.finalize()
+        sub_path = run.path / f"seed-{seed}"
+        with _removed_on_error(sub_path):
+            sub = _RunDir(sub_path, "train", config)
+            sub.inputs.update(run.inputs)  # the parent's records: each file is hashed once
+            result = _train_once(sub, train_set, dev_set, seed, init_encoder)
+            report = evaluate(
+                result.model.predict_both(dev_set),
+                dev_set,
+                metric=config.combined_metric,
+                source_tag=f"{result.model.name}(seed={seed})",
+            )
+            sub.write_text("report.json", report_to_json(report))
+            sub.finalize()
         runs.append((seed, [h.as_tuple() for h in result.history], report))
 
     summary = seed_summary(runs)
@@ -563,27 +582,23 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand. Every stage but ``report`` runs into its own
     run directory, whose config echo and manifest are written only when
     the stage succeeds. A stage that fails removes the directories it
-    created for its run directory, as far as they are still empty."""
+    created for its run directory (and ``seed-sweep`` those of the sub-run
+    that failed), as far as they are still empty."""
     args = build_parser().parse_args(argv)
-    run_dir = None if args.command == "report" else Path(args.run_dir)
-    created = [] if run_dir is None else [
-        path for path in (run_dir, *run_dir.parents) if not path.exists()
-    ]
     try:
-        if run_dir is None:
+        if args.command == "report":
             args.func(args)
         else:
-            run = _RunDir(run_dir, args.command, load_config(args.config))
-            args.func(args, run)
-            run.finalize()
+            run_dir = Path(args.run_dir)
+            with _removed_on_error(run_dir):
+                run = _RunDir(run_dir, args.command, load_config(args.config))
+                args.func(args, run)
+                run.finalize()
     except tuple(cls for cls, _ in _ERROR_CATEGORIES) as exc:
         for cls, category in _ERROR_CATEGORIES:
             if isinstance(exc, cls):
                 print(f"error: {category}: {exc}", file=sys.stderr)
                 break
-        for path in created:  # innermost first; rmdir never deletes a file
-            with contextlib.suppress(OSError):
-                os.rmdir(path)
         return 2
     return 0
 

@@ -134,34 +134,37 @@ def contrastive_train(
     params = encoder.parameters()
     epoch_losses: list[float] = []
 
-    for epoch in range(config.epochs):
-        order = rng.permutation(len(triplets))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [triplets[i] for i in order[start : start + config.batch_size]]
-            texts: list[str] = []
-            for t in batch:
-                texts.extend((t.anchor, t.positive, t.negative))
-            cache = encoder.forward(texts)
-            d_outputs = np.zeros_like(cache.outputs)
-            batch_loss = 0.0
-            for j, t in enumerate(batch):
-                a, p, n = cache.outputs[3 * j], cache.outputs[3 * j + 1], cache.outputs[3 * j + 2]
-                loss, ga, gp, gn = triplet_loss_and_embedding_grads(
-                    a, p, n, config.margin, config.distance
-                )
-                batch_loss += loss
-                d_outputs[3 * j] += ga / len(batch)
-                d_outputs[3 * j + 1] += gp / len(batch)
-                d_outputs[3 * j + 2] += gn / len(batch)
-            batch_loss /= len(batch)
-            if not np.isfinite(batch_loss):
-                raise TrainingError(
-                    f"non-finite contrastive loss in epoch {epoch} at triplet offset {start}"
-                )
-            losses.append(batch_loss)
-            optimizer.step(params, encoder.backward(cache, d_outputs))
-        epoch_losses.append(float(np.mean(losses)))
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below reports it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            order = rng.permutation(len(triplets))
+            losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = [triplets[i] for i in order[start : start + config.batch_size]]
+                texts: list[str] = []
+                for t in batch:
+                    texts.extend((t.anchor, t.positive, t.negative))
+                cache = encoder.forward(texts)
+                d_outputs = np.zeros_like(cache.outputs)
+                batch_loss = 0.0
+                for j, t in enumerate(batch):
+                    a, p, n = cache.outputs[3 * j : 3 * j + 3]
+                    loss, ga, gp, gn = triplet_loss_and_embedding_grads(
+                        a, p, n, config.margin, config.distance
+                    )
+                    batch_loss += loss
+                    d_outputs[3 * j] += ga / len(batch)
+                    d_outputs[3 * j + 1] += gp / len(batch)
+                    d_outputs[3 * j + 2] += gn / len(batch)
+                batch_loss /= len(batch)
+                if not np.isfinite(batch_loss):
+                    raise TrainingError(
+                        f"non-finite contrastive loss in epoch {epoch} at triplet offset {start}"
+                    )
+                losses.append(batch_loss)
+                optimizer.step(params, encoder.backward(cache, d_outputs))
+            epoch_losses.append(float(np.mean(losses)))
     return ContrastiveResult(encoder=encoder, epoch_losses=epoch_losses)
 
 

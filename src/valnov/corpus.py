@@ -65,12 +65,6 @@ class ArgumentInstance:
 
 
 @dataclass(frozen=True)
-class TaskLabel:
-    task: Task
-    value: LabelValue
-
-
-@dataclass(frozen=True)
 class ClassDistribution:
     """Joint mapped-label counts, ordered
     (non-valid & non-novel, non-valid & novel, valid & non-novel, valid & novel).
@@ -240,22 +234,21 @@ def write_instances_csv(instances: Sequence[ArgumentInstance], path: str | Path)
     return path
 
 
-def map_label(raw: int, task: Task) -> TaskLabel:
-    """Map a raw tri-valued label to a binary task label.
+def map_label(raw: int) -> LabelValue:
+    """Map a raw tri-valued label to a binary label.
 
     1 -> positive; 0 (the "defeasibly"/"somewhat" middle class) and
     -1 -> negative.
     """
     if raw not in (-1, 0, 1):
         raise DataError(f"raw label {raw!r} outside {{-1, 0, 1}}")
-    value = LabelValue.POSITIVE if raw == 1 else LabelValue.NEGATIVE
-    return TaskLabel(task=Task(task), value=value)
+    return LabelValue.POSITIVE if raw == 1 else LabelValue.NEGATIVE
 
 
 def mapped_value(instance: ArgumentInstance, task: Task) -> LabelValue:
     """Binary label of ``instance`` for ``task``."""
     raw = instance.validity_raw if Task(task) is Task.VALIDITY else instance.novelty_raw
-    return map_label(raw, task).value
+    return map_label(raw)
 
 
 def confidence_for(instance: ArgumentInstance, task: Task) -> Confidence:

@@ -26,19 +26,9 @@ from .decode import decode
 from .errors import ConfigurationError, CoverageError, ParseError, SchemaError
 from .predictions import Prediction, task_index
 
+# 2x2 confusion counts; rows = true label, columns = predicted label,
+# negative first on both axes.
 Matrix = tuple[tuple[int, int], tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """2x2 counts; rows = true label, columns = predicted label,
-    negative first on both axes."""
-
-    counts: Matrix
-
-    @property
-    def total(self) -> int:
-        return sum(sum(row) for row in self.counts)
 
 
 @dataclass(frozen=True)
@@ -94,41 +84,34 @@ def confusion(
     predictions: Sequence[Prediction],
     golds: Sequence[ArgumentInstance],
     task: Task,
-) -> ConfusionMatrix:
+) -> Matrix:
     counts = [[0, 0], [0, 0]]
     for gold, pred in _pairs(predictions, golds, task):
         t = int(mapped_value(gold, task) is LabelValue.POSITIVE)
         p = int(pred.value is LabelValue.POSITIVE)
         counts[t][p] += 1
-    return ConfusionMatrix(counts=(tuple(counts[0]), tuple(counts[1])))
-
-
-def _as_matrix(matrix: ConfusionMatrix | Matrix) -> Matrix:
-    if isinstance(matrix, ConfusionMatrix):
-        return matrix.counts
-    return (tuple(matrix[0]), tuple(matrix[1]))
+    return (tuple(counts[0]), tuple(counts[1]))
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
-def prf(matrix: ConfusionMatrix | Matrix) -> dict[str, ClassMetrics]:
+def prf(matrix: Matrix) -> dict[str, ClassMetrics]:
     """Per-class precision/recall/F1/support. Division by zero yields 0,
     which keeps degenerate all-one-class predictions scoreable."""
-    m = _as_matrix(matrix)
     out = {}
     for c, name in ((0, "negative"), (1, "positive")):
-        col = m[0][c] + m[1][c]
-        row = m[c][0] + m[c][1]
-        precision = _safe_div(m[c][c], col)
-        recall = _safe_div(m[c][c], row)
+        col = matrix[0][c] + matrix[1][c]
+        row = matrix[c][0] + matrix[c][1]
+        precision = _safe_div(matrix[c][c], col)
+        recall = _safe_div(matrix[c][c], row)
         f1 = _safe_div(2 * precision * recall, precision + recall)
         out[name] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=row)
     return out
 
 
-def macro_f1(matrix: ConfusionMatrix | Matrix) -> float:
+def macro_f1(matrix: Matrix) -> float:
     per_class = prf(matrix)
     return (per_class["negative"].f1 + per_class["positive"].f1) / 2.0
 
@@ -295,7 +278,7 @@ def evaluate(
             negative=per_class["negative"],
             positive=per_class["positive"],
             macro_f1=macro_f1(matrix),
-            confusion=matrix.counts,
+            confusion=matrix,
         )
         if task is Task.VALIDITY:
             report.validity = task_report

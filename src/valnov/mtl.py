@@ -297,48 +297,51 @@ def train(
     accumulated: dict[str, np.ndarray] = {}
     since_update = 0
 
-    for epoch in range(config.epochs):
-        losses = []
-        for _ in range(steps_per_epoch):
-            step += 1
-            task = sample_task(rng, config.task_probabilities)
-            batch = streams[task].next_batch(config.batch_size)
-            loss, grads = batch_loss_and_grads(
-                model,
-                [train_set[i] for i in batch],
-                task,
-                texts=[texts[i] for i in batch],
-                targets=targets[task][batch],
-            )
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at step {step} (task {task.value})")
-            losses.append(loss)
-            for name, grad in grads.items():
-                if name in accumulated:
-                    accumulated[name] += grad
-                else:
-                    accumulated[name] = grad  # a fresh array, ours to update
-            since_update += 1
-            if since_update >= config.grad_accumulation:
-                if since_update > 1:
-                    for name in accumulated:
-                        accumulated[name] /= since_update
-                optimizer.step(params, accumulated)
-                accumulated = {}
-                since_update = 0
+    # a diverging run overflows before its loss turns non-finite; the loss
+    # check below reports it, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(config.epochs):
+            losses = []
+            for _ in range(steps_per_epoch):
+                step += 1
+                task = sample_task(rng, config.task_probabilities)
+                batch = streams[task].next_batch(config.batch_size)
+                loss, grads = batch_loss_and_grads(
+                    model,
+                    [train_set[i] for i in batch],
+                    task,
+                    texts=[texts[i] for i in batch],
+                    targets=targets[task][batch],
+                )
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite loss at step {step} (task {task.value})")
+                losses.append(loss)
+                for name, grad in grads.items():
+                    if name in accumulated:
+                        accumulated[name] += grad
+                    else:
+                        accumulated[name] = grad  # a fresh array, ours to update
+                since_update += 1
+                if since_update >= config.grad_accumulation:
+                    if since_update > 1:
+                        for name in accumulated:
+                            accumulated[name] /= since_update
+                    optimizer.step(params, accumulated)
+                    accumulated = {}
+                    since_update = 0
 
-        dev_f1 = combined_score(
-            model.predict_both(dev_set), dev_set, metric=config.combined_metric
-        )
-        history.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=float(np.mean(losses)),
-                dev_combined_f1=dev_f1,
+            dev_f1 = combined_score(
+                model.predict_both(dev_set), dev_set, metric=config.combined_metric
             )
-        )
-        if select_best(history) == epoch:
-            best_params = model.snapshot()
+            history.append(
+                EpochRecord(
+                    epoch=epoch,
+                    train_loss=float(np.mean(losses)),
+                    dev_combined_f1=dev_f1,
+                )
+            )
+            if select_best(history) == epoch:
+                best_params = model.snapshot()
 
     model.restore(best_params)
     return TrainResult(model=model, history=history, best_epoch=select_best(history))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,24 +27,6 @@ class Prediction:
     value: LabelValue
     source: str
     flagged: bool = False  # set when the value came from a parse fallback
-
-
-@dataclass
-class PredictionSet:
-    """A list of predictions plus a set-level source tag."""
-
-    predictions: list[Prediction] = field(default_factory=list)
-    source_tag: str = ""
-
-    def __iter__(self):
-        return iter(self.predictions)
-
-    def __len__(self):
-        return len(self.predictions)
-
-    def for_task(self, task: Task) -> list[Prediction]:
-        task = Task(task)
-        return [p for p in self.predictions if p.task is task]
 
 
 def _check_unique(predictions: Iterable[Prediction], context: str = "") -> None:
@@ -80,10 +62,10 @@ def source_label(predictions: Sequence[Prediction], task: Task) -> str:
 
 def mix(
     validity_set: Sequence[Prediction], novelty_set: Sequence[Prediction]
-) -> PredictionSet:
+) -> list[Prediction]:
     """Merge two prediction sets: validity labels from the first, novelty
-    labels from the second. Both must cover the same instance-id universe
-    for their respective task."""
+    labels from the second, each ordered by instance id. Both must cover
+    the same instance-id universe for their respective task."""
     validity = task_index(validity_set, Task.VALIDITY)
     novelty = task_index(novelty_set, Task.NOVELTY)
     missing_nov = sorted(set(validity) - set(novelty))
@@ -96,14 +78,7 @@ def mix(
             parts.append(f"ids missing novelty predictions: {missing_nov}")
         raise CoverageError("; ".join(parts))
 
-    merged = [validity[i] for i in sorted(validity)] + [
-        novelty[i] for i in sorted(novelty)
-    ]
-    tag = (
-        f"mix({source_label(list(validity.values()), Task.VALIDITY)},"
-        f"{source_label(list(novelty.values()), Task.NOVELTY)})"
-    )
-    return PredictionSet(predictions=merged, source_tag=tag)
+    return [validity[i] for i in sorted(validity)] + [novelty[i] for i in sorted(novelty)]
 
 
 def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> None:

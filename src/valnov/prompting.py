@@ -23,13 +23,12 @@ from .corpus import (
     Confidence,
     LabelValue,
     Task,
-    TaskLabel,
     confidence_for,
     mapped_value,
 )
 from .errors import CacheMissError, ConfigurationError, DataError, ParseError, ProviderError
 from .fsutil import atomic_write_text
-from .predictions import Prediction, PredictionSet
+from .predictions import Prediction
 
 # Bump when the template changes; cached completions are only comparable
 # within one template version.
@@ -65,13 +64,6 @@ class PromptRequest:
             raise ConfigurationError("prompt must be non-empty")
         if self.max_tokens < 1:
             raise ConfigurationError("max_tokens must be a positive integer")
-
-
-@dataclass(frozen=True)
-class PromptResponse:
-    raw_text: str
-    provider: str
-    cached: bool
 
 
 @dataclass(frozen=True)
@@ -170,12 +162,13 @@ class ReplayCache:
     """Directory of JSON completion records, one file per cache key.
 
     Records are written atomically (temp file + rename), so concurrent
-    readers only ever see complete records.
+    readers only ever see complete records. The directory is created by
+    the first ``put``, so a run that only misses leaves none behind.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
+        self._created = False
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -198,6 +191,9 @@ class ReplayCache:
         return raw_text
 
     def put(self, key: str, request: PromptRequest, raw_text: str) -> None:
+        if not self._created:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            self._created = True
         record = {
             "key": key,
             "request": vars(request),
@@ -313,19 +309,23 @@ def complete(
     provider: CompletionProvider,
     request: PromptRequest,
     cache: ReplayCache,
-) -> PromptResponse:
-    """Answer from the cache when possible, else call the provider and record."""
+    limiter: _TokenBucket | None = None,
+) -> str:
+    """The raw completion: from the cache when possible, else from the
+    provider, paced by ``limiter``, and recorded."""
     key = cache_key(request)
     cached = cache.get(key)
     if cached is not None:
-        return PromptResponse(raw_text=cached, provider=provider.name, cached=True)
+        return cached
+    if limiter is not None:
+        limiter.acquire()
     raw_text = provider.generate(request)
     cache.put(key, request, raw_text)
-    return PromptResponse(raw_text=raw_text, provider=provider.name, cached=False)
+    return raw_text
 
 
-def parse_response(raw_text: str, task: Task) -> TaskLabel | None:
-    """Map a raw completion to a task label; None signals a parse failure."""
+def parse_response(raw_text: str, task: Task) -> LabelValue | None:
+    """Map a raw completion to a label; None signals a parse failure."""
     task = Task(task)
     adjective = _TASK_WORDS[task]
     tokens = [
@@ -337,11 +337,11 @@ def parse_response(raw_text: str, task: Task) -> TaskLabel | None:
         return None
     head = tokens[0]
     if head == "yes" or head == adjective:
-        return TaskLabel(task=task, value=LabelValue.POSITIVE)
+        return LabelValue.POSITIVE
     if head == "no" or head == "in" + adjective:
-        return TaskLabel(task=task, value=LabelValue.NEGATIVE)
+        return LabelValue.NEGATIVE
     if head == "not" and (len(tokens) == 1 or tokens[1] == adjective):
-        return TaskLabel(task=task, value=LabelValue.NEGATIVE)
+        return LabelValue.NEGATIVE
     return None
 
 
@@ -381,10 +381,11 @@ def prompt_predict(
     parallelism: int = 1,
     requests_per_second: float | None = None,
     source: str = "gpt3",
-) -> PredictionSet:
+) -> list[Prediction]:
     """Classify every target with one completion each.
 
-    Unparseable completions fall back to the negative label and the
+    ``requests_per_second`` paces provider calls only; cache hits never
+    wait. Unparseable completions fall back to the negative label and the
     prediction is flagged for audit.
     """
     if parallelism < 1:
@@ -396,28 +397,16 @@ def prompt_predict(
         request = PromptRequest(
             prompt=build_prompt(few_shot, target, task), **dict(decoding or {})
         )
-        if limiter is not None:
-            limiter.acquire()
-        response = complete(provider, request, cache)
-        label = parse_response(response.raw_text, task)
-        if label is None:
-            return Prediction(
-                instance_id=target.id,
-                task=task,
-                value=LabelValue.NEGATIVE,
-                source=source,
-                flagged=True,
-            )
+        value = parse_response(complete(provider, request, cache, limiter), task)
         return Prediction(
             instance_id=target.id,
             task=task,
-            value=label.value,
+            value=LabelValue.NEGATIVE if value is None else value,
             source=source,
+            flagged=value is None,
         )
 
     if parallelism == 1:
-        predictions = [classify(target) for target in targets]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            predictions = list(pool.map(classify, targets))
-    return PredictionSet(predictions=predictions, source_tag=source)
+        return [classify(target) for target in targets]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(classify, targets))

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import ArgumentInstance, Confidence, LabelValue, Split, Task
-from .predictions import Prediction, PredictionSet
+from .predictions import Prediction
 
 # Per split: joint class counts in the order
 # (non-valid & non-novel, non-valid & novel, valid & non-novel, valid & novel)
@@ -139,7 +139,7 @@ def make_confusion_fixture(
     counts: Sequence[Sequence[int]],
     prefix: str = "cm",
     source: str = "fixture",
-) -> tuple[list[ArgumentInstance], PredictionSet]:
+) -> tuple[list[ArgumentInstance], list[Prediction]]:
     """Gold instances + predictions realizing the 2x2 count table
     (rows = true label, columns = predicted, negative first)."""
     task = Task(task)
@@ -168,14 +168,14 @@ def make_confusion_fixture(
                         source=source,
                     )
                 )
-    return instances, PredictionSet(predictions=predictions, source_tag=source)
+    return instances, predictions
 
 
 def make_random_eval_fixture(
     rng: np.random.Generator,
     n: int,
     sources: tuple[str, str] = ("a", "b"),
-) -> tuple[list[ArgumentInstance], PredictionSet, PredictionSet]:
+) -> tuple[list[ArgumentInstance], list[Prediction], list[Prediction]]:
     """Random golds plus two full prediction sets over the same ids, for
     exercising the mixing operator."""
     golds = []
@@ -206,6 +206,4 @@ def make_random_eval_fixture(
                         source=source,
                     )
                 )
-    set_a = PredictionSet(predictions=preds[sources[0]], source_tag=sources[0])
-    set_b = PredictionSet(predictions=preds[sources[1]], source_tag=sources[1])
-    return golds, set_a, set_b
+    return golds, preds[sources[0]], preds[sources[1]]

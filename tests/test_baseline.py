@@ -185,7 +185,7 @@ class TestBaselinePredict:
 
     @staticmethod
     def predict_one(svm, tfidf, inst, task):
-        return predict_corpus(svm, tfidf, [inst], task).predictions[0]
+        return predict_corpus(svm, tfidf, [inst], task)[0]
 
     def test_positive_half_space(self):
         svm, tfidf = self.toy_models(bias=-1.0)
@@ -211,7 +211,6 @@ class TestBaselinePredict:
         svm, tfidf = self.toy_models(bias=1.0)
         instances = [make_instance(id=f"i{k}") for k in range(3)]
         preds = predict_corpus(svm, tfidf, instances, Task.NOVELTY, source="svm-novelty")
-        assert preds.source_tag == "svm-novelty"
         assert [p.instance_id for p in preds] == ["i0", "i1", "i2"]
         assert all(p.task is Task.NOVELTY and p.source == "svm-novelty" for p in preds)
 

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import valnov
 from valnov.cli import main
 from valnov.config import (
     DataSettings,
@@ -373,6 +377,7 @@ class TestPromptPredictCli:
         err = capsys.readouterr().err
         assert err.startswith("error: cache-miss: ")
         assert err.count("\n") == 1
+        assert not (root / "empty-cache").exists()  # a miss records nothing
 
 
 class TestBaselineMix:
@@ -649,6 +654,34 @@ class TestStageDriver:
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: data: cannot render\n"
         assert [path.name for path in run_dir.iterdir()] == ["report.json"]
+
+    @pytest.fixture
+    def diverging_config(self, workspace, tmp_path):
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["train_overrides"] = {"learning_rate": 1e300}
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    def test_failed_sweep_removes_its_empty_sub_run(self, diverging_config, capsys, tmp_path):
+        run_dir = tmp_path / "sweep"
+        argv = ["seed-sweep", "--config", diverging_config, "--run-dir", str(run_dir),
+                "--runs", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: training: non-finite loss")
+        assert not (run_dir / "seed-0").exists()
+        assert not run_dir.exists()
+
+    def test_diverging_training_prints_only_the_error_line(self, diverging_config, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(valnov.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "valnov.cli", "seed-sweep", "--config", diverging_config,
+             "--run-dir", str(tmp_path / "sweep"), "--runs", "2"],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: training: non-finite loss")
+        assert done.stderr.count("\n") == 1
 
 
 def _broken_checkpoint(text: str, case: str) -> str:

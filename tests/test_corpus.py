@@ -118,23 +118,23 @@ class TestLoadCorpus:
 
 class TestMapLabel:
     def test_one_is_positive(self):
-        assert map_label(1, Task.VALIDITY).value is LabelValue.POSITIVE
+        assert map_label(1) is LabelValue.POSITIVE
 
     def test_middle_class_maps_negative(self):
-        assert map_label(0, Task.NOVELTY).value is LabelValue.NEGATIVE
+        assert map_label(0) is LabelValue.NEGATIVE
 
     def test_minus_one_is_negative(self):
-        assert map_label(-1, Task.VALIDITY).value is LabelValue.NEGATIVE
+        assert map_label(-1) is LabelValue.NEGATIVE
 
     def test_out_of_domain(self):
         with pytest.raises(DataError):
-            map_label(2, Task.VALIDITY)
+            map_label(2)
 
-    @given(st.sampled_from([-1, 0, 1]), st.sampled_from(list(Task)))
-    def test_idempotent_under_reencoding(self, raw, task):
-        label = map_label(raw, task)
-        reencoded = 1 if label.value is LabelValue.POSITIVE else -1
-        assert map_label(reencoded, task).value is label.value
+    @given(st.sampled_from([-1, 0, 1]))
+    def test_idempotent_under_reencoding(self, raw):
+        label = map_label(raw)
+        reencoded = 1 if label is LabelValue.POSITIVE else -1
+        assert map_label(reencoded) is label
 
 
 def test_mapped_value_and_confidence_for():

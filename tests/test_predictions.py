@@ -9,7 +9,6 @@ from valnov.errors import CoverageError, ParseError
 from valnov.predictions import (
     FILE_HEADER,
     Prediction,
-    PredictionSet,
     load_predictions,
     mix,
     save_predictions,
@@ -33,20 +32,6 @@ def both_task_sets(ids=("a", "b", "c")):
     return validity, novelty
 
 
-class TestPredictionSet:
-    def test_iteration_and_len(self):
-        validity, _ = both_task_sets()
-        ps = PredictionSet(predictions=validity, source_tag="gpt3")
-        assert len(ps) == 3
-        assert list(ps) == validity
-
-    def test_for_task_filters(self):
-        validity, novelty = both_task_sets()
-        ps = PredictionSet(predictions=validity + novelty)
-        assert ps.for_task(Task.VALIDITY) == validity
-        assert ps.for_task("novelty") == novelty
-
-
 class TestSourceLabel:
     def test_sorted_and_joined(self):
         preds = [
@@ -61,10 +46,9 @@ class TestMix:
     def test_takes_each_task_from_its_set(self):
         validity, novelty = both_task_sets()
         mixed = mix(validity, novelty)
-        assert len(mixed) == 6
-        assert all(p.value is LabelValue.POSITIVE for p in mixed.for_task(Task.VALIDITY))
-        assert all(p.value is LabelValue.NEGATIVE for p in mixed.for_task(Task.NOVELTY))
-        assert mixed.source_tag == "mix(gpt3,svm)"
+        assert mixed == validity + novelty
+        assert source_label(mixed, Task.VALIDITY) == "gpt3"
+        assert source_label(mixed, Task.NOVELTY) == "svm"
 
     def test_ignores_other_task_rows_in_each_input(self):
         # each side may carry both tasks; only its own task is read
@@ -87,8 +71,7 @@ class TestMix:
     def test_idempotent(self):
         validity, novelty = both_task_sets()
         once = mix(validity, novelty)
-        twice = mix(list(once), list(once))
-        assert list(once) == list(twice)
+        assert mix(once, once) == once
 
     def test_missing_ids_listed(self):
         validity, novelty = both_task_sets()
@@ -113,7 +96,7 @@ class TestMix:
     def test_output_ordering(self, ids):
         validity = [pred(i, Task.VALIDITY, 1) for i in ids]
         novelty = [pred(i, Task.NOVELTY, 1) for i in ids]
-        mixed = list(mix(validity, novelty))
+        mixed = mix(validity, novelty)
         n = len(ids)
         assert [p.instance_id for p in mixed[:n]] == sorted(ids)
         assert [p.instance_id for p in mixed[n:]] == sorted(ids)

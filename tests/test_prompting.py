@@ -282,12 +282,10 @@ class TestComplete:
         provider = MockProvider(reply="yes")
         req = PromptRequest(prompt="p")
 
-        first = complete(provider, req, cache)
-        assert (first.raw_text, first.cached) == ("yes", False)
+        assert complete(provider, req, cache) == "yes"
         assert provider.calls == 1
 
-        second = complete(provider, req, cache)
-        assert (second.raw_text, second.cached) == ("yes", True)
+        assert complete(provider, req, cache) == "yes"
         assert provider.calls == 1  # served from cache
 
     def test_replay_only_miss_carries_key(self, tmp_path):
@@ -301,8 +299,7 @@ class TestComplete:
         cache = ReplayCache(tmp_path)
         req = PromptRequest(prompt="p")
         cache.put(cache_key(req), req, "no")
-        response = complete(ReplayOnlyProvider(), req, cache)
-        assert (response.raw_text, response.cached) == ("no", True)
+        assert complete(ReplayOnlyProvider(), req, cache) == "no"
 
 
 class TestMakeProvider:
@@ -450,8 +447,7 @@ class TestParseResponse:
         ],
     )
     def test_parse_table(self, raw, task, expected):
-        label = parse_response(raw, task)
-        assert label is not None and label.value is expected
+        assert parse_response(raw, task) is expected
 
     @pytest.mark.parametrize(
         "raw,task",
@@ -483,7 +479,7 @@ class TestPromptPredict:
         )
         assert len(preds) == 6
         assert all(p.value is LabelValue.POSITIVE and not p.flagged for p in preds)
-        assert preds.source_tag == "gpt3"
+        assert {p.source for p in preds} == {"gpt3"}
 
     def test_unparseable_falls_back_flagged_negative(self, tmp_path):
         preds = prompt_predict(
@@ -507,7 +503,7 @@ class TestPromptPredict:
                 ReplayCache(tmp_path),
                 parallelism=parallelism,
             )
-            assert list(replayed) == list(warm)
+            assert replayed == warm
 
     def test_cold_replay_fails(self, tmp_path):
         with pytest.raises(CacheMissError):
@@ -562,6 +558,27 @@ class TestPromptPredict:
             requests_per_second=10_000.0,
         )
         assert len(preds) == 3
+
+    def test_rate_limit_paces_provider_calls_only(self, tmp_path, monkeypatch):
+        class Slept(Exception):
+            pass
+
+        def sleep(seconds):
+            raise Slept(seconds)
+
+        monkeypatch.setattr("valnov.prompting.time.sleep", sleep)
+        targets, few_shot = self.targets(), self.few_shot()
+        warm = prompt_predict(targets, few_shot, MockProvider("yes"), ReplayCache(tmp_path))
+        replayed = prompt_predict(
+            targets, few_shot, ReplayOnlyProvider(), ReplayCache(tmp_path),
+            requests_per_second=1.0,
+        )
+        assert replayed == warm  # six hits at one request per second, none waited
+        with pytest.raises(Slept):  # the second of two misses waits for its token
+            prompt_predict(
+                self.targets(2), few_shot, MockProvider("yes"),
+                ReplayCache(tmp_path / "cold"), requests_per_second=1.0,
+            )
 
     def test_bad_parallelism(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -180,8 +180,7 @@ class TestConfusionFixture:
     )
     def test_realizes_requested_matrix(self, counts):
         golds, preds = make_confusion_fixture(Task.NOVELTY, counts)
-        matrix = confusion(list(preds), golds, Task.NOVELTY)
-        assert matrix.counts == counts
+        assert confusion(preds, golds, Task.NOVELTY) == counts
         assert len(golds) == sum(map(sum, counts))
 
     def test_task_and_naming(self):
@@ -190,7 +189,6 @@ class TestConfusionFixture:
         )
         assert all(g.id.startswith("vx-") for g in golds)
         assert all(p.task is Task.VALIDITY and p.source == "oracle" for p in preds)
-        assert preds.source_tag == "oracle"
 
 
 class TestRandomEvalFixture:
@@ -199,10 +197,10 @@ class TestRandomEvalFixture:
         golds, set_a, set_b = make_random_eval_fixture(rng, n=10)
         assert len(golds) == 10
         for ps, tag in ((set_a, "a"), (set_b, "b")):
-            assert ps.source_tag == tag
+            assert {p.source for p in ps} == {tag}
             assert len(ps) == 20
             for task in Task:
-                covered = {p.instance_id for p in ps.for_task(task)}
+                covered = {p.instance_id for p in ps if p.task is task}
                 assert covered == {g.id for g in golds}
 
     def test_labels_are_binary(self):
