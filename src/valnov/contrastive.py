@@ -69,8 +69,10 @@ def triplet_loss(
     margin: float = 1.0,
     dist: str = "cosine",
 ) -> float:
-    """max(0, d(anchor, positive) - d(anchor, negative) + margin)."""
-    return max(0.0, distance(anchor, positive, dist) - distance(anchor, negative, dist) + margin)
+    """max(0, d(anchor, positive) - d(anchor, negative) + margin); a NaN
+    stays NaN, so the caller's non-finite check sees it."""
+    loss = distance(anchor, positive, dist) - distance(anchor, negative, dist) + margin
+    return 0.0 if loss <= 0.0 else loss
 
 
 def _cosine_distance_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +136,8 @@ def contrastive_train(
     params = encoder.parameters()
     epoch_losses: list[float] = []
 
-    # a diverging run overflows before its loss turns non-finite; the loss
-    # check below reports it, so numpy need not warn
+    # a diverging run overflows before its loss turns non-finite; the checks
+    # below report it, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             order = rng.permutation(len(triplets))
@@ -146,6 +148,12 @@ def contrastive_train(
                 for t in batch:
                     texts.extend((t.anchor, t.positive, t.negative))
                 cache = encoder.forward(texts)
+                # tanh saturates, so an overflowed pre-activation still
+                # gives finite outputs and a finite loss
+                if not np.isfinite(cache.pooled @ encoder.proj_w.T + encoder.proj_b).all():
+                    raise TrainingError(
+                        f"non-finite encoder activation in epoch {epoch} at triplet offset {start}"
+                    )
                 d_outputs = np.zeros_like(cache.outputs)
                 batch_loss = 0.0
                 for j, t in enumerate(batch):
@@ -175,8 +183,9 @@ def constraint_satisfaction(
     if not triplets:
         return 0.0
     satisfied = 0
-    for t in triplets:
-        a, p, n = encoder.encode([t.anchor, t.positive, t.negative])
-        if distance(a, p, dist) < distance(a, n, dist):
-            satisfied += 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in triplets:
+            a, p, n = encoder.encode([t.anchor, t.positive, t.negative])
+            if distance(a, p, dist) < distance(a, n, dist):
+                satisfied += 1
     return satisfied / len(triplets)

@@ -12,13 +12,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     """Write ``text`` so readers never observe a partial file.
 
     The content goes to a temporary sibling first and is moved into place
-    with an atomic rename.
+    with an atomic rename. It is written as its UTF-8 bytes, with no
+    newline translation.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    directory, name = os.path.split(path)
+    fd, tmp_name = tempfile.mkstemp(dir=directory or os.curdir, prefix=name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(fd, "wb") as fh:
+            fh.write(text.encode("utf-8"))
         os.replace(tmp_name, path)
     except BaseException:
         try:

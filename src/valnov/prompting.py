@@ -8,13 +8,15 @@ run is fully offline and bit-reproducible.
 
 from __future__ import annotations
 
-import json
 import hashlib
+import json
+import os
 import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -80,6 +82,16 @@ class FewShotSet:
         if labels != {LabelValue.POSITIVE, LabelValue.NEGATIVE}:
             raise ConfigurationError("few-shot set must represent both labels")
 
+    @cached_property
+    def prefix(self) -> str:
+        """The four answered blocks every prompt of this set starts with,
+        rendered once per set rather than once per target."""
+        parts = []
+        for example in self.examples:
+            positive = mapped_value(example, self.task) is LabelValue.POSITIVE
+            parts.append(_block(example, self.task, "yes" if positive else "no"))
+        return "".join(parts)
+
 
 def _rank_key(instance: ArgumentInstance, task: Task) -> tuple[int, int, str]:
     return (
@@ -136,30 +148,33 @@ def build_prompt(few_shot: FewShotSet, target: ArgumentInstance, task: Task) -> 
         raise ConfigurationError(
             f"few-shot set is for task {few_shot.task.value}, not {task.value}"
         )
-    parts = []
-    for example in few_shot.examples:
-        answer = "yes" if mapped_value(example, task) is LabelValue.POSITIVE else "no"
-        parts.append(_block(example, task, answer))
-    parts.append(
+    return (
+        f"{few_shot.prefix}"
         f"topic: {target.topic}\n"
         f"premise: {target.premise}\n"
         f"conclusion: {target.conclusion}\n"
         f"{_TASK_WORDS[task]}:"
     )
-    return "".join(parts)
+
+
+def request_json(request: PromptRequest) -> str:
+    """The canonical JSON text of every field of the request: its cache
+    key is the sha256 of this text, and its cache record embeds it verbatim."""
+    return json.dumps(vars(request), sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def cache_key(request: PromptRequest) -> str:
-    """Stable content hash of everything that determines a completion:
-    every field of the request."""
-    payload = json.dumps(
-        vars(request), sort_keys=True, ensure_ascii=False, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable content hash of everything that determines a completion."""
+    return hashlib.sha256(request_json(request).encode("utf-8")).hexdigest()
 
 
 class ReplayCache:
     """Directory of JSON completion records, one file per cache key.
+
+    A record is one line of JSON with the fields ``key``, ``request`` (the
+    request's ``request_json`` text, whose sha256 is the key), ``raw_text``
+    and ``timestamp``. Only ``raw_text`` is read back, so records written
+    in any other JSON layout replay too.
 
     Records are written atomically (temp file + rename), so concurrent
     readers only ever see complete records. The directory is created by
@@ -168,21 +183,22 @@ class ReplayCache:
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
+        self._prefix = os.path.join(self.directory, "")
         self._created = False
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._prefix}{key}.json"
 
     def get(self, key: str) -> str | None:
         """The recorded completion, or None when ``key`` has no record. A
         record that cannot be read is an error, never a miss: replaying it
         as a miss would silently re-query the provider."""
         path = self._path(key)
-        if not path.exists():
-            return None
         try:
             with open(path, encoding="utf-8") as fh:
                 record = json.load(fh)
+        except FileNotFoundError:
+            return None
         except ValueError as exc:  # undecodable bytes or JSON
             raise ParseError(f"{path}: corrupt cache record ({exc})") from exc
         raw_text = record.get("raw_text") if isinstance(record, dict) else None
@@ -190,17 +206,17 @@ class ReplayCache:
             raise ParseError(f"{path}: cache record has no string raw_text")
         return raw_text
 
-    def put(self, key: str, request: PromptRequest, raw_text: str) -> None:
+    def put(self, key: str, request_text: str, raw_text: str) -> None:
+        """Record ``raw_text`` under ``key``, the sha256 of ``request_text``."""
         if not self._created:
             self.directory.mkdir(parents=True, exist_ok=True)
             self._created = True
-        record = {
-            "key": key,
-            "request": vars(request),
-            "raw_text": raw_text,
-            "timestamp": time.time(),
-        }
-        atomic_write_text(self._path(key), json.dumps(record, ensure_ascii=False, indent=2))
+        raw = json.dumps(raw_text, ensure_ascii=False)
+        atomic_write_text(
+            self._path(key),
+            f'{{"key":"{key}","request":{request_text},"raw_text":{raw},'
+            f'"timestamp":{time.time()!r}}}\n',
+        )
 
     def __len__(self) -> int:
         return sum(1 for _ in self.directory.glob("*.json"))
@@ -313,14 +329,15 @@ def complete(
 ) -> str:
     """The raw completion: from the cache when possible, else from the
     provider, paced by ``limiter``, and recorded."""
-    key = cache_key(request)
+    request_text = request_json(request)
+    key = hashlib.sha256(request_text.encode("utf-8")).hexdigest()
     cached = cache.get(key)
     if cached is not None:
         return cached
     if limiter is not None:
         limiter.acquire()
     raw_text = provider.generate(request)
-    cache.put(key, request, raw_text)
+    cache.put(key, request_text, raw_text)
     return raw_text
 
 

@@ -683,6 +683,25 @@ class TestStageDriver:
         assert done.stderr.startswith("error: training: non-finite loss")
         assert done.stderr.count("\n") == 1
 
+    def test_diverging_contrastive_train_fails_cleanly(self, workspace, tmp_path):
+        # tanh saturates, so the triplet loss of this run stays finite
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["contrastive"] = {"learning_rate": 1e300}
+        config_path = tmp_path / "diverging.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = tmp_path / "contrastive"
+        env = {**os.environ, "PYTHONPATH": str(Path(valnov.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "valnov.cli", "contrastive-train", "--config",
+             str(config_path), "--run-dir", str(run_dir)],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: training: ")
+        assert done.stderr.count("\n") == 1
+        assert not (run_dir / "encoder-checkpoint.json").exists()
+        assert not run_dir.exists()
+
 
 def _broken_checkpoint(text: str, case: str) -> str:
     """``text`` of a checkpoint, damaged as ``case`` names."""

@@ -62,6 +62,12 @@ class TestTripletLoss:
         n = np.array([0.0, 2.0])
         assert triplet_loss(a, p, n, margin=0.0) == pytest.approx(0.0)
 
+    def test_nan_distance_is_not_zero_loss(self):
+        a = np.array([np.nan, 0.0])
+        p = np.array([1.0, 0.0])
+        n = np.array([0.0, 1.0])
+        assert np.isnan(triplet_loss(a, p, n, dist="euclidean"))
+
 
 class TestEmbeddingGrads:
     @pytest.mark.parametrize("dist", ["cosine", "euclidean"])

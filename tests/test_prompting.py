@@ -1,5 +1,6 @@
 """Prompt construction, completion providers, replay cache, parsing."""
 
+import hashlib
 import http.server
 import json
 import os
@@ -20,6 +21,7 @@ from valnov.errors import (
     DataError,
     ProviderError,
 )
+from valnov.predictions import save_predictions
 from valnov.prompting import (
     FewShotSet,
     MockProvider,
@@ -32,6 +34,7 @@ from valnov.prompting import (
     make_provider,
     parse_response,
     prompt_predict,
+    request_json,
     select_few_shot,
 )
 
@@ -253,7 +256,7 @@ class TestReplayCache:
         req = PromptRequest(prompt="p")
         key = cache_key(req)
         assert cache.get(key) is None
-        cache.put(key, req, " yes")
+        cache.put(key, request_json(req), " yes")
         assert cache.get(key) == " yes"
         assert len(cache) == 1
 
@@ -261,7 +264,7 @@ class TestReplayCache:
         cache = ReplayCache(tmp_path)
         req = PromptRequest(prompt="p", max_tokens=2)
         key = cache_key(req)
-        cache.put(key, req, "no")
+        cache.put(key, request_json(req), "no")
         record = json.loads((tmp_path / f"{key}.json").read_text(encoding="utf-8"))
         assert record["key"] == key
         assert record["raw_text"] == "no"
@@ -272,8 +275,35 @@ class TestReplayCache:
     def test_no_partial_files_after_put(self, tmp_path):
         cache = ReplayCache(tmp_path)
         req = PromptRequest(prompt="p")
-        cache.put(cache_key(req), req, "yes")
+        cache.put(cache_key(req), request_json(req), "yes")
         assert [p.suffix for p in tmp_path.iterdir()] == [".json"]
+
+    def test_record_is_one_line_whose_request_text_hashes_to_its_name(self, tmp_path):
+        cache = ReplayCache(tmp_path)
+        for request in (
+            PromptRequest(prompt="Prämisse — “ü” 中文\n\"quoted\"", temperature=0, max_tokens=3),
+            PromptRequest(prompt="p", temperature=0.5, presence_penalty=0.25),
+        ):
+            complete(MockProvider("multi\nline"), request, cache)
+        for path in tmp_path.iterdir():
+            text = path.read_text(encoding="utf-8")
+            assert text.endswith("}\n") and text.count("\n") == 1
+            start = text.index('"request":') + len('"request":')
+            _, end = json.JSONDecoder().raw_decode(text, start)
+            assert hashlib.sha256(text[start:end].encode("utf-8")).hexdigest() == path.stem
+
+    def test_record_removed_before_open_is_a_miss(self, tmp_path, monkeypatch):
+        cache = ReplayCache(tmp_path)
+        req = PromptRequest(prompt="p")
+        key = cache_key(req)
+        cache.put(key, request_json(req), "yes")
+
+        def vanishing_open(path, *args, **kwargs):
+            os.unlink(path)  # another process removes the record first
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr("valnov.prompting.open", vanishing_open, raising=False)
+        assert cache.get(key) is None
 
 
 class TestComplete:
@@ -298,7 +328,7 @@ class TestComplete:
     def test_replay_only_hit_succeeds(self, tmp_path):
         cache = ReplayCache(tmp_path)
         req = PromptRequest(prompt="p")
-        cache.put(cache_key(req), req, "no")
+        cache.put(cache_key(req), request_json(req), "no")
         assert complete(ReplayOnlyProvider(), req, cache) == "no"
 
 
@@ -504,6 +534,35 @@ class TestPromptPredict:
                 parallelism=parallelism,
             )
             assert replayed == warm
+
+    def test_indented_records_replay_byte_identically(self, tmp_path):
+        targets = self.targets(5) + [
+            make_instance(id="t-u", premise="Prämisse — “ü” 中文", conclusion="\"quoted\"")
+        ]
+        few_shot = self.few_shot()
+        replies = ["yes", "no", "Not valid.", "hmm", " Yes", "invalid\n"]
+        by_prompt = {
+            build_prompt(few_shot, t, Task.VALIDITY): reply for t, reply in zip(targets, replies)
+        }
+        fill = prompt_predict(
+            targets, few_shot, MockProvider(by_prompt=by_prompt), ReplayCache(tmp_path / "new")
+        )
+        # records as written before they were one JSON line: indented, the
+        # request's fields in declaration order
+        old = tmp_path / "old"
+        old.mkdir()
+        for prompt, reply in by_prompt.items():
+            request = PromptRequest(prompt=prompt)
+            record = {"key": cache_key(request), "request": vars(request),
+                      "raw_text": reply, "timestamp": 1700000000.5}
+            (old / f"{record['key']}.json").write_text(
+                json.dumps(record, ensure_ascii=False, indent=2), encoding="utf-8"
+            )
+        replayed = prompt_predict(targets, few_shot, ReplayOnlyProvider(), ReplayCache(old))
+        save_predictions(fill, tmp_path / "fill.csv")
+        save_predictions(replayed, tmp_path / "replayed.csv")
+        assert (tmp_path / "replayed.csv").read_bytes() == (tmp_path / "fill.csv").read_bytes()
+        assert sorted(os.listdir(old)) == sorted(os.listdir(tmp_path / "new"))
 
     def test_cold_replay_fails(self, tmp_path):
         with pytest.raises(CacheMissError):
