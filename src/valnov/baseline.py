@@ -175,7 +175,6 @@ class LinearSvm:
 class SvmFit:
     model: LinearSvm
     objective: float
-    trace: tuple[float, ...]
     steps: int
     violations: int  # steps whose example was inside the margin
 
@@ -200,7 +199,6 @@ def svm_train(
     C: float,
     steps: int | None = None,
     seed: int = 0,
-    trace_every: int = 0,
 ) -> SvmFit:
     """Projected subgradient descent on the primal SVM objective.
 
@@ -252,7 +250,6 @@ def svm_train(
     b_sum = 0.0
     tail_count = 0
     violations = 0
-    trace: list[float] = []
     order: list[int] = []
 
     for t in range(steps):
@@ -286,12 +283,6 @@ def svm_train(
             a_sum += a
             b_sum += b
             tail_count += 1
-            if trace_every and tail_count % trace_every == 0:
-                trace.append(
-                    svm_objective(
-                        (a_sum * v - u) / tail_count, b_sum / tail_count, rows, y, C
-                    )
-                )
         if a < _FOLD_BELOW:
             # move the tail sum into u and restart S at 0 before v takes
             # the scale: S/a would grow with every fold, and S·v − u would
@@ -308,7 +299,6 @@ def svm_train(
     return SvmFit(
         model=model,
         objective=svm_objective(final_w, final_b, rows, y, C),
-        trace=tuple(trace),
         steps=steps,
         violations=violations,
     )
@@ -325,15 +315,11 @@ def task_labels(instances: Sequence[ArgumentInstance], task: Task) -> list[int]:
 
 def predict_corpus(
     model: LinearSvm,
-    tfidf: TfidfModel,
+    rows: CsrRows,
     instances: Sequence[ArgumentInstance],
     task: Task,
-    source: str = "svm",
-    rows: CsrRows | None = None,
 ) -> list[Prediction]:
-    """Predict every instance; ``rows`` are their TF-IDF rows if already built."""
-    if rows is None:
-        rows = tfidf_rows(tfidf, analyse([document_text(inst) for inst in instances]))
+    """Predict every instance from its TF-IDF row (``rows[i]`` is ``instances[i]``)."""
     task = Task(task)
     scores = rows.dots(model.weights) + model.bias
     return [
@@ -341,7 +327,7 @@ def predict_corpus(
             instance_id=inst.id,
             task=task,
             value=LabelValue.POSITIVE if score > 0 else LabelValue.NEGATIVE,
-            source=source,
+            source="svm",
         )
         for inst, score in zip(instances, scores.tolist())
     ]

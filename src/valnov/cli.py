@@ -294,10 +294,8 @@ def _tasks_from_arg(value: str) -> list[Task]:
 def cmd_predict(args: argparse.Namespace, run: _RunDir) -> None:
     model, _, _, _ = mtl.load_checkpoint(run.record_input("checkpoint", args.checkpoint))
     instances = run.instances("instances", args.on, Split.TEST)
-    if args.task == "both":
-        predictions = model.predict_both(instances)
-    else:
-        predictions = model.predict(instances, Task(args.task))
+    tasks = _tasks_from_arg(args.task)
+    predictions = [p for p in model.predict_both(instances) if p.task in tasks]
     run.save_predictions(predictions)
     print(f"wrote {len(predictions)} predictions from {model.name}")
 
@@ -375,7 +373,7 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
             "violations": fit.violations,
         }
         all_predictions.extend(
-            baseline_mod.predict_corpus(fit.model, tfidf, targets, task, rows=target_rows)
+            baseline_mod.predict_corpus(fit.model, target_rows, targets, task)
         )
     run.save_predictions(all_predictions)
     run.write_text(

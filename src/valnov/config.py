@@ -44,6 +44,12 @@ class PromptSettings:
     requests_per_second: float | None = None
     mock_reply: str = "yes"
 
+    def __post_init__(self):
+        if self.parallelism < 1:
+            raise ConfigurationError("prompting.parallelism must be >= 1")
+        if self.requests_per_second is not None and self.requests_per_second <= 0:
+            raise ConfigurationError("prompting.requests_per_second must be null or > 0")
+
     def decoding(self) -> dict[str, Any]:
         return {
             "model_id": self.model_id,
@@ -92,11 +98,12 @@ class RunConfig:
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         """The profile's TrainConfig with ``train_overrides`` decoded onto it."""
-        if "seed" in self.train_overrides:
-            raise ConfigurationError(
-                "config.train_overrides.seed has no effect: "
-                "a run's seed is the top-level seed or --seed"
-            )
+        for key, owner in (("seed", "seed or --seed"), ("combined_metric", "combined_metric")):
+            if key in self.train_overrides:
+                raise ConfigurationError(
+                    f"config.train_overrides.{key} has no effect: "
+                    f"a run's {key} is the top-level {owner}"
+                )
         overrides = {"combined_metric": self.combined_metric, **self.train_overrides,
                      "seed": self.seed if seed is None else seed}
         try:

@@ -205,7 +205,6 @@ def topic_error_rates(
     predictions: Sequence[Prediction],
     golds: Sequence[ArgumentInstance],
     task: Task,
-    top_k: int | None = None,
 ) -> list[tuple[str, float, int]]:
     """Per-topic error fractions, highest first; ties break on the topic
     string."""
@@ -215,11 +214,10 @@ def topic_error_rates(
         t = tallies.setdefault(gold.topic, [0, 0])
         t[0] += wrong
         t[1] += 1
-    ranked = sorted(
+    return sorted(
         ((topic, wrong / count, count) for topic, (wrong, count) in tallies.items()),
         key=lambda item: (-item[1], item[0]),
     )
-    return ranked[:top_k] if top_k is not None else ranked
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .decode import decode
 from .encoder import EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, ParseError, SchemaError, TrainingError
-from .evaluation import DEFAULT_COMBINED_METRIC, combined_score
+from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
 from .fsutil import atomic_write_text
 from .optim import AdamW
 from .predictions import Prediction
@@ -55,7 +55,16 @@ class TrainConfig:
             raise ConfigurationError("epochs, grad_accumulation, batch_size must be >= 1")
         if self.weight_decay < 0:
             raise ConfigurationError("weight_decay must be >= 0")
-        _check_probabilities(self.task_probabilities)
+        probabilities = self.task_probabilities
+        if len(probabilities) != 2 or min(probabilities) < 0 or abs(sum(probabilities) - 1.0) > 1e-9:
+            raise ConfigurationError(
+                f"task probabilities must be a non-negative pair summing to 1, got {probabilities}"
+            )
+        if self.combined_metric not in COMBINED_METRICS:
+            raise ConfigurationError(
+                f"combined_metric {self.combined_metric!r} is unknown; "
+                f"known: {sorted(COMBINED_METRICS)}"
+            )
 
     @classmethod
     def from_profile(cls, name: str, **overrides) -> "TrainConfig":
@@ -69,16 +78,8 @@ class TrainConfig:
         return cls(**base)
 
 
-def _check_probabilities(probabilities: Sequence[float]) -> None:
-    if len(probabilities) != 2 or min(probabilities) < 0 or abs(sum(probabilities) - 1.0) > 1e-9:
-        raise ConfigurationError(
-            f"task probabilities must be a non-negative pair summing to 1, got {probabilities}"
-        )
-
-
 def sample_task(rng: np.random.Generator, probabilities: Sequence[float] = (0.5, 0.5)) -> Task:
-    """Bernoulli draw between the two tasks."""
-    _check_probabilities(probabilities)
+    """Bernoulli draw between the two tasks (``TrainConfig`` checks the probabilities)."""
     return Task.VALIDITY if rng.random() < probabilities[0] else Task.NOVELTY
 
 
@@ -132,42 +133,18 @@ class MtlModel:
         for key, value in snapshot.items():
             live[key][...] = value
 
-    def forward(self, batch: Sequence[ArgumentInstance], task: Task) -> np.ndarray:
-        """(n, 2) logits from the selected head only."""
-        if not batch:
-            raise ConfigurationError("forward needs a non-empty batch")
-        task = Task(task)
-        embeddings = self.encoder.encode([instance_text(i) for i in batch])
-        head = self.heads[task]
-        return embeddings @ head["w"].T + head["b"]
-
-    def predict(self, instances: Sequence[ArgumentInstance], task: Task) -> list[Prediction]:
-        """Argmax labels; an exact logit tie resolves to negative."""
-        task = Task(task)
-        if not instances:
-            return []
-        return self._labels(instances, self.forward(instances, task), task)
-
     def predict_both(self, instances: Sequence[ArgumentInstance]) -> list[Prediction]:
-        """Validity then novelty predictions from one encoding pass."""
-        if not instances:
-            return []
+        """Validity then novelty predictions from one encoding pass; an
+        exact logit tie resolves to negative."""
         embeddings = self.encoder.encode([instance_text(i) for i in instances])
         out = []
         for task in (Task.VALIDITY, Task.NOVELTY):
             head = self.heads[task]
-            out += self._labels(instances, embeddings @ head["w"].T + head["b"], task)
-        return out
-
-    def _labels(
-        self, instances: Sequence[ArgumentInstance], logits: np.ndarray, task: Task
-    ) -> list[Prediction]:
-        out = []
-        for inst, pair in zip(instances, logits):
-            value = LabelValue.POSITIVE if pair[1] > pair[0] else LabelValue.NEGATIVE
-            out.append(
-                Prediction(instance_id=inst.id, task=task, value=value, source=self.name)
-            )
+            for inst, pair in zip(instances, embeddings @ head["w"].T + head["b"]):
+                value = LabelValue.POSITIVE if pair[1] > pair[0] else LabelValue.NEGATIVE
+                out.append(
+                    Prediction(instance_id=inst.id, task=task, value=value, source=self.name)
+                )
         return out
 
 

@@ -229,18 +229,17 @@ class CompletionProvider(Protocol):
 
 
 class MockProvider:
-    """Scripted provider for tests: fixed reply, optionally per-prompt."""
+    """Scripted provider: the same reply to every prompt."""
 
     name = "mock"
 
-    def __init__(self, reply: str = "yes", by_prompt: Mapping[str, str] | None = None):
+    def __init__(self, reply: str = "yes"):
         self.reply = reply
-        self.by_prompt = dict(by_prompt or {})
         self.calls = 0
 
     def generate(self, request: PromptRequest) -> str:
         self.calls += 1
-        return self.by_prompt.get(request.prompt, self.reply)
+        return self.reply
 
 
 class ReplayOnlyProvider:
@@ -397,7 +396,6 @@ def prompt_predict(
     decoding: Mapping[str, object] | None = None,
     parallelism: int = 1,
     requests_per_second: float | None = None,
-    source: str = "gpt3",
 ) -> list[Prediction]:
     """Classify every target with one completion each.
 
@@ -419,7 +417,7 @@ def prompt_predict(
             instance_id=target.id,
             task=task,
             value=LabelValue.NEGATIVE if value is None else value,
-            source=source,
+            source="gpt3",
             flagged=value is None,
         )
 

@@ -161,20 +161,18 @@ class TestSvmTrain:
         assert abs(fit.model.bias / w) <= 0.1
 
     def test_tail_average_trace_nearly_monotone(self):
-        fit = svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=4000, trace_every=50)
-        assert len(fit.trace) >= 10
-        for prev, cur in zip(fit.trace, fit.trace[1:]):
+        # the trace of the dense oracle, whose iterates the solver matches
+        fit = svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=4000)
+        *_, trace, _ = _dense_svm_oracle(TOY_X, TOY_Y, 2, C=1.0, steps=4000, trace_every=50)
+        assert len(trace) >= 10
+        for prev, cur in zip(trace, trace[1:]):
             assert cur <= prev + 1e-3 * max(1.0, abs(prev))
-        assert fit.trace[-1] == pytest.approx(fit.objective, rel=1e-6)
+        assert trace[-1] == pytest.approx(fit.objective, rel=1e-6)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_steps_below_one_rejected(self, steps):
         with pytest.raises(ConfigurationError, match="steps"):
             svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=steps)
-
-    def test_trace_off_by_default(self):
-        fit = svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=200)
-        assert fit.trace == ()
 
 
 class TestBaselinePredict:
@@ -185,7 +183,8 @@ class TestBaselinePredict:
 
     @staticmethod
     def predict_one(svm, tfidf, inst, task):
-        return predict_corpus(svm, tfidf, [inst], task)[0]
+        rows = tfidf_rows(tfidf, analyse([document_text(inst)]))
+        return predict_corpus(svm, rows, [inst], task)[0]
 
     def test_positive_half_space(self):
         svm, tfidf = self.toy_models(bias=-1.0)
@@ -210,9 +209,10 @@ class TestBaselinePredict:
     def test_predict_corpus_shape(self):
         svm, tfidf = self.toy_models(bias=1.0)
         instances = [make_instance(id=f"i{k}") for k in range(3)]
-        preds = predict_corpus(svm, tfidf, instances, Task.NOVELTY, source="svm-novelty")
+        rows = tfidf_rows(tfidf, analyse([document_text(inst) for inst in instances]))
+        preds = predict_corpus(svm, rows, instances, Task.NOVELTY)
         assert [p.instance_id for p in preds] == ["i0", "i1", "i2"]
-        assert all(p.task is Task.NOVELTY and p.source == "svm-novelty" for p in preds)
+        assert all(p.task is Task.NOVELTY and p.source == "svm" for p in preds)
 
 
 class TestFitBaseline:
@@ -226,7 +226,7 @@ class TestFitBaseline:
         tfidf, X, _ = featurize(train)
         y = task_labels(train, task)
         fit = svm_train(X, y, dim=len(tfidf.vocabulary), C=1.0, seed=0)
-        preds = predict_corpus(fit.model, tfidf, train, task)
+        preds = predict_corpus(fit.model, X, train, task)
         gold_positive = {
             inst.id for inst in train if mapped_value(inst, task) is LabelValue.POSITIVE
         }
@@ -340,11 +340,10 @@ class TestSparseSolverMatchesDenseOracle:
     @staticmethod
     def assert_matches(X, y, dim, held_out, **kwargs):
         fit = svm_train(X, y, dim=dim, **kwargs)
-        w, b, trace, projections = _dense_svm_oracle(X, y, dim, **kwargs)
+        w, b, _, projections = _dense_svm_oracle(X, y, dim, **kwargs)
         scale = max(1.0, float(np.abs(w).max()))
         assert float(np.abs(fit.model.weights - w).max()) <= 1e-9 * scale
         assert fit.model.bias == pytest.approx(b, rel=1e-9, abs=1e-9)
-        np.testing.assert_allclose(fit.trace, trace, rtol=1e-9)
         for x in held_out:
             ours = sum(fit.model.weights[i] * v for i, v in x.items()) + fit.model.bias
             theirs = sum(w[i] * v for i, v in x.items()) + b
@@ -377,12 +376,9 @@ class TestSparseSolverMatchesDenseOracle:
         )
         assert projections > steps // 3
 
-    def test_steps_not_a_multiple_of_n_with_trace(self):
+    def test_steps_not_a_multiple_of_n(self):
         X, y, held_out = _random_sparse_problem(7, n=37, dim=45, nnz=7)
-        fit, _ = self.assert_matches(
-            X, y, 45, held_out, C=0.5, steps=1001, seed=7, trace_every=25
-        )
-        assert len(fit.trace) == 501 // 25
+        self.assert_matches(X, y, 45, held_out, C=0.5, steps=1001, seed=7)
 
     def test_dict_rows_and_csr_rows_train_identically(self):
         X, y, _ = _random_sparse_problem(8, n=20, dim=30, nnz=5)

@@ -276,14 +276,18 @@ class TestPredictEvaluate:
         assert {p.source for p in preds} == {"mtl"}
 
     def test_predict_single_task_filter(self, workspace, trained):
-        run_dir = workspace["root"] / "pred-validity"
-        code = main(
-            ["predict", "--config", workspace["config"], "--run-dir", str(run_dir),
-             "--checkpoint", str(trained), "--task", "validity"]
-        )
-        assert code == 0
-        preds = load_predictions(run_dir / "predictions.csv")
-        assert {p.task for p in preds} == {Task.VALIDITY}
+        # each single-task file is the bytes of that task's rows of --task both
+        root = workspace["root"]
+        for task in ("both", "validity", "novelty"):
+            assert main(["predict", "--config", workspace["config"], "--run-dir",
+                         str(root / f"pred-{task}"), "--checkpoint", str(trained),
+                         "--task", task]) == 0
+        both = load_predictions(root / "pred-both" / "predictions.csv")
+        for task in (Task.VALIDITY, Task.NOVELTY):
+            single = root / f"pred-{task.value}" / "predictions.csv"
+            assert {p.task for p in load_predictions(single)} == {task}
+            save_predictions([p for p in both if p.task is task], root / f"rows-{task.value}.csv")
+            assert single.read_bytes() == (root / f"rows-{task.value}.csv").read_bytes()
 
     def test_predictions_reproduce_byte_identical(self, workspace, trained):
         dirs = [workspace["root"] / "pred-a", workspace["root"] / "pred-b"]
@@ -1106,6 +1110,20 @@ ILL_TYPED_CONFIG = [
     ("data.column_map.topic", 5, "prepare-data", "config.data.column_map.topic must be str"),
 ]
 
+# well-typed values out of range: each fails in load_config as well
+OUT_OF_RANGE_CONFIG = [
+    ("combined_metric", "nope", "train", "combined_metric 'nope' is unknown"),
+    ("combined_metric", "nope", "prompt-predict", "combined_metric 'nope' is unknown"),
+    ("combined_metric", "nope", "baseline", "combined_metric 'nope' is unknown"),
+    ("train_overrides.combined_metric", "task-mean-macro-f1", "seed-sweep",
+     "config.train_overrides.combined_metric has no effect"),
+    ("prompting.parallelism", 0, "prompt-predict", "prompting.parallelism must be >= 1"),
+    ("prompting.requests_per_second", 0, "prompt-predict",
+     "prompting.requests_per_second must be null or > 0"),
+    ("prompting.requests_per_second", -1.0, "prompt-predict",
+     "prompting.requests_per_second must be null or > 0"),
+]
+
 STAGE_ARGS = {
     "prompt-predict": ["--task", "validity", "--cache-dir", "{root}/typed-cache"],
     "prepare-data": ["--splits", "train"],
@@ -1125,7 +1143,10 @@ def _set_key(config: dict, dotted: str, value) -> dict:
 
 class TestIllTypedInputs:
     @pytest.mark.parametrize(
-        "dotted, value, command, detail", ILL_TYPED_CONFIG, ids=[c[0] for c in ILL_TYPED_CONFIG]
+        "dotted, value, command, detail",
+        ILL_TYPED_CONFIG + OUT_OF_RANGE_CONFIG,
+        ids=[c[0] for c in ILL_TYPED_CONFIG]
+        + [f"{c[0]}={c[1]}-{c[2]}" for c in OUT_OF_RANGE_CONFIG],
     )
     def test_ill_typed_config_value_is_configuration(
         self, workspace, capsys, dotted, value, command, detail

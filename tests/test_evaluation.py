@@ -267,10 +267,6 @@ class TestTopicErrorRates:
         ranked = topic_error_rates(preds, golds, Task.VALIDITY)
         assert [t for t, _, _ in ranked] == ["art", "zinc"]
 
-    def test_top_k(self):
-        golds, preds = self.fixture()
-        assert len(topic_error_rates(preds, golds, Task.VALIDITY, top_k=2)) == 2
-
 
 class TestSeedSummary:
     def run(self, combined, history=((0, 1.0, 0.3), (1, 0.8, 0.5))):

@@ -80,20 +80,17 @@ def test_instance_text_layout():
 
 
 class TestMtlModel:
-    def test_forward_shape(self, tiny_corpus):
-        model = MtlModel(SMALL)
-        logits = model.forward(tiny_corpus, Task.VALIDITY)
-        assert logits.shape == (len(tiny_corpus), 2)
-
     def test_heads_differ(self, tiny_corpus):
         model = MtlModel(SMALL)
-        lv = model.forward(tiny_corpus, Task.VALIDITY)
-        ln = model.forward(tiny_corpus, Task.NOVELTY)
-        assert not np.allclose(lv, ln)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MtlModel(SMALL).forward([], Task.VALIDITY)
+        for name in ("w", "b"):
+            model.heads[Task.NOVELTY][name][...] = -model.heads[Task.VALIDITY][name]
+        preds = model.predict_both(tiny_corpus)
+        validity = [p.value for p in preds if p.task is Task.VALIDITY]
+        novelty = [p.value for p in preds if p.task is Task.NOVELTY]
+        assert novelty == [
+            LabelValue.NEGATIVE if v is LabelValue.POSITIVE else LabelValue.POSITIVE
+            for v in validity
+        ]
 
     def test_tie_resolves_negative(self, tiny_corpus):
         model = MtlModel(SMALL)
@@ -105,9 +102,12 @@ class TestMtlModel:
 
     def test_predict_sources_and_ids(self, tiny_corpus):
         model = MtlModel(SMALL, name="run7")
-        preds = model.predict(tiny_corpus, Task.NOVELTY)
-        assert [p.instance_id for p in preds] == [i.id for i in tiny_corpus]
-        assert all(p.source == "run7" and p.task is Task.NOVELTY for p in preds)
+        preds = model.predict_both(tiny_corpus)
+        ids = [i.id for i in tiny_corpus]
+        assert [p.instance_id for p in preds] == ids + ids
+        assert [p.task for p in preds] == [Task.VALIDITY] * len(ids) + [Task.NOVELTY] * len(ids)
+        assert all(p.source == "run7" for p in preds)
+        assert model.predict_both([]) == []
 
     def test_prebuilt_encoder_must_match_config(self):
         from valnov.encoder import ReferenceEncoder
@@ -117,15 +117,14 @@ class TestMtlModel:
         with pytest.raises(ConfigurationError):
             MtlModel(EncoderConfig(), encoder=enc)
 
-    def test_snapshot_restore_round_trip(self, tiny_corpus):
+    def test_snapshot_restore_round_trip(self):
         model = MtlModel(SMALL)
-        before = model.forward(tiny_corpus, Task.VALIDITY)
         snap = model.snapshot()
         for arr in model.parameters().values():
             arr += 0.5
-        assert not np.allclose(model.forward(tiny_corpus, Task.VALIDITY), before)
+        assert not any(np.array_equal(arr, snap[k]) for k, arr in model.parameters().items())
         model.restore(snap)
-        assert np.allclose(model.forward(tiny_corpus, Task.VALIDITY), before)
+        assert all(np.array_equal(arr, snap[k]) for k, arr in model.parameters().items())
 
 
 class TestCrossEntropy:

@@ -544,9 +544,14 @@ class TestPromptPredict:
         by_prompt = {
             build_prompt(few_shot, t, Task.VALIDITY): reply for t, reply in zip(targets, replies)
         }
-        fill = prompt_predict(
-            targets, few_shot, MockProvider(by_prompt=by_prompt), ReplayCache(tmp_path / "new")
-        )
+
+        class ScriptedProvider:
+            name = "scripted"
+
+            def generate(self, request):
+                return by_prompt[request.prompt]
+
+        fill = prompt_predict(targets, few_shot, ScriptedProvider(), ReplayCache(tmp_path / "new"))
         # records as written before they were one JSON line: indented, the
         # request's fields in declaration order
         old = tmp_path / "old"
