@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -207,19 +208,16 @@ def _train_once(
     run: _RunDir,
     train_set: Sequence[ArgumentInstance],
     dev_set: Sequence[ArgumentInstance],
-    seed: int,
     init_encoder: ReferenceEncoder | None,
 ) -> mtl.TrainResult:
-    """Train into ``run``: the checkpoint plus the loss and dev-F1 series.
-    Training starts from a copy of ``init_encoder``'s parameters, which
-    training would otherwise update in place."""
-    train_config = run.config.train_config(seed=seed)
+    """Train ``run.config`` into ``run``: the checkpoint plus the loss and
+    dev-F1 series. Training starts from a copy of ``init_encoder``'s
+    parameters, which training would otherwise update in place."""
+    config = run.config
+    train_config = config.train_config()
+    model = mtl.MtlModel(config.encoder, seed=config.seed)
     if init_encoder is not None:
-        encoder = ReferenceEncoder(init_encoder.config)
-        encoder.set_parameters(init_encoder.parameters())
-        model = mtl.MtlModel(encoder.config, seed=seed, encoder=encoder)
-    else:
-        model = mtl.MtlModel(run.config.encoder, seed=seed)
+        model.restore({f"encoder.{k}": v for k, v in init_encoder.parameters().items()})
     result = mtl.train(model, train_set, dev_set, train_config)
     mtl.save_checkpoint(result, train_config, run.path / "checkpoint.json")
     run.track_output("checkpoint.json")
@@ -232,18 +230,24 @@ def _train_once(
 
 
 def _init_encoder(run: _RunDir, args: argparse.Namespace) -> ReferenceEncoder | None:
-    """The encoder of the recorded ``--init-encoder`` checkpoint, if one was given."""
+    """The encoder of the recorded ``--init-encoder`` checkpoint, if one was
+    given; its config must be the run's ``encoder``."""
     if args.init_encoder is None:
         return None
-    encoder, _ = mtl.load_encoder_checkpoint(run.record_input("init-encoder", args.init_encoder))
+    path = run.record_input("init-encoder", args.init_encoder)
+    encoder, _ = mtl.load_encoder_checkpoint(path)
+    if encoder.config != run.config.encoder:
+        raise ConfigurationError(
+            f"{path}: encoder_config {dataclasses.asdict(encoder.config)} differs from "
+            f"config.encoder {dataclasses.asdict(run.config.encoder)}"
+        )
     return encoder
 
 
 def cmd_train(args: argparse.Namespace, run: _RunDir) -> None:
     train_set = run.instances("train", args.train, Split.TRAIN)
     dev_set = run.instances("dev", args.dev, Split.DEV)
-    seed = run.config.seed if args.seed is None else args.seed
-    result = _train_once(run, train_set, dev_set, seed, _init_encoder(run, args))
+    result = _train_once(run, train_set, dev_set, _init_encoder(run, args))
     best = result.history[result.best_epoch]
     print(
         f"best epoch {best.epoch}: dev combined F1 {best.dev_combined_f1:.4f} "
@@ -305,14 +309,14 @@ def cmd_prompt_predict(args: argparse.Namespace, run: _RunDir) -> None:
     train_set = run.instances("train", args.train, Split.TRAIN)
     targets = run.instances("targets", args.on, Split.TEST)
 
+    if args.cache_dir is not None:
+        prompting = dataclasses.replace(run.config.prompting, cache_dir=args.cache_dir)
+        run.config = dataclasses.replace(run.config, prompting=prompting)
     settings = run.config.prompting
     provider = make_provider(
-        settings.provider,
-        endpoint=settings.endpoint,
-        api_key=os.environ.get(settings.api_key_env),
-        mock_reply=settings.mock_reply,
+        settings.provider, endpoint=settings.endpoint, api_key=os.environ.get(settings.api_key_env)
     )
-    cache = ReplayCache(args.cache_dir or settings.cache_dir)
+    cache = ReplayCache(settings.cache_dir)
     few_shot = select_few_shot(train_set, task)
     preds = prompt_predict(
         targets,
@@ -419,17 +423,15 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     dev_set = run.instances("dev", args.dev, Split.DEV)
     init_encoder = _init_encoder(run, args)
 
-    n_runs = args.runs if args.runs is not None else config.sweep.runs
-    base_seed = config.seed if args.seed is None else args.seed
-    seeds = list(range(base_seed, base_seed + n_runs))
+    seeds = list(range(config.seed, config.seed + config.sweep.runs))
 
     runs: list[tuple[int, list, EvalReport]] = []
     for seed in seeds:
         sub_path = run.path / f"seed-{seed}"
         with _removed_on_error(sub_path):
-            sub = _RunDir(sub_path, "train", config)
+            sub = _RunDir(sub_path, "train", dataclasses.replace(config, seed=seed))
             sub.inputs.update(run.inputs)  # the parent's records: each file is hashed once
-            result = _train_once(sub, train_set, dev_set, seed, init_encoder)
+            result = _train_once(sub, train_set, dev_set, init_encoder)
             report = evaluate(
                 result.model.predict_both(dev_set),
                 dev_set,
@@ -482,16 +484,6 @@ def _splits(value: str) -> list[Split]:
         ) from None
 
 
-def _runs(value: str) -> int:
-    try:
-        runs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
-    if runs < 2:
-        raise argparse.ArgumentTypeError(f"{value!r}: a seed summary needs at least 2 runs")
-    return runs
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="valnov",
@@ -515,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--train", default=None, help="override train file")
     p.add_argument("--dev", default=None, help="override dev file")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--init-encoder", default=None, help="encoder checkpoint to start from")
     p.set_defaults(func=cmd_train)
 
@@ -568,8 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--train", default=None)
     p.add_argument("--dev", default=None)
-    p.add_argument("--runs", type=_runs, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--init-encoder", default=None)
     p.set_defaults(func=cmd_seed_sweep)
 

@@ -42,7 +42,6 @@ class PromptSettings:
     max_tokens: int = 4
     parallelism: int = 1
     requests_per_second: float | None = None
-    mock_reply: str = "yes"
 
     def __post_init__(self):
         if self.parallelism < 1:
@@ -96,16 +95,16 @@ class RunConfig:
     seed: int = 0
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
-    def train_config(self, seed: int | None = None) -> TrainConfig:
+    def train_config(self) -> TrainConfig:
         """The profile's TrainConfig with ``train_overrides`` decoded onto it."""
-        for key, owner in (("seed", "seed or --seed"), ("combined_metric", "combined_metric")):
+        for key in ("seed", "combined_metric"):
             if key in self.train_overrides:
                 raise ConfigurationError(
                     f"config.train_overrides.{key} has no effect: "
-                    f"a run's {key} is the top-level {owner}"
+                    f"a run's {key} is the top-level {key}"
                 )
         overrides = {"combined_metric": self.combined_metric, **self.train_overrides,
-                     "seed": self.seed if seed is None else seed}
+                     "seed": self.seed}
         try:
             typed = decode(TrainConfig, overrides, "config.train_overrides")
         except TypeError as exc:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, ParseError, SchemaError
 from .fsutil import atomic_write_text
@@ -137,12 +137,31 @@ def load_corpus(
         columns.update(column_map)
     split = Split(split)
     try:
-        return _read_corpus(path, columns, split)
+        return _checked(_read_corpus(path, columns, split))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _read_corpus(path: Path, columns: Mapping[str, str], split: Split) -> list[ArgumentInstance]:
+def _checked(located: Iterable[tuple[str, ArgumentInstance]]) -> list[ArgumentInstance]:
+    """The instances of ``located``, each paired with the place it was read
+    from. An empty premise or conclusion, or an id read before, is a
+    DataError naming that place; both instance loaders check here."""
+    instances: list[ArgumentInstance] = []
+    seen_ids: set[str] = set()
+    for where, inst in located:
+        for name in ("premise", "conclusion"):
+            if not getattr(inst, name):
+                raise DataError(f"{where}: empty {name}")
+        if inst.id in seen_ids:
+            raise DataError(f"{where}: duplicate id {inst.id!r}")
+        seen_ids.add(inst.id)
+        instances.append(inst)
+    return instances
+
+
+def _read_corpus(
+    path: Path, columns: Mapping[str, str], split: Split
+) -> Iterator[tuple[str, ArgumentInstance]]:
     with open(path, encoding="utf-8", newline="") as fh:
         header_line = fh.readline()
         if not header_line:
@@ -160,8 +179,6 @@ def _read_corpus(path: Path, columns: Mapping[str, str], split: Split) -> list[A
         has_vconf = columns["validity_confidence"] in fieldnames
         has_nconf = columns["novelty_confidence"] in fieldnames
 
-        instances: list[ArgumentInstance] = []
-        seen_ids: set[str] = set()
         for row_idx, row in enumerate(reader):
             def cell(field: str) -> str:
                 return (row.get(columns[field]) or "").strip()
@@ -175,40 +192,25 @@ def _read_corpus(path: Path, columns: Mapping[str, str], split: Split) -> list[A
                     )
                 return _RAW_LABELS[text]
 
-            premise = cell("premise")
-            conclusion = cell("conclusion")
-            if not premise:
-                raise DataError(f"row {row_idx}: empty premise")
-            if not conclusion:
-                raise DataError(f"row {row_idx}: empty conclusion")
-
-            inst_id = cell("id") if has_id else str(row_idx)
-            if inst_id in seen_ids:
-                raise DataError(f"row {row_idx}: duplicate id {inst_id!r}")
-            seen_ids.add(inst_id)
-
-            instances.append(
-                ArgumentInstance(
-                    id=inst_id,
-                    topic=cell("topic"),
-                    premise=premise,
-                    conclusion=conclusion,
-                    validity_raw=raw_label("validity"),
-                    novelty_raw=raw_label("novelty"),
-                    validity_confidence=(
-                        _parse_confidence(cell("validity_confidence"), row_idx)
-                        if has_vconf
-                        else Confidence.UNKNOWN
-                    ),
-                    novelty_confidence=(
-                        _parse_confidence(cell("novelty_confidence"), row_idx)
-                        if has_nconf
-                        else Confidence.UNKNOWN
-                    ),
-                    split=split,
-                )
+            yield f"row {row_idx}", ArgumentInstance(
+                id=cell("id") if has_id else str(row_idx),
+                topic=cell("topic"),
+                premise=cell("premise"),
+                conclusion=cell("conclusion"),
+                validity_raw=raw_label("validity"),
+                novelty_raw=raw_label("novelty"),
+                validity_confidence=(
+                    _parse_confidence(cell("validity_confidence"), row_idx)
+                    if has_vconf
+                    else Confidence.UNKNOWN
+                ),
+                novelty_confidence=(
+                    _parse_confidence(cell("novelty_confidence"), row_idx)
+                    if has_nconf
+                    else Confidence.UNKNOWN
+                ),
+                split=split,
             )
-    return instances
 
 
 def write_instances_csv(instances: Sequence[ArgumentInstance], path: str | Path) -> Path:
@@ -315,11 +317,10 @@ def save_instances_jsonl(instances: Iterable[ArgumentInstance], path: str | Path
     )
 
 
-def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> list:
-    """``build`` applied to each non-blank line's JSON object. Undecodable
-    lines raise ParseError, records with a missing or ill-typed field
-    SchemaError; both messages carry ``path:line``."""
-    out = []
+def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tuple[str, Any]]:
+    """``path:line`` and ``build`` applied to that line's JSON object, for
+    each non-blank line. Undecodable lines raise ParseError, records with a
+    missing or ill-typed field SchemaError; both messages carry ``path:line``."""
     try:
         with open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -333,14 +334,14 @@ def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> list:
                 if not isinstance(rec, dict):
                     raise SchemaError(f"{where}: expected a JSON object")
                 try:
-                    out.append(build(rec))
+                    built = build(rec)
                 except KeyError as exc:
                     raise SchemaError(f"{where}: missing field {exc}") from exc
                 except (TypeError, ValueError) as exc:
                     raise SchemaError(f"{where}: {exc}") from exc
+                yield where, built
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return out
 
 
 def _text(rec: Mapping[str, Any], name: str) -> str:
@@ -373,7 +374,7 @@ def _instance_from_record(rec: Mapping[str, Any]) -> ArgumentInstance:
 
 
 def load_instances_jsonl(path: str | Path) -> list[ArgumentInstance]:
-    return _load_jsonl(path, _instance_from_record)
+    return _checked(_load_jsonl(path, _instance_from_record))
 
 
 def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) -> None:
@@ -383,7 +384,7 @@ def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) ->
 
 
 def load_triplets_jsonl(path: str | Path) -> list[TripletExample]:
-    return _load_jsonl(
+    located = _load_jsonl(
         path,
         lambda rec: TripletExample(
             anchor=_text(rec, "anchor"),
@@ -392,3 +393,4 @@ def load_triplets_jsonl(path: str | Path) -> list[TripletExample]:
             topic=_text(rec, "topic"),
         ),
     )
+    return [triplet for _, triplet in located]

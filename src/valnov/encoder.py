@@ -97,11 +97,6 @@ class ReferenceEncoder:
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "proj_w": self.proj_w, "proj_b": self.proj_b}
 
-    def set_parameters(self, params: dict[str, np.ndarray]) -> None:
-        self.embedding = params["embedding"].copy()
-        self.proj_w = params["proj_w"].copy()
-        self.proj_b = params["proj_b"].copy()
-
     def token_ids(self, text: str) -> np.ndarray:
         """Bucket ids of ``text``'s tokens; ``forward`` memoises them per text."""
         buckets = self.config.vocab_buckets

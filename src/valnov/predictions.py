@@ -32,7 +32,7 @@ class Prediction:
 def _check_unique(predictions: Iterable[Prediction], context: str = "") -> None:
     seen = set()
     for p in predictions:
-        key = (p.instance_id, p.task, p.source)
+        key = (p.instance_id, p.task.value, p.source)
         if key in seen:
             where = f"{context}: " if context else ""
             raise ParseError(f"{where}duplicate prediction for {key}")

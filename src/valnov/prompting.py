@@ -32,10 +32,6 @@ from .errors import CacheMissError, ConfigurationError, DataError, ParseError, P
 from .fsutil import atomic_write_text
 from .predictions import Prediction
 
-# Bump when the template changes; cached completions are only comparable
-# within one template version.
-PROMPT_TEMPLATE_VERSION = 1
-
 PROVIDER_NAMES = ("http-openai-compatible", "mock", "replay-only")
 
 _TASK_WORDS = {Task.VALIDITY: "valid", Task.NOVELTY: "novel"}
@@ -305,10 +301,9 @@ def make_provider(
     name: str,
     endpoint: str | None = None,
     api_key: str | None = None,
-    mock_reply: str = "yes",
 ) -> CompletionProvider:
     if name == "mock":
-        return MockProvider(reply=mock_reply)
+        return MockProvider()
     if name == "replay-only":
         return ReplayOnlyProvider()
     if name == "http-openai-compatible":
@@ -400,13 +395,14 @@ def prompt_predict(
     """Classify every target with one completion each.
 
     ``requests_per_second`` paces provider calls only; cache hits never
-    wait. Unparseable completions fall back to the negative label and the
-    prediction is flagged for audit.
+    wait. None leaves the calls unpaced, and a rate <= 0 is a
+    ConfigurationError. Unparseable completions fall back to the negative
+    label and the prediction is flagged for audit.
     """
     if parallelism < 1:
         raise ConfigurationError("parallelism must be >= 1")
     task = few_shot.task
-    limiter = _TokenBucket(requests_per_second) if requests_per_second else None
+    limiter = None if requests_per_second is None else _TokenBucket(requests_per_second)
 
     def classify(target: ArgumentInstance) -> Prediction:
         request = PromptRequest(

@@ -56,7 +56,6 @@ def workspace(tmp_path_factory):
         "prompting": {
             "provider": "mock",
             "cache_dir": str(root / "cache"),
-            "mock_reply": "yes",
         },
         "sweep": {"runs": 2},
     }
@@ -69,6 +68,14 @@ def workspace(tmp_path_factory):
     replay_path.write_text(json.dumps(replay), encoding="utf-8")
 
     return {"root": root, "config": str(config_path), "replay": str(replay_path)}
+
+
+def seeded_config(workspace, seed: int) -> str:
+    """The workspace config with the top-level ``seed`` set to ``seed``."""
+    config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+    path = workspace["root"] / f"config-seed-{seed}.json"
+    path.write_text(json.dumps(dict(config, seed=seed)), encoding="utf-8")
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -452,8 +459,7 @@ class TestSeedSweep:
     def test_two_seeds(self, workspace, capsys):
         run_dir = workspace["root"] / "sweep-run"
         code = main(
-            ["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
-             "--runs", "2", "--seed", "5"]
+            ["seed-sweep", "--config", seeded_config(workspace, 5), "--run-dir", str(run_dir)]
         )
         assert code == 0
         assert "2 runs: dev combined F1" in capsys.readouterr().out
@@ -466,6 +472,64 @@ class TestSeedSweep:
             sub = run_dir / f"seed-{seed}"
             assert (sub / "checkpoint.json").is_file()
             assert (sub / "report.json").is_file()
+
+
+class TestConfigEcho:
+    """A run's config.json is the config the stage ran with."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--seed", "9"], ["seed-sweep", "--seed", "3"], ["seed-sweep", "--runs", "2"]],
+        ids=["train-seed", "sweep-seed", "sweep-runs"],
+    )
+    def test_removed_flags_are_usage_errors(self, workspace, capsys, argv):
+        run_dir = workspace["root"] / f"removed-{'-'.join(argv)}"
+        command, *flag = argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", workspace["config"], "--run-dir", str(run_dir), *flag])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_mock_reply_key_is_unknown(self, workspace, capsys):
+        root = workspace["root"]
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["prompting"]["mock_reply"] = "yes"
+        config_path = root / "mock-reply.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = root / "mock-reply"
+        assert main(["prompt-predict", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--task", "validity"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: configuration: {config_path}: unknown config key(s) ['mock_reply'] "
+            "under config.prompting\n"
+        )
+        assert not run_dir.exists()
+
+    def test_cache_dir_flag_is_echoed(self, workspace):
+        root = workspace["root"]
+        run_dir, cache_dir = root / "echo-cache-dir", root / "echo-cache"
+        assert main(["prompt-predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+                     "--task", "novelty", "--cache-dir", str(cache_dir)]) == 0
+        echo = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        assert echo["prompting"]["cache_dir"] == str(cache_dir)
+        assert len(list(cache_dir.glob("*.json"))) == 16  # one record per dev target
+
+    @pytest.mark.parametrize("command", ["train", "seed-sweep"])
+    def test_init_encoder_must_match_config_encoder(self, workspace, capsys, command):
+        root = workspace["root"]
+        encoder = root / "encoder-64-4-4.json"
+        other = EncoderConfig(vocab_buckets=64, embed_dim=4, projection_dim=4)
+        save_encoder_checkpoint(ReferenceEncoder(other), [0.5], encoder)
+        run_dir = root / f"mismatch-{command}"
+        assert main([command, "--config", workspace["config"], "--run-dir", str(run_dir),
+                     "--init-encoder", str(encoder)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: configuration: {encoder}: encoder_config ")
+        assert err.count("\n") == 1
+        assert "'vocab_buckets': 64, 'embed_dim': 4, 'projection_dim': 4" in err
+        assert "config.encoder {'vocab_buckets': 256, 'embed_dim': 12, 'projection_dim': 8" in err
+        assert not run_dir.exists()
 
 
 @pytest.fixture(scope="module")
@@ -518,7 +582,7 @@ STAGE_MANIFESTS = {
     "evaluate": (["--predictions", "{both}"], {"predictions", "golds"},
                  {"report.json", "report.txt"}),
     "seed-sweep": (
-        ["--runs", "2"],
+        [],
         {"train", "dev"},
         {"seed-summary.json", "loss-min.dat", "loss-mean.dat", "loss-max.dat"},
     ),
@@ -545,11 +609,12 @@ class TestStageDriver:
 
     def test_seed_sweep_sub_runs_are_train_manifests(self, workspace):
         run_dir = workspace["root"] / "manifest-sweep-subs"
-        argv = ["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
-                "--runs", "2", "--seed", "3"]
+        argv = ["seed-sweep", "--config", seeded_config(workspace, 3), "--run-dir", str(run_dir)]
         assert main(argv) == 0
         for seed in (3, 4):
             sub = run_dir / f"seed-{seed}"
+            echo = json.loads((sub / "config.json").read_text(encoding="utf-8"))
+            assert echo["seed"] == seed
             manifest = json.loads((sub / "manifest.json").read_text(encoding="utf-8"))
             assert manifest["command"] == "train"
             assert manifest["inputs"] == {
@@ -584,8 +649,8 @@ class TestStageDriver:
         monkeypatch.setattr(valnov.cli, "sha256_file", counting_sha256)
         monkeypatch.setattr(valnov.cli.mtl, "load_encoder_checkpoint", counting_load)
         run_dir = root / "manifest-sweep-init"
-        assert main(["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
-                     "--runs", "2", "--seed", "3", "--init-encoder", str(encoder)]) == 0
+        assert main(["seed-sweep", "--config", seeded_config(workspace, 3), "--run-dir",
+                     str(run_dir), "--init-encoder", str(encoder)]) == 0
         assert hashed.count(str(encoder)) == 1
         assert loaded == [str(encoder)]
         record = {"path": str(encoder), "sha256": sha256_file(encoder)}
@@ -598,8 +663,8 @@ class TestStageDriver:
         # seed 4 trains after seed 3, so an encoder shared across seeds would
         # start it from seed 3's trained weights
         single = root / "train-init-seed-4"
-        assert main(["train", "--config", workspace["config"], "--run-dir", str(single),
-                     "--seed", "4", "--init-encoder", str(encoder)]) == 0
+        assert main(["train", "--config", seeded_config(workspace, 4), "--run-dir", str(single),
+                     "--init-encoder", str(encoder)]) == 0
         swept = (run_dir / "seed-4" / "checkpoint.json").read_bytes()
         assert swept == (single / "checkpoint.json").read_bytes()
 
@@ -669,8 +734,7 @@ class TestStageDriver:
 
     def test_failed_sweep_removes_its_empty_sub_run(self, diverging_config, capsys, tmp_path):
         run_dir = tmp_path / "sweep"
-        argv = ["seed-sweep", "--config", diverging_config, "--run-dir", str(run_dir),
-                "--runs", "2"]
+        argv = ["seed-sweep", "--config", diverging_config, "--run-dir", str(run_dir)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: training: non-finite loss")
         assert not (run_dir / "seed-0").exists()
@@ -680,7 +744,7 @@ class TestStageDriver:
         env = {**os.environ, "PYTHONPATH": str(Path(valnov.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-m", "valnov.cli", "seed-sweep", "--config", diverging_config,
-             "--run-dir", str(tmp_path / "sweep"), "--runs", "2"],
+             "--run-dir", str(tmp_path / "sweep")],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 2
@@ -920,6 +984,9 @@ class TestErrorContract:
             ("bad-confidence", "schema", "sure"),
             ("fractional-label", "schema", "'validity_raw'"),
             ("boolean-label", "schema", "'novelty_raw'"),
+            ("duplicate-id", "data", "duplicate id"),
+            ("empty-premise", "data", "empty premise"),
+            ("empty-conclusion", "data", "empty conclusion"),
         ],
     )
     def test_broken_instances_jsonl(self, workspace, capsys, case, category, detail):
@@ -935,6 +1002,9 @@ class TestErrorContract:
             "bad-confidence": json.dumps(dict(rec, novelty_confidence="sure")),
             "fractional-label": json.dumps(dict(rec, validity_raw=0.9)),
             "boolean-label": json.dumps(dict(rec, novelty_raw=True)),
+            "duplicate-id": json.dumps(dict(rec, id=json.loads(first)["id"])),
+            "empty-premise": json.dumps(dict(rec, premise="")),
+            "empty-conclusion": json.dumps(dict(rec, conclusion="")),
         }[case]
         path = root / f"instances-{case}.jsonl"
         path.write_text(f"{first}\n\n{damaged}\n", encoding="utf-8")
@@ -1176,13 +1246,6 @@ class TestIllTypedInputs:
             "error: configuration: sweep.runs must be >= 2: "
             "a seed summary needs at least 2 runs\n"
         )
-        with pytest.raises(SystemExit) as exit_info:
-            main(["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir),
-                  "--runs", "1"])
-        assert exit_info.value.code == 2
-        assert "argument --runs: '1': a seed summary needs at least 2 runs" in (
-            capsys.readouterr().err
-        )
         assert not run_dir.exists()
 
     def _damaged_checkpoint(self, workspace, trained, name, damage):
@@ -1268,7 +1331,10 @@ class TestIllTypedInputs:
         assert main(["prompt-predict", "--config", str(config_path), "--run-dir", str(run_dir),
                      "--task", "validity", "--cache-dir", str(cache_dir)]) == 0
 
-        settings = PromptSettings(**dict(config["prompting"], temperature=0))
+        # --cache-dir is echoed as the prompting.cache_dir the stage used
+        settings = PromptSettings(
+            **dict(config["prompting"], temperature=0, cache_dir=str(cache_dir))
+        )
         expected = RunConfig(
             data=DataSettings(**config["data"]),
             encoder=EncoderConfig(**config["encoder"]),

@@ -72,7 +72,7 @@ class TestLoading:
     @pytest.mark.parametrize("seed", [3, "x"])
     def test_train_overrides_seed_rejected(self, tmp_path, seed):
         path = self.write(tmp_path, {"train_overrides": {"seed": seed}})
-        with pytest.raises(ConfigurationError, match=r"train_overrides\.seed .*--seed"):
+        with pytest.raises(ConfigurationError, match=r"train_overrides\.seed .*top-level seed"):
             load_config(path)
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -140,10 +140,6 @@ class TestTrainConfig:
         assert train.epochs == 2
         assert train.task_probabilities == (0.7, 0.3)
         assert train.seed == 3
-
-    def test_explicit_seed_wins(self):
-        config = RunConfig(seed=3)
-        assert config.train_config(seed=11).seed == 11
 
     def test_combined_metric_propagates(self):
         config = RunConfig(combined_metric="task-mean-macro-f1")

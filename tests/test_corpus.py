@@ -116,6 +116,40 @@ class TestLoadCorpus:
             load_corpus(path, column_map={"id": "id"})
 
 
+# a defect of the second of two records -> its fields and the DataError detail
+RECORD_DEFECTS = {
+    "duplicate-id": ({"id": "i0"}, "duplicate id 'i0'"),
+    "empty-premise": ({"premise": ""}, "empty premise"),
+    "empty-conclusion": ({"conclusion": ""}, "empty conclusion"),
+}
+
+
+class TestRecordChecks:
+    """The CSV and the JSONL instance loader reject the same records."""
+
+    @pytest.mark.parametrize("case", sorted(RECORD_DEFECTS))
+    def test_jsonl_cites_path_and_line(self, tmp_path, case):
+        fields, detail = RECORD_DEFECTS[case]
+        path = tmp_path / "d.jsonl"
+        save_instances_jsonl([make_instance(id="i0"), make_instance(**{"id": "i1", **fields})],
+                             path)
+        with pytest.raises(DataError) as info:
+            load_instances_jsonl(path)
+        assert str(info.value) == f"{path}:2: {detail}"
+
+    @pytest.mark.parametrize("case", sorted(RECORD_DEFECTS))
+    def test_csv_cites_row(self, tmp_path, case):
+        fields, detail = RECORD_DEFECTS[case]
+        second = {"id": "i1", "premise": "p", "conclusion": "c", **fields}
+        rows = ["i0,t,p,c,1,1\n", "{id},t,{premise},{conclusion},1,1\n".format(**second)]
+        path = write_csv(
+            tmp_path / "d.csv", rows, header="id,topic,Premise,Conclusion,Validity,Novelty\n"
+        )
+        with pytest.raises(DataError) as info:
+            load_corpus(path, column_map={"id": "id"})
+        assert str(info.value) == f"row 1: {detail}"
+
+
 class TestMapLabel:
     def test_one_is_positive(self):
         assert map_label(1) is LabelValue.POSITIVE

@@ -119,8 +119,8 @@ def _field_keys(cls: type, prefix: tuple[str, ...] = ()) -> list[tuple[tuple[str
 
 # the RunConfig tree plus the TrainConfig fields ``train_overrides`` may
 # set; ``seed`` and ``combined_metric`` are not among them: a run takes
-# both from the top level (or ``--seed``), and ``train_overrides`` rejects
-# them whatever their value
+# both from the top level, and ``train_overrides`` rejects them whatever
+# their value
 CONFIG_KEYS = _field_keys(RunConfig) + [
     (path, tp) for path, tp in _field_keys(TrainConfig, ("train_overrides",))
     if path[-1] not in ("seed", "combined_metric")

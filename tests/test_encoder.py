@@ -108,15 +108,6 @@ class TestReferenceEncoder:
         with pytest.raises(ConfigurationError):
             EncoderConfig(vocab_buckets=0)
 
-    def test_set_parameters_copies(self):
-        enc = small_encoder()
-        params = {k: v.copy() for k, v in enc.parameters().items()}
-        params["proj_b"] += 1.0
-        enc.set_parameters(params)
-        assert np.allclose(enc.proj_b, 1.0)
-        params["proj_b"] += 5.0  # must not alias into the encoder
-        assert np.allclose(enc.proj_b, 1.0)
-
 
 def test_backward_matches_finite_differences():
     enc = small_encoder(seed=7)
@@ -270,7 +261,8 @@ class TestTokenIdMemo:
         enc = small_encoder(seed=0)
         enc.encode(["alpha beta", "gamma"])
         other = small_encoder(seed=9)
-        enc.set_parameters(other.parameters())
+        for name, value in other.parameters().items():
+            enc.parameters()[name][...] = value  # copied in, as MtlModel.restore does
         assert np.array_equal(
             enc.encode(["alpha beta", "gamma"]), other.encode(["alpha beta", "gamma"])
         )

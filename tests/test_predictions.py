@@ -189,6 +189,12 @@ class TestSaveLoad:
         with pytest.raises(ParseError, match="duplicate"):
             load_predictions(path)
 
+    def test_duplicate_names_the_task_value(self, tmp_path):
+        preds = [pred("a", Task.NOVELTY, 1), pred("a", Task.NOVELTY, -1)]
+        with pytest.raises(ParseError) as info:
+            save_predictions(preds, tmp_path / "preds.csv")
+        assert str(info.value) == "duplicate prediction for ('a', 'novelty', 'm')"
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text(

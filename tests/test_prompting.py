@@ -613,6 +613,29 @@ class TestPromptPredict:
                 requests_per_second=-1.0,
             )
 
+    def test_zero_rate_rejected(self, tmp_path):
+        # 0 is a rate like any other, not a way to switch pacing off
+        with pytest.raises(ConfigurationError, match="requests_per_second"):
+            prompt_predict(
+                self.targets(1),
+                self.few_shot(),
+                MockProvider(),
+                ReplayCache(tmp_path),
+                requests_per_second=0,
+            )
+
+    def test_no_rate_runs_unpaced(self, tmp_path, monkeypatch):
+        def sleep(seconds):
+            raise AssertionError(f"slept {seconds} s")
+
+        monkeypatch.setattr("valnov.prompting.time.sleep", sleep)
+        provider = MockProvider("yes")
+        preds = prompt_predict(
+            self.targets(), self.few_shot(), provider, ReplayCache(tmp_path),
+            requests_per_second=None,
+        )
+        assert len(preds) == provider.calls == 6
+
     def test_rate_limiter_path(self, tmp_path):
         preds = prompt_predict(
             self.targets(3),
