@@ -230,7 +230,9 @@ def svm_train(
     if steps < 1:
         raise ConfigurationError("steps must be >= 1")
     rows = _as_rows(X)
-    lam = 1.0 / (C * n)
+    lam = 1.0 / (float(C) * n)
+    if lam == 0.0:
+        raise ConfigurationError(f"C = {C} is too large for {n} examples: 1/(C*n) is 0")
     radius = 1.0 / math.sqrt(lam)
     rng = np.random.default_rng(seed)
 

@@ -70,6 +70,7 @@ _ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
     (TrainingError, "training"),
     (ConfigurationError, "configuration"),
     (FileNotFoundError, "usage"),
+    (PermissionError, "usage"),
     # a path naming the wrong kind of thing: --config a directory,
     # --run-dir an existing file
     (IsADirectoryError, "usage"),
@@ -105,7 +106,7 @@ class _RunDir:
             return load_instances_jsonl(path)
         return load_corpus(path, column_map=data.column_map or None, split=split)
 
-    def write_text(self, name: str, text: str) -> None:
+    def write(self, name: str, text: str) -> None:
         atomic_write_text(self.path / name, text)
         self.track_output(name)
 
@@ -119,7 +120,7 @@ class _RunDir:
 
     def finalize(self) -> None:
         config_text = resolved_config_json(self.config)
-        self.write_text("config.json", config_text)
+        self.write("config.json", config_text)
         manifest = {
             "command": self.command,
             "inputs": self.inputs,
@@ -200,7 +201,7 @@ def cmd_prepare_data(args: argparse.Namespace, run: _RunDir) -> None:
         run.track_output("triplets.jsonl")
         stats["train_triplets"] = len(triplets)
 
-    run.write_text("stats.json", json.dumps(stats, indent=2, sort_keys=True))
+    run.write("stats.json", json.dumps(stats, indent=2, sort_keys=True))
     print(json.dumps(stats, sort_keys=True))
 
 
@@ -222,8 +223,8 @@ def _train_once(
     mtl.save_checkpoint(result, train_config, run.path / "checkpoint.json")
     run.track_output("checkpoint.json")
     history = result.history
-    run.write_text("train-loss.dat", "".join(f"{h.epoch} {h.train_loss}\n" for h in history))
-    run.write_text(
+    run.write("train-loss.dat", "".join(f"{h.epoch} {h.train_loss}\n" for h in history))
+    run.write(
         "dev-combined-f1.dat", "".join(f"{h.epoch} {h.dev_combined_f1}\n" for h in history)
     )
     return result
@@ -271,11 +272,11 @@ def cmd_contrastive_train(args: argparse.Namespace, run: _RunDir) -> None:
         result.encoder, result.epoch_losses, run.path / "encoder-checkpoint.json"
     )
     run.track_output("encoder-checkpoint.json")
-    run.write_text(
+    run.write(
         "contrastive-loss.dat",
         "".join(f"{i} {loss}\n" for i, loss in enumerate(result.epoch_losses)),
     )
-    run.write_text(
+    run.write(
         "contrastive-stats.json",
         json.dumps(
             {
@@ -328,7 +329,7 @@ def cmd_prompt_predict(args: argparse.Namespace, run: _RunDir) -> None:
         requests_per_second=settings.requests_per_second,
     )
     run.save_predictions(preds)
-    run.write_text(
+    run.write(
         "few-shot.json",
         json.dumps(
             {
@@ -380,7 +381,7 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
             baseline_mod.predict_corpus(fit.model, target_rows, targets, task)
         )
     run.save_predictions(all_predictions)
-    run.write_text(
+    run.write(
         "baseline-stats.json",
         json.dumps({"objective": objectives, "counters": counters}, indent=2),
     )
@@ -404,9 +405,9 @@ def cmd_evaluate(args: argparse.Namespace, run: _RunDir) -> None:
     golds = run.instances("golds", args.golds, Split.TEST)
     tag = "+".join(sorted({p.source for p in preds}))
     report = evaluate(preds, golds, metric=run.config.combined_metric, source_tag=tag)
-    run.write_text("report.json", report_to_json(report))
+    run.write("report.json", report_to_json(report))
     text = render_text(report)
-    run.write_text("report.txt", text)
+    run.write("report.txt", text)
     print(text, end="")
 
 
@@ -438,12 +439,12 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
                 metric=config.combined_metric,
                 source_tag=f"{result.model.name}(seed={seed})",
             )
-            sub.write_text("report.json", report_to_json(report))
+            sub.write("report.json", report_to_json(report))
             sub.finalize()
         runs.append((seed, [h.as_tuple() for h in result.history], report))
 
     summary = seed_summary(runs)
-    run.write_text(
+    run.write(
         "seed-summary.json",
         json.dumps(
             {
@@ -457,7 +458,7 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
         ),
     )
     for idx, label in ((0, "min"), (1, "mean"), (2, "max")):
-        run.write_text(
+        run.write(
             f"loss-{label}.dat",
             "".join(f"{e} {row[idx]}\n" for e, row in enumerate(summary.loss_envelope)),
         )

@@ -67,6 +67,9 @@ class BaselineSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c_validity", "c_novelty"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(f"baseline.{name} must be > 0")
         if self.steps is not None and self.steps < 1:
             raise ConfigurationError("baseline.steps must be null or >= 1")
 

@@ -112,10 +112,10 @@ _CONFIDENCE_ALIASES = {
 }
 
 
-def _parse_confidence(cell: str, row: int) -> Confidence:
+def _parse_confidence(cell: str, where: str) -> Confidence:
     key = cell.strip().lower()
     if key not in _CONFIDENCE_ALIASES:
-        raise DataError(f"row {row}: unknown confidence value {cell!r}")
+        raise DataError(f"{where}: unknown confidence value {cell!r}")
     return _CONFIDENCE_ALIASES[key]
 
 
@@ -129,7 +129,7 @@ def load_corpus(
     Confidence columns may be absent (-> unknown); an ``id`` column is used
     when mapped, otherwise ids are row indices. Raises SchemaError for a
     missing required column, DataError for bad cell values (message names
-    the data row index, 0-based), ParseError for a file that is not UTF-8.
+    the file and the data row index, 0-based), ParseError for a file that is not UTF-8.
     """
     path = Path(path)
     columns = dict(DEFAULT_COLUMN_MAP)
@@ -180,6 +180,8 @@ def _read_corpus(
         has_nconf = columns["novelty_confidence"] in fieldnames
 
         for row_idx, row in enumerate(reader):
+            where = f"{path}: row {row_idx}"
+
             def cell(field: str) -> str:
                 return (row.get(columns[field]) or "").strip()
 
@@ -187,12 +189,12 @@ def _read_corpus(
                 text = cell(field)
                 if text not in _RAW_LABELS:
                     raise DataError(
-                        f"row {row_idx}: {field} value {text!r} not in "
+                        f"{where}: {field} value {text!r} not in "
                         f"{sorted(_RAW_LABELS)}"
                     )
                 return _RAW_LABELS[text]
 
-            yield f"row {row_idx}", ArgumentInstance(
+            yield where, ArgumentInstance(
                 id=cell("id") if has_id else str(row_idx),
                 topic=cell("topic"),
                 premise=cell("premise"),
@@ -200,12 +202,12 @@ def _read_corpus(
                 validity_raw=raw_label("validity"),
                 novelty_raw=raw_label("novelty"),
                 validity_confidence=(
-                    _parse_confidence(cell("validity_confidence"), row_idx)
+                    _parse_confidence(cell("validity_confidence"), where)
                     if has_vconf
                     else Confidence.UNKNOWN
                 ),
                 novelty_confidence=(
-                    _parse_confidence(cell("novelty_confidence"), row_idx)
+                    _parse_confidence(cell("novelty_confidence"), where)
                     if has_nconf
                     else Confidence.UNKNOWN
                 ),

@@ -3,7 +3,9 @@
 ``decode(tp, value, where)`` checks a JSON value against the annotated
 type ``tp`` and rebuilds it as that type: dataclasses (unknown keys are
 rejected at every level), tuples, lists, dicts and ``X | None``; ``Any``
-passes through. A mismatch raises TypeError naming the dotted path.
+passes through. A mismatch raises TypeError naming the dotted path, and
+so does a ``float`` that is not finite: Python's ``json`` reads ``NaN``,
+``Infinity`` and ``1e400`` (as inf), and none of them is a usable setting.
 
 It never coerces a scalar: an int in a ``float`` field stays an int, and
 a bool is not a number. Config echoes and replay-cache keys are
@@ -11,6 +13,7 @@ a bool is not a number. Config echoes and replay-cache keys are
 change their bytes, and a filled cache would no longer replay.
 """
 
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
@@ -44,4 +47,6 @@ def decode(tp: Any, value: Any, where: str) -> Any:
     kinds = (int, float) if tp is float else tp
     if isinstance(value, bool) is not (tp is bool) or not isinstance(value, kinds):
         raise TypeError(f"{where} must be {tp.__name__}, got {value!r}")
+    if tp is float and not abs(value) <= sys.float_info.max:
+        raise TypeError(f"{where} must be a finite number, got {value!r}")
     return value

@@ -5,14 +5,19 @@ that are not purely alphabetic pass through unchanged.  The regions R1
 and R2 are carried through every rewrite as suffix strings of the
 current word, so region membership tests stay cheap and replacements
 that eat into a region shrink it the same way the rewrite shrinks the
-word.
+word.  Both regions come from one scan, ``_after_vowel_consonant``: R1
+is what follows the first non-vowel after a vowel in the word (or a
+fixed prefix such as ``gener``), and R2 is the same scan of R1.
 
-Each suffix step returns at once when the word ends in none of its
-suffixes, and otherwise tries only the suffixes that end in the word's
-last letter, kept in the step table's order. Every suffix the word ends
-in is among them, so the first match is the one a scan of the whole
-table finds.
+``_suffix`` is the one suffix lookup of steps 1a to 4.  It returns None
+at once when the word ends in none of a step's suffixes, and otherwise
+tries only the suffixes that end in the word's last letter, kept in the
+step table's order.  Every suffix the word ends in is among them, so
+the first match is the one a scan of the whole table finds.  Every
+rewrite goes through ``_swap``; deleting a suffix is swapping it for "".
 """
+
+import re
 
 _VOWELS = "aeiouy"
 _DOUBLES = ("bb", "dd", "ff", "gg", "mm", "nn", "pp", "rr", "tt")
@@ -87,11 +92,9 @@ def _by_last_letter(suffixes: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
     return table
 
 
-_STEP1A_BY_LAST = _by_last_letter(_STEP1A)
-_STEP1B_BY_LAST = _by_last_letter(_STEP1B)
-_STEP2_BY_LAST = _by_last_letter(_STEP2)
-_STEP3_BY_LAST = _by_last_letter(_STEP3)
-_STEP4_BY_LAST = _by_last_letter(_STEP4)
+_BY_LAST = {
+    table: _by_last_letter(table) for table in (_STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4)
+}
 
 # irregular forms and words that must not be touched at all
 _SPECIAL = {
@@ -151,38 +154,37 @@ def _mark_consonant_y(word: str) -> str:
     return "".join(chars)
 
 
+_VOWEL_CONSONANT = re.compile("[aeiouy][^aeiouy]").search
+
+
+def _after_vowel_consonant(text: str) -> str:
+    """What follows the first non-vowel that comes after a vowel, or ""."""
+    found = _VOWEL_CONSONANT(text)
+    return text[found.end() :] if found else ""
+
+
 def _regions(word: str) -> tuple[str, str]:
     """R1 and R2 as suffix strings of ``word``."""
     if word.startswith(("gener", "commun", "arsen")):
-        r1 = word[6:] if word.startswith("commun") else word[5:]
-        r2 = ""
-        for i in range(1, len(r1)):
-            if r1[i] not in _VOWELS and r1[i - 1] in _VOWELS:
-                r2 = r1[i + 1 :]
-                break
-        return r1, r2
-    r1 = ""
-    r2 = ""
-    for i in range(1, len(word)):
-        if word[i] not in _VOWELS and word[i - 1] in _VOWELS:
-            r1 = word[i + 1 :]
-            break
-    for i in range(1, len(r1)):
-        if r1[i] not in _VOWELS and r1[i - 1] in _VOWELS:
-            r2 = r1[i + 1 :]
-            break
-    return r1, r2
+        r1 = word[6:] if word[0] == "c" else word[5:]
+    else:
+        r1 = _after_vowel_consonant(word)
+    return r1, _after_vowel_consonant(r1)
 
 
-def _chop(word: str, r1: str, r2: str, n: int) -> tuple[str, str, str]:
-    """Drop the last ``n`` characters from the word and both regions."""
-    return word[:-n], r1[:-n], r2[:-n]
+def _suffix(word: str, table: tuple[str, ...]) -> str | None:
+    """The first suffix of ``table``, in table order, that ``word`` ends with, or None."""
+    if word.endswith(table):
+        for suffix in _BY_LAST[table][word[-1]]:
+            if word.endswith(suffix):
+                return suffix
+    return None
 
 
 def _swap(
     word: str, r1: str, r2: str, n: int, repl: str, r2_fallback: str = ""
 ) -> tuple[str, str, str]:
-    """Replace the last ``n`` characters with ``repl``.
+    """Replace the last ``n`` (> 0) characters with ``repl``.
 
     A region shorter than the replaced span collapses to its fallback
     instead of keeping a stray fragment.
@@ -209,146 +211,6 @@ def _ends_short_syllable(word: str) -> bool:
     )
 
 
-def _step1a(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    if not word.endswith(_STEP1A):
-        return word, r1, r2
-    for suffix in _STEP1A_BY_LAST[word[-1]]:
-        if not word.endswith(suffix):
-            continue
-        if suffix == "sses":
-            word, r1, r2 = _chop(word, r1, r2, 2)
-        elif suffix in ("ied", "ies"):
-            n = 2 if len(word) - 3 > 1 else 1
-            word, r1, r2 = _chop(word, r1, r2, n)
-        elif suffix == "s" and _has_vowel(word[:-2]):
-            word, r1, r2 = _chop(word, r1, r2, 1)
-        break
-    return word, r1, r2
-
-
-def _step1b(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    if not word.endswith(_STEP1B):
-        return word, r1, r2
-    for suffix in _STEP1B_BY_LAST[word[-1]]:
-        if not word.endswith(suffix):
-            continue
-        if suffix in ("eed", "eedly"):
-            if r1.endswith(suffix):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ee")
-        elif _has_vowel(word[: -len(suffix)]):
-            word, r1, r2 = _chop(word, r1, r2, len(suffix))
-            if word.endswith(("at", "bl", "iz")):
-                word += "e"
-                r1 += "e"
-                if len(word) > 5 or len(r1) >= 3:
-                    r2 += "e"
-            elif word.endswith(_DOUBLES):
-                word, r1, r2 = _chop(word, r1, r2, 1)
-            elif r1 == "" and _ends_short_syllable(word):
-                word += "e"
-        break
-    return word, r1, r2
-
-
-def _step1c(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    if len(word) > 2 and word[-1] in "yY" and word[-2] not in _VOWELS:
-        word, r1, r2 = _swap(word, r1, r2, 1, "i")
-    return word, r1, r2
-
-
-def _step2(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    if not word.endswith(_STEP2):
-        return word, r1, r2
-    for suffix in _STEP2_BY_LAST[word[-1]]:
-        if not word.endswith(suffix):
-            continue
-        if r1.endswith(suffix):
-            if suffix == "tional":
-                word, r1, r2 = _chop(word, r1, r2, 2)
-            elif suffix in ("enci", "anci", "abli"):
-                word, r1, r2 = _swap(word, r1, r2, 1, "e")
-            elif suffix == "entli":
-                word, r1, r2 = _chop(word, r1, r2, 2)
-            elif suffix in ("izer", "ization"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ize")
-            elif suffix in ("ational", "ation", "ator"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ate", "e")
-            elif suffix in ("alism", "aliti", "alli"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "al")
-            elif suffix == "fulness":
-                word, r1, r2 = _chop(word, r1, r2, 4)
-            elif suffix in ("ousli", "ousness"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ous")
-            elif suffix in ("iveness", "iviti"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ive", "e")
-            elif suffix in ("biliti", "bli"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ble")
-            elif suffix == "ogi" and word[-4] == "l":
-                word, r1, r2 = _chop(word, r1, r2, 1)
-            elif suffix in ("fulli", "lessli"):
-                word, r1, r2 = _chop(word, r1, r2, 2)
-            elif suffix == "li" and word[-3] in _LI_ENDINGS:
-                word, r1, r2 = _chop(word, r1, r2, 2)
-        break
-    return word, r1, r2
-
-
-def _step3(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    if not word.endswith(_STEP3):
-        return word, r1, r2
-    for suffix in _STEP3_BY_LAST[word[-1]]:
-        if not word.endswith(suffix):
-            continue
-        if r1.endswith(suffix):
-            if suffix == "tional":
-                word, r1, r2 = _chop(word, r1, r2, 2)
-            elif suffix == "ational":
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ate")
-            elif suffix == "alize":
-                word, r1, r2 = _chop(word, r1, r2, 3)
-            elif suffix in ("icate", "iciti", "ical"):
-                word, r1, r2 = _swap(word, r1, r2, len(suffix), "ic")
-            elif suffix in ("ful", "ness"):
-                word, r1, r2 = _chop(word, r1, r2, len(suffix))
-            elif suffix == "ative" and r2.endswith(suffix):
-                word, r1, r2 = _chop(word, r1, r2, 5)
-        break
-    return word, r1, r2
-
-
-def _step4(word: str, r1: str, r2: str) -> tuple[str, str, str]:
-    if not word.endswith(_STEP4):
-        return word, r1, r2
-    for suffix in _STEP4_BY_LAST[word[-1]]:
-        if not word.endswith(suffix):
-            continue
-        if r2.endswith(suffix):
-            if suffix == "ion":
-                if word[-4] in "st":
-                    word, r1, r2 = _chop(word, r1, r2, 3)
-            else:
-                word, r1, r2 = _chop(word, r1, r2, len(suffix))
-        break
-    return word, r1, r2
-
-
-def _step5(word: str, r1: str, r2: str) -> str:
-    if r2.endswith("l") and word[-2] == "l":
-        return word[:-1]
-    if r2.endswith("e"):
-        return word[:-1]
-    if r1.endswith("e"):
-        # keep the e after a short syllable ("hope" under step 1b stays "hope")
-        if len(word) >= 4 and (
-            word[-2] in _VOWELS
-            or word[-2] in "wxY"
-            or word[-3] not in _VOWELS
-            or word[-4] in _VOWELS
-        ):
-            return word[:-1]
-    return word
-
-
 def stem(token: str) -> str:
     """Stem one token; non-alphabetic tokens come back unchanged."""
     if not token.isalpha():
@@ -362,12 +224,93 @@ def stem(token: str) -> str:
     word = _mark_consonant_y(word)
     r1, r2 = _regions(word)
 
-    word, r1, r2 = _step1a(word, r1, r2)
-    word, r1, r2 = _step1b(word, r1, r2)
-    word, r1, r2 = _step1c(word, r1, r2)
-    word, r1, r2 = _step2(word, r1, r2)
-    word, r1, r2 = _step3(word, r1, r2)
-    word, r1, r2 = _step4(word, r1, r2)
-    word = _step5(word, r1, r2)
+    # step 1a: plural endings
+    suffix = _suffix(word, _STEP1A)
+    if suffix == "sses":
+        word, r1, r2 = _swap(word, r1, r2, 2, "")
+    elif suffix in ("ied", "ies"):
+        word, r1, r2 = _swap(word, r1, r2, 2 if len(word) > 4 else 1, "")
+    elif suffix == "s" and _has_vowel(word[:-2]):
+        word, r1, r2 = _swap(word, r1, r2, 1, "")
+
+    # step 1b: -eed and the -ed/-ing family
+    suffix = _suffix(word, _STEP1B)
+    if suffix in ("eed", "eedly"):
+        if r1.endswith(suffix):
+            word, r1, r2 = _swap(word, r1, r2, len(suffix), "ee")
+    elif suffix is not None and _has_vowel(word[: -len(suffix)]):
+        word, r1, r2 = _swap(word, r1, r2, len(suffix), "")
+        if word.endswith(("at", "bl", "iz")):
+            word += "e"
+            r1 += "e"
+            if len(word) > 5 or len(r1) >= 3:
+                r2 += "e"
+        elif word.endswith(_DOUBLES):
+            word, r1, r2 = _swap(word, r1, r2, 1, "")
+        elif r1 == "" and _ends_short_syllable(word):
+            word += "e"
+
+    # step 1c: y after a consonant becomes i
+    if len(word) > 2 and word[-1] in "yY" and word[-2] not in _VOWELS:
+        word, r1, r2 = _swap(word, r1, r2, 1, "i")
+
+    # step 2: derivational suffixes in R1
+    suffix = _suffix(word, _STEP2)
+    if suffix is not None and r1.endswith(suffix):
+        n = len(suffix)
+        if suffix in ("tional", "entli", "fulli", "lessli") or (
+            suffix == "li" and word[-3] in _LI_ENDINGS
+        ):
+            word, r1, r2 = _swap(word, r1, r2, 2, "")
+        elif suffix in ("enci", "anci", "abli"):
+            word, r1, r2 = _swap(word, r1, r2, 1, "e")
+        elif suffix in ("izer", "ization"):
+            word, r1, r2 = _swap(word, r1, r2, n, "ize")
+        elif suffix in ("ational", "ation", "ator"):
+            word, r1, r2 = _swap(word, r1, r2, n, "ate", "e")
+        elif suffix in ("alism", "aliti", "alli"):
+            word, r1, r2 = _swap(word, r1, r2, n, "al")
+        elif suffix == "fulness":
+            word, r1, r2 = _swap(word, r1, r2, 4, "")
+        elif suffix in ("ousli", "ousness"):
+            word, r1, r2 = _swap(word, r1, r2, n, "ous")
+        elif suffix in ("iveness", "iviti"):
+            word, r1, r2 = _swap(word, r1, r2, n, "ive", "e")
+        elif suffix in ("biliti", "bli"):
+            word, r1, r2 = _swap(word, r1, r2, n, "ble")
+        elif suffix == "ogi" and word[-4] == "l":
+            word, r1, r2 = _swap(word, r1, r2, 1, "")
+
+    # step 3: more derivational suffixes in R1
+    suffix = _suffix(word, _STEP3)
+    if suffix is not None and r1.endswith(suffix):
+        n = len(suffix)
+        if suffix == "tional":
+            word, r1, r2 = _swap(word, r1, r2, 2, "")
+        elif suffix == "ational":
+            word, r1, r2 = _swap(word, r1, r2, n, "ate")
+        elif suffix == "alize":
+            word, r1, r2 = _swap(word, r1, r2, 3, "")
+        elif suffix in ("icate", "iciti", "ical"):
+            word, r1, r2 = _swap(word, r1, r2, n, "ic")
+        elif suffix in ("ful", "ness") or (suffix == "ative" and r2.endswith(suffix)):
+            word, r1, r2 = _swap(word, r1, r2, n, "")
+
+    # step 4: suffixes deleted from R2
+    suffix = _suffix(word, _STEP4)
+    if suffix is not None and r2.endswith(suffix) and (suffix != "ion" or word[-4] in "st"):
+        word, r1, r2 = _swap(word, r1, r2, len(suffix), "")
+
+    # step 5: a final e, or the second l of ll
+    if (r2.endswith("l") and word[-2] == "l") or r2.endswith("e"):
+        word = word[:-1]
+    elif r1.endswith("e") and len(word) >= 4 and (
+        # keep the e after a short syllable ("hope" under step 1b stays "hope")
+        word[-2] in _VOWELS
+        or word[-2] in "wxY"
+        or word[-3] not in _VOWELS
+        or word[-4] in _VOWELS
+    ):
+        word = word[:-1]
 
     return word.replace("Y", "y")

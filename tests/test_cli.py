@@ -1,10 +1,12 @@
 """End-to-end subcommand runs through main(), plus the error contract."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -30,7 +32,12 @@ from valnov.corpus import LabelValue
 from valnov.encoder import EncoderConfig, ReferenceEncoder
 from valnov.errors import DataError
 from valnov.fsutil import sha256_file
-from valnov.mtl import load_checkpoint, load_encoder_checkpoint, save_encoder_checkpoint
+from valnov.mtl import (
+    TrainConfig,
+    load_checkpoint,
+    load_encoder_checkpoint,
+    save_encoder_checkpoint,
+)
 from valnov.prompting import PromptRequest, build_prompt, cache_key, select_few_shot
 from valnov.synthetic import make_profile_splits, make_separable_corpus
 
@@ -853,6 +860,42 @@ class TestErrorContract:
         assert err == f"error: usage: not a file: {root}\n"
         assert not (root / "e-dir-input").exists()
 
+    def test_unreadable_input_is_usage(self, workspace, capsys, monkeypatch):
+        # chmod does not stop root, so the denial is raised where inputs are read
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("valnov.cli.sha256_file", denied)
+        run_dir = workspace["root"] / "e-denied"
+        err = self.run_expecting(
+            capsys,
+            ["prepare-data", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--splits", "train"],
+            "usage",
+        )
+        assert "train.jsonl" in err
+        assert not run_dir.exists()
+
+    def test_bad_csv_error_names_its_file(self, workspace, capsys):
+        root = workspace["root"]
+        header = "topic,Premise,Conclusion,Validity,Novelty\n"
+        train, dev = root / "named-train.csv", root / "named-dev.csv"
+        train.write_text(header + "t,p0,c0,1,1\nt,p1,c1,-1,0\n", encoding="utf-8")
+        dev.write_text(header + "t,p0,c0,1,1\nt,,c1,-1,0\n", encoding="utf-8")
+        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config["data"].update(train_path=str(train), dev_path=str(dev))
+        config_path = root / "named-csv.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = root / "e-named-csv"
+        err = self.run_expecting(
+            capsys,
+            ["prepare-data", "--config", str(config_path), "--run-dir", str(run_dir),
+             "--splits", "train,dev"],
+            "data",
+        )
+        assert err == f"error: data: {dev}: row 1: empty premise\n"
+        assert not run_dir.exists()
+
     def test_unknown_config_key_is_configuration(self, workspace, capsys):
         root = workspace["root"]
         bad = root / "bad-config.json"
@@ -1187,6 +1230,8 @@ OUT_OF_RANGE_CONFIG = [
     ("combined_metric", "nope", "baseline", "combined_metric 'nope' is unknown"),
     ("train_overrides.combined_metric", "task-mean-macro-f1", "seed-sweep",
      "config.train_overrides.combined_metric has no effect"),
+    ("baseline.c_validity", 0, "baseline", "baseline.c_validity must be > 0"),
+    ("baseline.c_novelty", -1.0, "baseline", "baseline.c_novelty must be > 0"),
     ("prompting.parallelism", 0, "prompt-predict", "prompting.parallelism must be >= 1"),
     ("prompting.requests_per_second", 0, "prompt-predict",
      "prompting.requests_per_second must be null or > 0"),
@@ -1200,6 +1245,25 @@ STAGE_ARGS = {
 }
 
 
+def _float_keys(cls: type, prefix: str) -> list[tuple[str, type]]:
+    """Dotted names and types of the fields of config dataclass ``cls``
+    (and of those nested in it) whose values are or hold floats."""
+    keys = []
+    for f in dataclasses.fields(cls):
+        tp = typing.get_type_hints(cls)[f.name]
+        if dataclasses.is_dataclass(tp):
+            keys.extend(_float_keys(tp, f"{prefix}{f.name}."))
+        elif float in (tp, *typing.get_args(tp)):
+            keys.append((prefix + f.name, tp))
+    return keys
+
+
+# every float a config can set, the overrides of TrainConfig included
+FLOAT_CONFIG_KEYS = _float_keys(RunConfig, "") + _float_keys(TrainConfig, "train_overrides.")
+# JSON literals Python's json reads as non-finite floats; 1e400 overflows to inf
+NON_FINITE_LITERALS = ["NaN", "Infinity", "-Infinity", "1e400"]
+
+
 def _set_key(config: dict, dotted: str, value) -> dict:
     """A deep copy of ``config`` with the dotted key set to ``value``."""
     config = json.loads(json.dumps(config))
@@ -1209,6 +1273,16 @@ def _set_key(config: dict, dotted: str, value) -> dict:
         node = node.setdefault(section, {})
     node[name] = value
     return config
+
+
+def _config_with_literal(workspace, name, dotted, literal, in_pair=False) -> Path:
+    """The workspace config, saved as ``<name>.json``, with the dotted key set
+    to the JSON text ``literal`` (as the first of a pair if ``in_pair``)."""
+    config = json.loads(open(workspace["config"], encoding="utf-8").read())
+    text = json.dumps(_set_key(config, dotted, ["@", 1.0] if in_pair else "@"))
+    path = workspace["root"] / f"{name}.json"
+    path.write_text(text.replace('"@"', literal), encoding="utf-8")
+    return path
 
 
 class TestIllTypedInputs:
@@ -1233,6 +1307,41 @@ class TestIllTypedInputs:
         assert err.startswith("error: configuration: ") and err.count("\n") == 1
         assert detail in err
         assert "Traceback" not in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
+    @pytest.mark.parametrize(
+        "dotted, tp", FLOAT_CONFIG_KEYS, ids=[key for key, _ in FLOAT_CONFIG_KEYS]
+    )
+    def test_non_finite_config_number_is_configuration(
+        self, workspace, capsys, dotted, tp, literal
+    ):
+        # a tuple field gets the literal as its first element
+        is_tuple = typing.get_origin(tp) is tuple
+        name = f"non-finite-{dotted}-{literal}"
+        config_path = _config_with_literal(workspace, name, dotted, literal, is_tuple)
+        run_dir = workspace["root"] / name
+        code = main(["prepare-data", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--splits", "train"])
+        err = capsys.readouterr().err
+        assert code == 2
+        key = f"config.{dotted}[0]" if is_tuple else f"config.{dotted}"
+        assert err.startswith("error: configuration: ") and err.count("\n") == 1
+        assert f"{key} must be a finite number, got " in err
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("c_novelty", ["1e308", "1" + "0" * 308], ids=["float", "int"])
+    def test_c_too_large_for_the_train_set_is_configuration(self, workspace, capsys, c_novelty):
+        # finite, but 1/(C*n) underflows to 0 and the SVM has no step size
+        name = f"c-novelty-{len(c_novelty)}"
+        config_path = _config_with_literal(workspace, name, "baseline.c_novelty", c_novelty)
+        run_dir = workspace["root"] / name
+        code = main(["baseline", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--task", "both"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: configuration: C = ") and err.count("\n") == 1
+        assert "is too large for 40 examples" in err
         assert not run_dir.exists()
 
     def test_seed_sweep_of_one_run_is_rejected_before_training(self, workspace, capsys):

@@ -147,7 +147,7 @@ class TestRecordChecks:
         )
         with pytest.raises(DataError) as info:
             load_corpus(path, column_map={"id": "id"})
-        assert str(info.value) == f"row 1: {detail}"
+        assert str(info.value) == f"{path}: row 1: {detail}"
 
 
 class TestMapLabel:

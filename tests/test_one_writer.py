@@ -1,0 +1,77 @@
+"""One atomic writer: no module but fsutil.py creates or writes a file.
+
+Every artifact then gets the same write-then-rename and the same mode.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import valnov
+
+SRC = Path(valnov.__file__).parent
+WRITE_MODE_LETTERS = set("wax+")
+
+
+def _mode(call: ast.Call, position: int) -> ast.expr | None:
+    if len(call.args) > position:
+        return call.args[position]
+    return next((k.value for k in call.keywords if k.arg == "mode"), None)
+
+
+def _writes(tree: ast.AST) -> list[str]:
+    """``line: what`` for each file write or creation in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names
+            ]
+            if "tempfile" in modules:
+                found.append(f"{node.lineno}: tempfile")
+            continue
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            mode = _mode(node, 1)  # open(file, mode)
+        elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+            found.append(f"{node.lineno}: {func.attr}")
+            continue
+        elif isinstance(func, ast.Attribute) and func.attr == "open":
+            if isinstance(func.value, ast.Name) and func.value.id == "os":
+                found.append(f"{node.lineno}: os.open")
+                continue
+            mode = _mode(node, 0)  # path.open(mode)
+        else:
+            continue
+        # a mode the source does not spell out counts as a write
+        if mode is not None and not (
+            isinstance(mode, ast.Constant) and not WRITE_MODE_LETTERS & set(str(mode.value))
+        ):
+            found.append(f"{node.lineno}: open({ast.unparse(mode)})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fsutil_writes_files(path):
+    writes = _writes(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "fsutil.py":
+        assert writes, "the checker no longer sees the atomic writer"
+    else:
+        assert writes == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ['open(p, "w")', 'open(p, mode="a")', "open(p, m)", 'p.open("wb")', "p.write_text(t)",
+     "p.write_bytes(b)", "os.open(p, flags)", "import tempfile", "from tempfile import mkstemp"],
+)
+def test_checker_sees_each_kind_of_write(source):
+    assert _writes(ast.parse(source))
+
+
+@pytest.mark.parametrize("source", ["open(p)", 'open(p, "rb")', 'p.open(encoding="utf-8")'])
+def test_checker_passes_reads(source):
+    assert _writes(ast.parse(source)) == []

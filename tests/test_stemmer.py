@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valnov.encoder import tokenize
-from valnov.stemming import _STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4, stem
+from valnov.stemming import _STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4, _suffix, stem
 from valnov.synthetic import make_profile_splits
 
 # (input, expected) covering every rule step, region edge cases, and the
@@ -186,6 +186,22 @@ def test_deterministic_and_lowercase(word):
 @given(st.text(alphabet=string.ascii_letters, min_size=1, max_size=12))
 def test_case_insensitive(word):
     assert stem(word) == stem(word.lower())
+
+
+STEP_TABLES = [_STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4]
+ALL_SUFFIXES = sorted(set(_STEP1A + _STEP1B + _STEP2 + _STEP3 + _STEP4))
+
+
+@given(
+    st.sampled_from(STEP_TABLES),
+    st.text(alphabet=string.ascii_lowercase + "Y", max_size=8),
+    st.sampled_from(["", *ALL_SUFFIXES]),
+)
+def test_suffix_lookup_finds_the_first_match_of_a_full_scan(table, base, suffix):
+    # the lookup tries only the suffixes ending in the word's last letter;
+    # any suffix of any step, or none, is appended to a random stem
+    word = base + suffix
+    assert _suffix(word, table) == next((s for s in table if word.endswith(s)), None)
 
 
 def _suffix_word_list() -> list[str]:
