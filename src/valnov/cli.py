@@ -348,19 +348,17 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
     train_set = run.instances("train", args.train, Split.TRAIN)
     targets = run.instances("targets", args.on, Split.TEST)
 
-    c_by_task = {Task.VALIDITY: settings.c_validity, Task.NOVELTY: settings.c_novelty}
     tfidf, X, target_rows = baseline_mod.featurize(train_set, targets)
-    fits = {
-        task: baseline_mod.svm_train(
-            X,
-            baseline_mod.task_labels(train_set, task),
-            dim=len(tfidf.vocabulary),
-            C=c_by_task[task],
-            steps=settings.steps,
-            seed=settings.seed,
-        )
-        for task in _tasks_from_arg(args.task)
-    }
+    fits = {}
+    for task in _tasks_from_arg(args.task):
+        key = f"c_{task.value}"
+        try:
+            fits[task] = baseline_mod.svm_train(
+                X, baseline_mod.task_labels(train_set, task), dim=len(tfidf.vocabulary),
+                C=getattr(settings, key), steps=settings.steps, seed=settings.seed,
+            )
+        except ConfigurationError as exc:  # C too large for the train set
+            raise ConfigurationError(f"baseline.{key}: {exc}") from exc
     train_nnz = len(X.indices)
     del X  # free the train rows before the model files are encoded
     all_predictions = []

@@ -133,7 +133,10 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         config = decode(RunConfig, data, "config")
     except TypeError as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
-    config.train_config()  # a bad override or profile fails here, not mid-stage
+    try:  # a bad override or profile fails here, not mid-stage
+        config.train_config()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
     return config
 
 

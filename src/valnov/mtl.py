@@ -10,6 +10,7 @@ step is left untouched by that step's update.
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -324,32 +325,25 @@ def train(
     return TrainResult(model=model, history=history, best_epoch=select_best(history))
 
 
-# --- checkpoint format: JSON, format/version header, flat parameter lists ---
+# --- checkpoint format: JSON, format/version header, base64 float64 parameters ---
 
 CHECKPOINT_FORMAT = "valnov-mtl-checkpoint"
 ENCODER_CHECKPOINT_FORMAT = "valnov-encoder-checkpoint"
-CHECKPOINT_VERSION = 1
-
-
-_SLICE = 4096  # values per json.dumps call when writing a checkpoint
+CHECKPOINT_VERSION = 2
 
 
 def _checkpoint_text(blob: dict, params: dict[str, np.ndarray]) -> str:
-    """``json.dumps`` of ``blob`` with a last key "params" mapping each name
-    to {"shape": [...], "data": [flat values]}. The same text as one
-    json.dumps of the whole, but the values are encoded a slice at a time:
-    json.dumps holds a string per number until it joins them."""
-    parts = [json.dumps(blob)[:-1], ', "params": {']
-    for k, (name, arr) in enumerate(params.items()):
-        parts.append(f'{", " if k else ""}{json.dumps(name)}: ')
-        parts.append(f'{{"shape": {json.dumps(list(arr.shape))}, "data": [')
-        flat = arr.ravel()
-        for lo in range(0, flat.size, _SLICE):
-            parts.append(", " if lo else "")
-            parts.append(json.dumps(flat[lo : lo + _SLICE].tolist())[1:-1])
-        parts.append("]}")
-    parts.append("}}")
-    return "".join(parts)
+    """``json.dumps`` of ``blob`` with a last key "params" mapping each name to
+    {"shape": [...], "data": base64 of the little-endian float64 values in C
+    order}."""
+    packed = {
+        name: {
+            "shape": list(arr.shape),
+            "data": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii"),
+        }
+        for name, arr in params.items()
+    }
+    return json.dumps(dict(blob, params=packed))
 
 
 def _unpack_params(packed: dict, params: dict[str, np.ndarray], path: str | Path) -> None:
@@ -362,9 +356,11 @@ def _unpack_params(packed: dict, params: dict[str, np.ndarray], path: str | Path
         rec = packed[name]
         try:
             shape = tuple(rec["shape"])
-            data = np.array(rec["data"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: parameter {name!r} is not a shape/data record") from exc
+            data = np.frombuffer(base64.b64decode(rec["data"], validate=True), dtype="<f8")
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise SchemaError(
+                f"{path}: parameter {name!r} is not a shape/base64 record ({exc})"
+            ) from exc
         if shape != live.shape or data.shape != (live.size,):
             raise SchemaError(
                 f"{path}: parameter {name!r} declares shape {list(shape)} with "
@@ -385,7 +381,8 @@ def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
     if not isinstance(blob, dict) or blob.get("format") != fmt:
         raise ConfigurationError(f"{path}: not a {fmt} file")
     if blob.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported checkpoint version {blob.get('version')}")
+        raise ConfigurationError(f"{path}: unsupported checkpoint version {blob.get('version')} "
+                                 f"(not {CHECKPOINT_VERSION}); re-run the stage that wrote it")
     missing = [name for name in fields if name not in blob]
     if missing:
         raise SchemaError(f"{path}: checkpoint lacks {missing}")

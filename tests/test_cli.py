@@ -1,5 +1,6 @@
 """End-to-end subcommand runs through main(), plus the error contract."""
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,7 @@ import sys
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import valnov
@@ -778,6 +780,14 @@ class TestStageDriver:
         assert not run_dir.exists()
 
 
+def _b64(values: np.ndarray) -> str:
+    return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")
+
+
+def _floats(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), dtype="<f8").copy()
+
+
 def _broken_checkpoint(text: str, case: str) -> str:
     """``text`` of a checkpoint, damaged as ``case`` names."""
     if case == "truncated":
@@ -785,16 +795,28 @@ def _broken_checkpoint(text: str, case: str) -> str:
     blob = json.loads(text)
     params = blob["params"]
     name = next(n for n, rec in params.items() if len(rec["shape"]) == 2)
+    values = _floats(params[name]["data"])
     if case == "missing-key":
         del params[name]
     elif case == "extra-key":
-        params["extra"] = {"shape": [1], "data": [0.0]}
+        params["extra"] = {"shape": [1], "data": _b64(np.zeros(1))}
     elif case == "wrong-shape":  # same number of values, transposed
         params[name]["shape"] = params[name]["shape"][::-1]
     elif case == "short-data":
-        params[name]["data"] = params[name]["data"][:-1]
+        params[name]["data"] = _b64(values[:-1])
     elif case == "nan":
-        params[name]["data"][3] = float("nan")
+        values[3] = float("nan")
+        params[name]["data"] = _b64(values)
+    elif case == "bad-base64":
+        params[name]["data"] = "!" + params[name]["data"][1:]
+    elif case == "odd-bytes":  # valid base64 of a byte count that is not a multiple of 8
+        params[name]["data"] = base64.b64encode(values.tobytes()[:-2]).decode("ascii")
+    elif case == "list-data":  # the version-1 record
+        params[name]["data"] = values.tolist()
+    elif case == "version-1":
+        blob["version"] = 1
+        for rec in params.values():
+            rec["data"] = _floats(rec["data"]).tolist()
     elif case == "config-type":
         blob["encoder_config"]["embed_dim"] = "12"
     return json.dumps(blob)
@@ -807,6 +829,10 @@ CHECKPOINT_DAMAGE = [
     ("wrong-shape", "schema"),
     ("short-data", "schema"),
     ("nan", "schema"),
+    ("bad-base64", "schema"),
+    ("odd-bytes", "schema"),
+    ("list-data", "schema"),
+    ("version-1", "configuration"),
     ("config-type", "configuration"),
 ]
 
@@ -994,7 +1020,7 @@ class TestErrorContract:
             category,
         )
         assert str(broken) in err
-        assert not (run_dir / "predictions.csv").exists()
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize("case, category", CHECKPOINT_DAMAGE)
     def test_train_on_broken_encoder_checkpoint(self, workspace, capsys, case, category):
@@ -1014,7 +1040,7 @@ class TestErrorContract:
             category,
         )
         assert str(broken) in err
-        assert not (run_dir / "checkpoint.json").exists()
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize(
         "case, category, detail",
@@ -1330,6 +1356,20 @@ class TestIllTypedInputs:
         assert f"{key} must be a finite number, got " in err
         assert not run_dir.exists()
 
+    def test_non_finite_train_override_names_the_config_file(self, workspace, capsys):
+        name = "nan-learning-rate"
+        config_path = _config_with_literal(
+            workspace, name, "train_overrides.learning_rate", "NaN"
+        )
+        run_dir = workspace["root"] / name
+        code = main(["train", "--config", str(config_path), "--run-dir", str(run_dir)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: configuration: {config_path}: config.train_overrides.learning_rate "
+            "must be a finite number, got nan\n"
+        )
+        assert not run_dir.exists()
+
     @pytest.mark.parametrize("c_novelty", ["1e308", "1" + "0" * 308], ids=["float", "int"])
     def test_c_too_large_for_the_train_set_is_configuration(self, workspace, capsys, c_novelty):
         # finite, but 1/(C*n) underflows to 0 and the SVM has no step size
@@ -1340,7 +1380,8 @@ class TestIllTypedInputs:
                      "--task", "both"])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: configuration: C = ") and err.count("\n") == 1
+        assert err.startswith("error: configuration: baseline.c_novelty: C = ")
+        assert err.count("\n") == 1
         assert "is too large for 40 examples" in err
         assert not run_dir.exists()
 

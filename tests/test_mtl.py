@@ -12,6 +12,7 @@ from valnov.encoder import EncoderConfig
 from valnov.errors import ConfigurationError, TrainingError
 from valnov.mtl import (
     _checkpoint_text,
+    _unpack_params,
     EpochRecord,
     MtlModel,
     TRAIN_PROFILES,
@@ -285,27 +286,33 @@ class TestCheckpoints:
             with pytest.raises(ConfigurationError, match="needs exactly the keys"):
                 load_checkpoint(path)
 
-    def test_checkpoint_text_is_one_json_dumps(self):
-        rng = np.random.default_rng(0)
+    def test_parameters_round_trip_bit_for_bit(self, tmp_path):
+        extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
         params = {
+            "extremes": np.array(extremes),
             "empty": np.zeros((0, 3)),
             "scalar": np.array(2.5),
-            "two slices": rng.normal(size=(2, 4096)),
-            "ragged": rng.normal(size=4097),
-            "special": np.array([np.nan, np.inf, -0.0, 1e-300]),
+            "transposed": np.arange(12.0).reshape(3, 4).T,
         }
-        blob = {"format": "x", "nested": {"a": [1, 2]}}
-        packed = {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in params.items()
-        }
-        assert _checkpoint_text(blob, params) == json.dumps(dict(blob, params=packed))
+        path = tmp_path / "params.json"
+        path.write_text(_checkpoint_text({"format": "x"}, params), encoding="utf-8")
+        live = {name: np.full(arr.shape, 7.0) for name, arr in params.items()}
+        _unpack_params(json.loads(path.read_text(encoding="utf-8"))["params"], live, path)
+        for name, arr in params.items():
+            assert live[name].shape == arr.shape
+            assert live[name].tobytes() == arr.tobytes(), name
 
     def test_format_header_checked(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(ConfigurationError, match="not a"):
             load_checkpoint(path)
+
+    def test_version_1_asks_for_a_rerun(self, tmp_path):
+        path = tmp_path / "v1.json"
+        path.write_text('{"format": "valnov-encoder-checkpoint", "version": 1}')
+        with pytest.raises(ConfigurationError, match="version 1 .*re-run the stage"):
+            load_encoder_checkpoint(path)
 
     def test_encoder_round_trip(self, tmp_path):
         from valnov.encoder import ReferenceEncoder
@@ -316,7 +323,8 @@ class TestCheckpoints:
         save_encoder_checkpoint(enc, [0.5, 0.3], path)
         loaded, losses = load_encoder_checkpoint(path)
         assert losses == [0.5, 0.3]
-        assert np.array_equal(loaded.proj_b, enc.proj_b)
+        for name, arr in enc.parameters().items():
+            assert loaded.parameters()[name].tobytes() == arr.tobytes(), name
         assert np.array_equal(
             loaded.encode(["check text"]), enc.encode(["check text"])
         )
@@ -334,17 +342,19 @@ class TestCheckpoints:
 # sha256 of the files written by `contrastive-train`, then `train
 # --init-encoder`, then `predict --task both` on the corpus of
 # test_cli_mtl_chain_is_byte_stable, recorded with the per-row encoder
-# loops and the allocating AdamW step
+# loops and the allocating AdamW step; the checkpoint digests are of the
+# version-2 (base64 float64) format, whose parameters are bit-equal to the
+# version-1 decimal text they replaced
 GOLDEN_ENCODER_CHECKPOINT_SHA256 = (
-    "7f3b7b3d36dcbb1ba88ed7236e33c699b7c62abe506ef232bf2571860fa53ce2"
+    "00649d1bba6ed987a0a2bef56f2fdc502066dd2202d3c9ae907557e277b6519e"
 )
 GOLDEN_MTL_CHAIN_SHA256 = {
     "desk": (
-        "8e87483958eadc8c82ca736c1e18905d7e86a3bc82152f1eb4b6a64eb94ba593",
+        "2fd066f81f480f2b25b6e1d9a7b9f500e94a1963135ae1b8eb33a495cb16825b",
         "300eea478c5a7747c4c0073c206f8fe66f2028514ca06f5f2e1feeb0e30893e7",
     ),
     "accumulate": (
-        "4fce50de4ae976f2ba979b1d716b4ff63ee834023910db05a5869810df02829c",
+        "c53f45d2e5e828cee3813b3148f7584f11304855b3b562591949a295fa3b981d",
         "2cc781c118dc79a713c36a8d39b25f9343b26b33573a9c8e89eeca4919f3ddca",
     ),
 }

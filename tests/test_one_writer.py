@@ -12,6 +12,8 @@ import valnov
 
 SRC = Path(valnov.__file__).parent
 WRITE_MODE_LETTERS = set("wax+")
+FILE_WRITERS = {"write_text", "write_bytes", "tofile"}  # methods, whatever the object
+NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # np.<name>
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr | None:
@@ -36,8 +38,16 @@ def _writes(tree: ast.AST) -> list[str]:
         func = node.func
         if isinstance(func, ast.Name) and func.id == "open":
             mode = _mode(node, 1)  # open(file, mode)
-        elif isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        elif isinstance(func, ast.Attribute) and func.attr in FILE_WRITERS:
             found.append(f"{node.lineno}: {func.attr}")
+            continue
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in NUMPY_WRITERS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+        ):
+            found.append(f"{node.lineno}: {func.value.id}.{func.attr}")
             continue
         elif isinstance(func, ast.Attribute) and func.attr == "open":
             if isinstance(func.value, ast.Name) and func.value.id == "os":
@@ -66,12 +76,16 @@ def test_only_fsutil_writes_files(path):
 @pytest.mark.parametrize(
     "source",
     ['open(p, "w")', 'open(p, mode="a")', "open(p, m)", 'p.open("wb")', "p.write_text(t)",
-     "p.write_bytes(b)", "os.open(p, flags)", "import tempfile", "from tempfile import mkstemp"],
+     "p.write_bytes(b)", "os.open(p, flags)", "import tempfile", "from tempfile import mkstemp",
+     "np.save(p, a)", "np.savez(p, a=a)", "numpy.savez_compressed(p, a=a)", "np.savetxt(p, a)",
+     "a.tofile(p)"],
 )
 def test_checker_sees_each_kind_of_write(source):
     assert _writes(ast.parse(source))
 
 
-@pytest.mark.parametrize("source", ["open(p)", 'open(p, "rb")', 'p.open(encoding="utf-8")'])
+@pytest.mark.parametrize(
+    "source", ["open(p)", 'open(p, "rb")', 'p.open(encoding="utf-8")', "np.load(p)", "cache.save()"]
+)
 def test_checker_passes_reads(source):
     assert _writes(ast.parse(source)) == []
