@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .encoder import tokenize
 from .errors import ConfigurationError, DataError
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, pack_params
 from .predictions import Prediction
 from .stemming import stem
 
@@ -335,23 +335,17 @@ def predict_corpus(
     ]
 
 
-def save_baseline(path: str | Path, model: LinearSvm, tfidf: TfidfModel) -> None:
+def save_baseline(path: str | Path, tfidf: TfidfModel, models: dict[Task, LinearSvm]) -> None:
+    """One JSON file for the TF-IDF model and each task's SVM; ``vocabulary``
+    lists the terms in index order."""
+    params = {"idf": tfidf.idf}
+    params.update({f"{task.value}.weights": model.weights for task, model in models.items()})
     payload = {
-        "vocabulary": tfidf.vocabulary,
-        "idf": tfidf.idf,
+        "format": "valnov-baseline-model",
+        "version": 1,
         "document_count": tfidf.document_count,
-        "weights": model.weights,
-        "bias": model.bias,
-        "C": model.C,
+        "vocabulary": sorted(tfidf.vocabulary, key=tfidf.vocabulary.__getitem__),
+        "tasks": {task.value: {"C": model.C, "bias": model.bias} for task, model in models.items()},
+        "params": pack_params(params),
     }
-    # the same text as one json.dumps of the payload, encoded a field at a
-    # time: json.dumps holds every chunk of its input until it joins them
-    fields = ", ".join(
-        f"{json.dumps(key)}: "
-        + json.dumps(
-            value.tolist() if isinstance(value, np.ndarray) else value,
-            ensure_ascii=False,
-        )
-        for key, value in payload.items()
-    )
-    atomic_write_text(Path(path), "{" + fields + "}")
+    atomic_write_text(Path(path), json.dumps(payload, ensure_ascii=False))

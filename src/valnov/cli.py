@@ -360,14 +360,15 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
         except ConfigurationError as exc:  # C too large for the train set
             raise ConfigurationError(f"baseline.{key}: {exc}") from exc
     train_nnz = len(X.indices)
-    del X  # free the train rows before the model files are encoded
+    del X  # free the train rows before the model file is encoded
+    baseline_mod.save_baseline(
+        run.path / "baseline-model.json", tfidf, {task: fit.model for task, fit in fits.items()}
+    )
+    run.track_output("baseline-model.json")
     all_predictions = []
     objectives = {}
     counters = {}
     for task, fit in fits.items():
-        model_name = f"model-{task.value}.json"
-        baseline_mod.save_baseline(run.path / model_name, fit.model, tfidf)
-        run.track_output(model_name)
         objectives[task.value] = fit.objective
         counters[task.value] = {
             "vocab": len(tfidf.vocabulary),
@@ -475,12 +476,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _splits(value: str) -> list[Split]:
-    try:
-        return [Split(s.strip()) for s in value.split(",") if s.strip()]
-    except ValueError:
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    if not names or not set(names) <= {split.value for split in Split}:
         raise argparse.ArgumentTypeError(
             f"{value!r}: splits are comma-separated names from train, dev, test"
-        ) from None
+        )
+    return [Split(name) for name in names]
 
 
 def build_parser() -> argparse.ArgumentParser:

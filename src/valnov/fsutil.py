@@ -1,11 +1,18 @@
-"""Small filesystem helpers shared by the cache and the CLI."""
+"""The one atomic file writer, file digests, and the parameter record of
+every model file: ``{"shape": [...], "data": "<base64>"}``, where ``data``
+holds the little-endian float64 values in C order."""
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import itertools
 import os
 from pathlib import Path
+
+import numpy as np
+
+from .errors import SchemaError, TrainingError
 
 _TMP_SERIAL = itertools.count()
 
@@ -44,3 +51,40 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def pack_params(params: dict[str, np.ndarray]) -> dict[str, dict]:
+    """Each array as a parameter record, under its name. A non-finite value
+    is a ``TrainingError``: no loader would accept the file."""
+    packed = {}
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise TrainingError(f"parameter {name!r} has non-finite values; nothing was saved")
+        data = np.asarray(arr, dtype="<f8").tobytes()
+        packed[name] = {"shape": list(arr.shape), "data": base64.b64encode(data).decode("ascii")}
+    return packed
+
+
+def unpack_params(packed: dict, params: dict[str, np.ndarray], path: str | Path) -> None:
+    """Copy the checkpoint's records into the live arrays. A checkpoint must
+    hold exactly the model's parameters, each with the live shape and only
+    finite values; anything else would predict with fresh or broken weights."""
+    if not isinstance(packed, dict) or sorted(packed) != sorted(params):
+        raise SchemaError(f"{path}: checkpoint params need exactly the names {sorted(params)}")
+    for name, live in params.items():
+        rec = packed[name]
+        try:
+            shape = tuple(rec["shape"])
+            data = np.frombuffer(base64.b64decode(rec["data"], validate=True), dtype="<f8")
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raise SchemaError(
+                f"{path}: parameter {name!r} is not a shape/base64 record ({exc})"
+            ) from exc
+        if shape != live.shape or data.shape != (live.size,):
+            raise SchemaError(
+                f"{path}: parameter {name!r} declares shape {list(shape)} with "
+                f"{data.size} values; the model needs shape {list(live.shape)}"
+            )
+        if not np.isfinite(data).all():
+            raise SchemaError(f"{path}: parameter {name!r} has non-finite values")
+        live[...] = data.reshape(live.shape)

@@ -10,7 +10,6 @@ step is left untouched by that step's update.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from .decode import decode
 from .encoder import EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, ParseError, SchemaError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, pack_params, unpack_params
 from .optim import AdamW
 from .predictions import Prediction
 
@@ -325,50 +324,11 @@ def train(
     return TrainResult(model=model, history=history, best_epoch=select_best(history))
 
 
-# --- checkpoint format: JSON, format/version header, base64 float64 parameters ---
+# --- checkpoint format: JSON, format/version header, fsutil parameter records ---
 
 CHECKPOINT_FORMAT = "valnov-mtl-checkpoint"
 ENCODER_CHECKPOINT_FORMAT = "valnov-encoder-checkpoint"
 CHECKPOINT_VERSION = 2
-
-
-def _checkpoint_text(blob: dict, params: dict[str, np.ndarray]) -> str:
-    """``json.dumps`` of ``blob`` with a last key "params" mapping each name to
-    {"shape": [...], "data": base64 of the little-endian float64 values in C
-    order}."""
-    packed = {
-        name: {
-            "shape": list(arr.shape),
-            "data": base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii"),
-        }
-        for name, arr in params.items()
-    }
-    return json.dumps(dict(blob, params=packed))
-
-
-def _unpack_params(packed: dict, params: dict[str, np.ndarray], path: str | Path) -> None:
-    """Copy the checkpoint's records into the live arrays. A checkpoint must
-    hold exactly the model's parameters, each with the live shape and only
-    finite values; anything else would predict with fresh or broken weights."""
-    if not isinstance(packed, dict) or sorted(packed) != sorted(params):
-        raise SchemaError(f"{path}: checkpoint params need exactly the names {sorted(params)}")
-    for name, live in params.items():
-        rec = packed[name]
-        try:
-            shape = tuple(rec["shape"])
-            data = np.frombuffer(base64.b64decode(rec["data"], validate=True), dtype="<f8")
-        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-            raise SchemaError(
-                f"{path}: parameter {name!r} is not a shape/base64 record ({exc})"
-            ) from exc
-        if shape != live.shape or data.shape != (live.size,):
-            raise SchemaError(
-                f"{path}: parameter {name!r} declares shape {list(shape)} with "
-                f"{data.size} values; the model needs shape {list(live.shape)}"
-            )
-        if not np.isfinite(data).all():
-            raise SchemaError(f"{path}: parameter {name!r} has non-finite values")
-        live[...] = data.reshape(live.shape)
 
 
 def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
@@ -415,7 +375,7 @@ def save_checkpoint(
         "best_epoch": result.best_epoch,
         "history": [list(h.as_tuple()) for h in result.history],
     }
-    atomic_write_text(Path(path), _checkpoint_text(blob, model.parameters()))
+    atomic_write_text(Path(path), json.dumps(dict(blob, params=pack_params(model.parameters()))))
 
 
 def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[EpochRecord], int]:
@@ -433,7 +393,7 @@ def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[Epoch
     except TypeError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     model = MtlModel(enc_cfg, seed=config.seed, name=name)
-    _unpack_params(blob["params"], model.parameters(), path)
+    unpack_params(blob["params"], model.parameters(), path)
     return model, config, [EpochRecord(*row) for row in rows], best_epoch
 
 
@@ -446,7 +406,7 @@ def save_encoder_checkpoint(
         "encoder_config": dataclasses.asdict(encoder.config),
         "epoch_losses": [float(x) for x in epoch_losses],
     }
-    atomic_write_text(Path(path), _checkpoint_text(blob, encoder.parameters()))
+    atomic_write_text(Path(path), json.dumps(dict(blob, params=pack_params(encoder.parameters()))))
 
 
 def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[float]]:
@@ -454,7 +414,7 @@ def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[fl
         path, ENCODER_CHECKPOINT_FORMAT, ("encoder_config", "epoch_losses", "params")
     )
     encoder = ReferenceEncoder(_config_from_blob(EncoderConfig, blob["encoder_config"], path))
-    _unpack_params(blob["params"], encoder.parameters(), path)
+    unpack_params(blob["params"], encoder.parameters(), path)
     try:
         epoch_losses = decode(list[float], blob["epoch_losses"], "epoch_losses")
     except TypeError as exc:

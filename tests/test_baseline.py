@@ -27,7 +27,8 @@ from valnov.baseline import (
 from valnov.cli import main
 from valnov.config import BaselineSettings
 from valnov.corpus import LabelValue, Split, Task, mapped_value, save_instances_jsonl
-from valnov.errors import ConfigurationError, DataError
+from valnov.errors import ConfigurationError, DataError, TrainingError
+from valnov.fsutil import unpack_params
 from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
@@ -243,26 +244,67 @@ class TestFitBaseline:
              "--train", str(tmp_path / "train.jsonl"), "--on", str(tmp_path / "train.jsonl")]
         )
         assert code == 0
-        model = json.loads((tmp_path / "run" / "model-novelty.json").read_text(encoding="utf-8"))
-        assert model["C"] == BaselineSettings().c_novelty
+        model = json.loads((tmp_path / "run" / "baseline-model.json").read_text(encoding="utf-8"))
+        assert model["tasks"]["novelty"]["C"] == BaselineSettings().c_novelty
 
 
-def test_saved_model_is_one_json_document(tmp_path):
+@pytest.mark.parametrize("task_arg", ["both", "validity"])
+def test_saved_model_decodes_bit_equal_to_the_fit(tmp_path, task_arg):
+    train, dev = make_separable_corpus(n_train=24, n_dev=8)
+    save_instances_jsonl(train, tmp_path / "train.jsonl")
+    save_instances_jsonl(dev, tmp_path / "dev.jsonl")
+    code = main(
+        ["baseline", "--run-dir", str(tmp_path / "run"), "--task", task_arg,
+         "--train", str(tmp_path / "train.jsonl"), "--on", str(tmp_path / "dev.jsonl")]
+    )
+    assert code == 0
+    path = tmp_path / "run" / "baseline-model.json"
+    saved = json.loads(path.read_text(encoding="utf-8"))
+
+    settings = BaselineSettings()
+    tfidf, X, _ = featurize(train, dev)
+    tasks = [Task.VALIDITY, Task.NOVELTY] if task_arg == "both" else [Task.VALIDITY]
+    fits = {
+        task: svm_train(
+            X, task_labels(train, task), dim=len(tfidf.vocabulary),
+            C=getattr(settings, f"c_{task.value}"), steps=settings.steps, seed=settings.seed,
+        ).model
+        for task in tasks
+    }
+    expected = {"idf": tfidf.idf}
+    expected.update({f"{task.value}.weights": fit.weights for task, fit in fits.items()})
+    live = {name: np.full(arr.shape, 7.0) for name, arr in expected.items()}
+    unpack_params(saved["params"], live, path)  # exactly these names, or SchemaError
+    for name, arr in expected.items():
+        assert live[name].tobytes() == arr.tobytes(), name
+
+    assert (saved["format"], saved["version"]) == ("valnov-baseline-model", 1)
+    assert saved["document_count"] == len(train)
+    assert {term: i for i, term in enumerate(saved["vocabulary"])} == tfidf.vocabulary
+    assert saved["tasks"] == {
+        task.value: {"C": fit.C, "bias": fit.bias} for task, fit in fits.items()
+    }
+
+
+def test_saved_vocabulary_is_in_index_order(tmp_path):
     tfidf = TfidfModel(
-        vocabulary={"äpfel": 0, "cat": 1}, idf=np.array([1.5, 1.0]), document_count=3
+        vocabulary={"cat": 1, "äpfel": 0}, idf=np.array([1.5, 1.0]), document_count=3
     )
     svm = LinearSvm(weights=np.array([0.25, -1e-13]), bias=-0.5, C=0.09)
-    save_baseline(tmp_path / "model.json", svm, tfidf)
-    expected = {
-        "vocabulary": tfidf.vocabulary,
-        "idf": [1.5, 1.0],
-        "document_count": 3,
-        "weights": [0.25, -1e-13],
-        "bias": -0.5,
-        "C": 0.09,
+    save_baseline(tmp_path / "model.json", tfidf, {Task.NOVELTY: svm})
+    saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert saved["vocabulary"] == ["äpfel", "cat"]
+
+
+def test_non_finite_weight_is_a_training_error(tmp_path):
+    tfidf = TfidfModel(vocabulary={"cat": 0, "dog": 1}, idf=np.array([1.5, 1.0]), document_count=3)
+    models = {
+        Task.VALIDITY: LinearSvm(weights=np.array([0.25, 1.0]), bias=-0.5, C=0.09),
+        Task.NOVELTY: LinearSvm(weights=np.array([np.nan, 1.0]), bias=0.5, C=4.7),
     }
-    text = (tmp_path / "model.json").read_text(encoding="utf-8")
-    assert text == json.dumps(expected, ensure_ascii=False)
+    with pytest.raises(TrainingError, match="'novelty.weights' has non-finite values"):
+        save_baseline(tmp_path / "model.json", tfidf, models)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _dense_svm_oracle(X, y, dim, C, steps=None, seed=0, trace_every=0):
@@ -453,11 +495,12 @@ def _zipf_corpus(seed, n, prefix):
     return instances
 
 
-# sha256 of each file `baseline --task both` writes for _zipf_corpus,
-# recorded before the tokenize, stemming and solver fast paths
+# sha256 of each file `baseline --task both` writes for _zipf_corpus. The
+# predictions and stats digests date from before the tokenize, stemming and
+# solver fast paths; the model file decodes bit-equal to the two per-task
+# model files recorded with them
 GOLDEN_ZIPF_BASELINE_SHA256 = {
-    "model-validity.json": "2cec8a1fdaa2fb0cdf23c0fdf4e58b0051d74da772c59b48e4ebca0b6fd86bda",
-    "model-novelty.json": "2bcac1a3141c74081229d83d7a2f03a5e5150692a52f0a19f9826031dff5d4bf",
+    "baseline-model.json": "76195092ed66c53f4932b1bbfe1df451e05b65263892b0b1b5fca450d19d0126",
     "predictions.csv": "3660993fe72c0d22a25551fcd9f8885ba840f003759ab7ff09e05227cf36886e",
     "baseline-stats.json": "1d93900d1b849a2b247884fa930d0347270c78ac1797399b2993ecf4cc335634",
 }

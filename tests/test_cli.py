@@ -412,8 +412,7 @@ class TestBaselineMix:
         assert {p.source for p in preds} == {"svm"}
         stats = json.loads((run_dir / "baseline-stats.json").read_text(encoding="utf-8"))
         assert set(stats["objective"]) == {"validity", "novelty"}
-        assert (run_dir / "model-validity.json").is_file()
-        assert (run_dir / "model-novelty.json").is_file()
+        assert (run_dir / "baseline-model.json").is_file()
 
     def test_baseline_counters(self, workspace, capsys):
         root = workspace["root"]
@@ -424,7 +423,7 @@ class TestBaselineMix:
             assert main(args) == 0
             stats.append(json.loads((root / name / "baseline-stats.json").read_text()))
         assert stats[0] == stats[1]  # deterministic per seed
-        model = json.loads((root / "svm-count-a" / "model-novelty.json").read_text())
+        model = json.loads((root / "svm-count-a" / "baseline-model.json").read_text())
         counters = stats[0]["counters"]
         assert set(counters) == {"validity", "novelty"}
         for task_counters in counters.values():
@@ -583,8 +582,7 @@ STAGE_MANIFESTS = {
     "baseline": (
         [],
         {"train", "targets"},
-        {"model-validity.json", "model-novelty.json", "predictions.csv",
-         "baseline-stats.json"},
+        {"baseline-model.json", "predictions.csv", "baseline-stats.json"},
     ),
     "mix": (["--validity", "{validity}", "--novelty", "{novelty}"],
             {"validity", "novelty"}, {"predictions.csv"}),
@@ -759,6 +757,39 @@ class TestStageDriver:
         assert done.returncode == 2
         assert done.stderr.startswith("error: training: non-finite loss")
         assert done.stderr.count("\n") == 1
+
+    @pytest.fixture
+    def overflowing_config(self, workspace, tmp_path):
+        # one full-batch step: the loss it checks is finite, and the
+        # update after it overflows the parameters to inf and NaN
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["train_overrides"] = {"learning_rate": 1e200, "epochs": 1, "batch_size": 10000}
+        path = tmp_path / "overflowing.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        return str(path)
+
+    def test_non_finite_parameters_at_save_are_a_training_error(
+        self, overflowing_config, capsys, tmp_path
+    ):
+        run_dir = tmp_path / "train"
+        assert main(["train", "--config", overflowing_config, "--run-dir", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training: parameter ")
+        assert "non-finite values" in err
+        assert err.count("\n") == 1
+        assert not run_dir.exists()
+
+    def test_sweep_with_non_finite_parameters_leaves_no_sub_run(
+        self, overflowing_config, capsys, tmp_path
+    ):
+        run_dir = tmp_path / "sweep"
+        argv = ["seed-sweep", "--config", overflowing_config, "--run-dir", str(run_dir)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training: parameter ")
+        assert err.count("\n") == 1
+        assert not (run_dir / "seed-0").exists()
+        assert not run_dir.exists()
 
     def test_diverging_contrastive_train_fails_cleanly(self, workspace, tmp_path):
         # tanh saturates, so the triplet loss of this run stays finite
@@ -985,7 +1016,7 @@ class TestErrorContract:
             "configuration",
         )
         assert "steps" in err
-        assert not list(run_dir.glob("model-*.json"))
+        assert not (run_dir / "baseline-model.json").exists()
 
     def test_schema_error_from_bad_csv(self, workspace, capsys):
         root = workspace["root"]
@@ -1173,14 +1204,15 @@ class TestErrorContract:
         assert str(broken) in err
         assert not out_path.exists()
 
-    def test_unknown_split_name_is_rejected_by_parser(self, workspace, capsys):
+    @pytest.mark.parametrize("splits", ["train,bogus", "", ","])
+    def test_unknown_split_name_is_rejected_by_parser(self, workspace, capsys, splits):
         run_dir = workspace["root"] / "prep-bogus"
         with pytest.raises(SystemExit) as exit_info:
             main(["prepare-data", "--config", workspace["config"], "--run-dir",
-                  str(run_dir), "--splits", "train,bogus"])
+                  str(run_dir), "--splits", splits])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "argument --splits: 'train,bogus'" in err
+        assert f"argument --splits: {splits!r}" in err
         assert "Traceback" not in err
         assert not run_dir.exists()
 

@@ -10,9 +10,8 @@ from valnov.cli import main
 from valnov.corpus import LabelValue, Split, Task, save_instances_jsonl
 from valnov.encoder import EncoderConfig
 from valnov.errors import ConfigurationError, TrainingError
+from valnov.fsutil import pack_params, unpack_params
 from valnov.mtl import (
-    _checkpoint_text,
-    _unpack_params,
     EpochRecord,
     MtlModel,
     TRAIN_PROFILES,
@@ -295,9 +294,9 @@ class TestCheckpoints:
             "transposed": np.arange(12.0).reshape(3, 4).T,
         }
         path = tmp_path / "params.json"
-        path.write_text(_checkpoint_text({"format": "x"}, params), encoding="utf-8")
+        path.write_text(json.dumps(pack_params(params)), encoding="utf-8")
         live = {name: np.full(arr.shape, 7.0) for name, arr in params.items()}
-        _unpack_params(json.loads(path.read_text(encoding="utf-8"))["params"], live, path)
+        unpack_params(json.loads(path.read_text(encoding="utf-8")), live, path)
         for name, arr in params.items():
             assert live[name].shape == arr.shape
             assert live[name].tobytes() == arr.tobytes(), name

@@ -1,6 +1,8 @@
-"""One atomic writer: no module but fsutil.py creates or writes a file.
+"""One atomic writer and one parameter format: no module but fsutil.py
+creates or writes a file, or encodes parameters as base64.
 
-Every artifact then gets the same write-then-rename and the same mode.
+Every artifact then gets the same write-then-rename and the same mode,
+and every model file the same parameter records.
 """
 
 import ast
@@ -73,6 +75,23 @@ def test_only_fsutil_writes_files(path):
         assert writes == []
 
 
+def _imports(tree: ast.AST) -> set[str]:
+    """Top-level names of the modules ``tree`` imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fsutil_imports_base64(path):
+    imported = "base64" in _imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert imported == (path.name == "fsutil.py")
+
+
 @pytest.mark.parametrize(
     "source",
     ['open(p, "w")', 'open(p, mode="a")', "open(p, m)", 'p.open("wb")', "p.write_text(t)",
@@ -89,3 +108,10 @@ def test_checker_sees_each_kind_of_write(source):
 )
 def test_checker_passes_reads(source):
     assert _writes(ast.parse(source)) == []
+
+
+@pytest.mark.parametrize(
+    "source", ["import base64", "import base64 as b", "from base64 import b64encode"]
+)
+def test_checker_sees_each_kind_of_base64_import(source):
+    assert "base64" in _imports(ast.parse(source))
