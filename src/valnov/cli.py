@@ -37,16 +37,7 @@ from .corpus import (
     write_instances_csv,
 )
 from .encoder import ReferenceEncoder
-from .errors import (
-    CacheMissError,
-    ConfigurationError,
-    CoverageError,
-    DataError,
-    ParseError,
-    ProviderError,
-    SchemaError,
-    TrainingError,
-)
+from .errors import ConfigurationError, ValnovError
 from .evaluation import (
     EvalReport,
     evaluate,
@@ -60,23 +51,11 @@ from .predictions import Prediction, load_predictions, mix, save_predictions, so
 from .prompting import ReplayCache, make_provider, prompt_predict, select_few_shot
 from .synthetic import make_profile_splits, make_separable_corpus
 
-_ERROR_CATEGORIES: list[tuple[type[Exception], str]] = [
-    (SchemaError, "schema"),
-    (CoverageError, "coverage"),
-    (ParseError, "parse"),
-    (DataError, "data"),
-    (CacheMissError, "cache-miss"),
-    (ProviderError, "provider"),
-    (TrainingError, "training"),
-    (ConfigurationError, "configuration"),
-    (FileNotFoundError, "usage"),
-    (PermissionError, "usage"),
-    # a path naming the wrong kind of thing: --config a directory,
-    # --run-dir an existing file
-    (IsADirectoryError, "usage"),
-    (NotADirectoryError, "usage"),
-    (FileExistsError, "usage"),
-]
+# OS errors reported as ``usage``: a missing or unreadable input, or a path
+# naming the wrong kind of thing (--config a directory, --run-dir a file)
+_USAGE_ERRORS = (
+    FileNotFoundError, PermissionError, IsADirectoryError, NotADirectoryError, FileExistsError
+)
 
 
 class _RunDir:
@@ -581,11 +560,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 run = _RunDir(run_dir, args.command, load_config(args.config))
                 args.func(args, run)
                 run.finalize()
-    except tuple(cls for cls, _ in _ERROR_CATEGORIES) as exc:
-        for cls, category in _ERROR_CATEGORIES:
-            if isinstance(exc, cls):
-                print(f"error: {category}: {exc}", file=sys.stderr)
-                break
+    except (ValnovError, *_USAGE_ERRORS) as exc:
+        category = exc.category if isinstance(exc, ValnovError) else "usage"
+        print(f"error: {category}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -14,11 +14,14 @@ from pathlib import Path
 from typing import Any
 
 from .contrastive import ContrastiveConfig
+from .corpus import DEFAULT_COLUMN_MAP
 from .decode import decode
 from .encoder import EncoderConfig
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError
 from .evaluation import DEFAULT_COMBINED_METRIC
+from .fsutil import read_json
 from .mtl import TrainConfig
+from .prompting import PROVIDER_NAMES
 
 
 @dataclass(frozen=True)
@@ -27,6 +30,15 @@ class DataSettings:
     dev_path: str = "data/dev.csv"
     test_path: str = "data/test.csv"
     column_map: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        roles = [*DEFAULT_COLUMN_MAP, "id"]
+        unknown = sorted(set(self.column_map) - set(roles))
+        if unknown:
+            raise ConfigurationError(
+                f"data.column_map.{unknown[0]} is not a column role; "
+                f"the roles are {', '.join(roles)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -44,6 +56,15 @@ class PromptSettings:
     requests_per_second: float | None = None
 
     def __post_init__(self):
+        if self.provider not in PROVIDER_NAMES:
+            raise ConfigurationError(
+                f"prompting.provider {self.provider!r} is unknown; "
+                f"registered: {', '.join(PROVIDER_NAMES)}"
+            )
+        if self.provider == "http-openai-compatible" and self.endpoint is None:
+            raise ConfigurationError("prompting.endpoint is needed by http-openai-compatible")
+        if self.max_tokens < 1:
+            raise ConfigurationError("prompting.max_tokens must be >= 1")
         if self.parallelism < 1:
             raise ConfigurationError("prompting.parallelism must be >= 1")
         if self.requests_per_second is not None and self.requests_per_second <= 0:
@@ -119,14 +140,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     """RunConfig from a JSON file; None loads all defaults."""
     if path is None:
         return RunConfig()
-    path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
     try:

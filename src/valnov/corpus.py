@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, ParseError, SchemaError
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, open_text
 
 
 class Task(str, Enum):
@@ -135,11 +135,7 @@ def load_corpus(
     columns = dict(DEFAULT_COLUMN_MAP)
     if column_map:
         columns.update(column_map)
-    split = Split(split)
-    try:
-        return _checked(_read_corpus(path, columns, split))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return _checked(_read_corpus(path, columns, Split(split)))
 
 
 def _checked(located: Iterable[tuple[str, ArgumentInstance]]) -> list[ArgumentInstance]:
@@ -162,7 +158,7 @@ def _checked(located: Iterable[tuple[str, ArgumentInstance]]) -> list[ArgumentIn
 def _read_corpus(
     path: Path, columns: Mapping[str, str], split: Split
 ) -> Iterator[tuple[str, ArgumentInstance]]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         header_line = fh.readline()
         if not header_line:
             raise SchemaError(f"{path}: empty file")
@@ -323,27 +319,24 @@ def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tupl
     """``path:line`` and ``build`` applied to that line's JSON object, for
     each non-blank line. Undecodable lines raise ParseError, records with a
     missing or ill-typed field SchemaError; both messages carry ``path:line``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{line_no}"
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
-                if not isinstance(rec, dict):
-                    raise SchemaError(f"{where}: expected a JSON object")
-                try:
-                    built = build(rec)
-                except KeyError as exc:
-                    raise SchemaError(f"{where}: missing field {exc}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise SchemaError(f"{where}: {exc}") from exc
-                yield where, built
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_no}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(rec, dict):
+                raise SchemaError(f"{where}: expected a JSON object")
+            try:
+                built = build(rec)
+            except KeyError as exc:
+                raise SchemaError(f"{where}: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"{where}: {exc}") from exc
+            yield where, built
 
 
 def _text(rec: Mapping[str, Any], name: str) -> str:

@@ -3,9 +3,12 @@
 ``decode(tp, value, where)`` checks a JSON value against the annotated
 type ``tp`` and rebuilds it as that type: dataclasses (unknown keys are
 rejected at every level), tuples, lists, dicts and ``X | None``; ``Any``
-passes through. A mismatch raises TypeError naming the dotted path, and
-so does a ``float`` that is not finite: Python's ``json`` reads ``NaN``,
-``Infinity`` and ``1e400`` (as inf), and none of them is a usable setting.
+passes through. A dataclass may omit its defaulted fields, unless
+``complete`` is set: a stored ``dataclasses.asdict`` blob must spell out
+every field, at every level. A mismatch raises TypeError naming the
+dotted path, and so does a ``float`` that is not finite: Python's
+``json`` reads ``NaN``, ``Infinity`` and ``1e400`` (as inf), and none of
+them is a usable setting.
 
 It never coerces a scalar: an int in a ``float`` field stays an int, and
 a bool is not a number. Config echoes and replay-cache keys are
@@ -19,7 +22,7 @@ from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 
-def decode(tp: Any, value: Any, where: str) -> Any:
+def decode(tp: Any, value: Any, where: str, complete: bool = False) -> Any:
     if tp is Any:
         return value
     origin, args = get_origin(tp), get_args(tp)
@@ -30,18 +33,21 @@ def decode(tp: Any, value: Any, where: str) -> Any:
         if unknown:  # the first name in ``where`` is the document
             raise TypeError(f"unknown {where.split('.')[0]} key(s) {unknown} under {where}")
         for f in fields(tp):
-            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            optional = f.default is not MISSING or f.default_factory is not MISSING
+            if f.name not in value and (complete or not optional):
                 raise TypeError(f"{where} lacks the field {f.name!r}")
         hints = get_type_hints(tp)
-        return tp(**{k: decode(hints[k], v, f"{where}.{k}") for k, v in value.items()})
+        return tp(**{k: decode(hints[k], v, f"{where}.{k}", complete) for k, v in value.items()})
     if origin is UnionType:  # ``X | None``
-        return None if value is None else decode(args[0], value, where)
+        return None if value is None else decode(args[0], value, where, complete)
     if origin is dict and isinstance(value, dict):
-        return {k: decode(args[1], v, f"{where}.{k}") for k, v in value.items()}
+        return {k: decode(args[1], v, f"{where}.{k}", complete) for k, v in value.items()}
     if origin is list and isinstance(value, list):
-        return [decode(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+        return [decode(args[0], v, f"{where}[{i}]", complete) for i, v in enumerate(value)]
     if origin is tuple and isinstance(value, list) and len(value) == len(args):
-        return tuple(decode(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+        return tuple(
+            decode(t, v, f"{where}[{i}]", complete) for i, (t, v) in enumerate(zip(args, value))
+        )
     if origin is not None:
         raise TypeError(f"{where} must be {tp}, got {value!r}")
     kinds = (int, float) if tp is float else tp

@@ -23,7 +23,8 @@ from .corpus import (
     mapped_value,
 )
 from .decode import decode
-from .errors import ConfigurationError, CoverageError, ParseError, SchemaError
+from .errors import ConfigurationError, CoverageError, SchemaError
+from .fsutil import read_json
 from .predictions import Prediction, task_index
 
 # 2x2 confusion counts; rows = true label, columns = predicted label,
@@ -295,26 +296,14 @@ def report_to_json(report: EvalReport) -> str:
     return json.dumps(asdict(report), indent=2, ensure_ascii=False)
 
 
-def report_from_json(text: str, where: str = "report") -> EvalReport:
-    """Inverse of report_to_json. Invalid JSON raises ParseError, a missing
-    or ill-typed field SchemaError; both messages start with ``where``."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
-    try:
-        return decode(EvalReport, data, "report")
-    except TypeError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
 def load_report(path: str | Path) -> EvalReport:
-    """report_from_json of a saved ``report.json``; errors name ``path``."""
+    """The inverse of report_to_json, for a saved ``report.json``. Bytes
+    that are not JSON are a ParseError, a missing or ill-typed field a
+    SchemaError; both messages name ``path``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    return report_from_json(text, where=str(path))
+        return decode(EvalReport, read_json(path), "report")
+    except TypeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def render_text(report: EvalReport) -> str:

@@ -1,20 +1,53 @@
-"""The one atomic file writer, file digests, and the parameter record of
-every model file: ``{"shape": [...], "data": "<base64>"}``, where ``data``
-holds the little-endian float64 values in C order."""
+"""The one file reader and the one atomic file writer, file digests, and
+the parameter record of every model file: ``{"shape": [...], "data":
+"<base64>"}``, where ``data`` holds the little-endian float64 values in
+C order.
+
+Every input is read as UTF-8 through ``read_json`` or ``open_text``, so a
+file that cannot be decoded is one ``ParseError`` naming it, whatever
+stage reads it.
+"""
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import hashlib
 import itertools
+import json
 import os
 from pathlib import Path
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
-from .errors import SchemaError, TrainingError
+from .errors import ParseError, SchemaError, TrainingError
 
 _TMP_SERIAL = itertools.count()
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON document in ``path``. Bytes that are not UTF-8, or text that
+    is not JSON, are a ParseError; a missing file stays FileNotFoundError."""
+    # not through open_text: its generator would cost each of the replay cache's reads
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except ValueError as exc:  # json.JSONDecodeError
+            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+@contextlib.contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` as a UTF-8 text stream (``newline`` as for ``open``). Bytes
+    that are not UTF-8 are a ParseError wherever the reader meets them."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

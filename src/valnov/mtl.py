@@ -21,9 +21,9 @@ import numpy as np
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .decode import decode
 from .encoder import EncoderConfig, ReferenceEncoder
-from .errors import ConfigurationError, ParseError, SchemaError, TrainingError
+from .errors import ConfigurationError, SchemaError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
-from .fsutil import atomic_write_text, pack_params, unpack_params
+from .fsutil import atomic_write_text, pack_params, read_json, unpack_params
 from .optim import AdamW
 from .predictions import Prediction
 
@@ -333,11 +333,7 @@ CHECKPOINT_VERSION = 2
 
 def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
     """The decoded checkpoint, after its format, version and field checks."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except ValueError as exc:  # undecodable bytes or JSON
-        raise ParseError(f"{path}: unreadable checkpoint ({exc})") from exc
+    blob = read_json(path)
     if not isinstance(blob, dict) or blob.get("format") != fmt:
         raise ConfigurationError(f"{path}: not a {fmt} file")
     if blob.get("version") != CHECKPOINT_VERSION:
@@ -350,14 +346,10 @@ def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
 
 
 def _config_from_blob(cls: type, blob: dict, path: str | Path):
-    """Rebuild a config dataclass from its ``dataclasses.asdict`` blob."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    if not isinstance(blob, dict) or sorted(blob) != sorted(names):
-        raise ConfigurationError(
-            f"{path}: checkpoint {cls.__name__} needs exactly the keys {names}"
-        )
+    """Rebuild a config dataclass from its ``dataclasses.asdict`` blob,
+    which must spell out every field."""
     try:
-        return decode(cls, blob, cls.__name__)
+        return decode(cls, blob, cls.__name__, complete=True)
     except TypeError as exc:
         raise ConfigurationError(f"{path}: checkpoint {exc}") from exc
 

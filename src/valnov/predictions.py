@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .corpus import LabelValue, Task
 from .errors import CoverageError, ParseError
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, open_text
 
 FILE_HEADER = ["instance_id", "task", "value", "source", "flagged"]
 
@@ -98,11 +98,8 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with open_text(path, newline="") as fh:
+        text = fh.read()
     predictions: list[Prediction] = []
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)

@@ -29,7 +29,7 @@ from .corpus import (
     mapped_value,
 )
 from .errors import CacheMissError, ConfigurationError, DataError, ParseError, ProviderError
-from .fsutil import atomic_write_text
+from .fsutil import atomic_write_text, read_json
 from .predictions import Prediction
 
 PROVIDER_NAMES = ("http-openai-compatible", "mock", "replay-only")
@@ -191,12 +191,9 @@ class ReplayCache:
         as a miss would silently re-query the provider."""
         path = self._path(key)
         try:
-            with open(path, encoding="utf-8") as fh:
-                record = json.load(fh)
+            record = read_json(path)
         except FileNotFoundError:
             return None
-        except ValueError as exc:  # undecodable bytes or JSON
-            raise ParseError(f"{path}: corrupt cache record ({exc})") from exc
         raw_text = record.get("raw_text") if isinstance(record, dict) else None
         if not isinstance(raw_text, str):
             raise ParseError(f"{path}: cache record has no string raw_text")

@@ -1244,6 +1244,18 @@ class TestErrorContract:
         assert str(bad) in err
         assert not (run_dir / "manifest.json").exists()
 
+    def test_config_that_is_not_json_is_parse(self, workspace, capsys):
+        # like every other input that cannot be decoded
+        root = workspace["root"]
+        bad = root / "config-not-json.json"
+        bad.write_text('{"profile": "desk",', encoding="utf-8")
+        run_dir = root / "train-config-not-json"
+        err = self.run_expecting(
+            capsys, ["train", "--config", str(bad), "--run-dir", str(run_dir)], "parse"
+        )
+        assert err.startswith(f"error: parse: {bad}: invalid JSON (")
+        assert not run_dir.exists()
+
     def test_non_utf8_predictions_is_parse(self, workspace, dev_predictions, capsys):
         root = workspace["root"]
         bad = root / "predictions-not-utf8.csv"
@@ -1295,6 +1307,14 @@ OUT_OF_RANGE_CONFIG = [
      "prompting.requests_per_second must be null or > 0"),
     ("prompting.requests_per_second", -1.0, "prompt-predict",
      "prompting.requests_per_second must be null or > 0"),
+    # checked at load, so a stage that never prompts rejects them as well
+    ("prompting.max_tokens", 0, "prepare-data", "prompting.max_tokens must be >= 1"),
+    ("prompting.max_tokens", -1, "prepare-data", "prompting.max_tokens must be >= 1"),
+    ("prompting.provider", "bogus", "prepare-data", "prompting.provider 'bogus' is unknown"),
+    ("prompting.provider", "http-openai-compatible", "prepare-data",
+     "prompting.endpoint is needed by http-openai-compatible"),
+    ("data.column_map", {"premis": "Premise", "validty": "X"}, "prepare-data",
+     "data.column_map.premis is not a column role"),
 ]
 
 STAGE_ARGS = {

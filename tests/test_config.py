@@ -12,7 +12,7 @@ from valnov.config import (
 )
 from valnov.contrastive import ContrastiveConfig
 from valnov.encoder import EncoderConfig
-from valnov.errors import ConfigurationError
+from valnov.errors import ConfigurationError, ParseError
 from valnov.mtl import TRAIN_PROFILES
 
 
@@ -90,10 +90,24 @@ class TestLoading:
         with pytest.raises(ConfigurationError, match="must be an object"):
             load_config(path)
 
+    def test_http_provider_with_endpoint_loads(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            {"prompting": {"provider": "http-openai-compatible", "endpoint": "http://x/v1"}},
+        )
+        assert load_config(path).prompting.endpoint == "http://x/v1"
+
+    def test_column_map_may_name_every_role_and_id(self, tmp_path):
+        roles = ["topic", "premise", "conclusion", "validity", "validity_confidence", "novelty",
+                 "novelty_confidence", "id"]
+        column_map = {role: role.upper() for role in roles}
+        path = self.write(tmp_path, {"data": {"column_map": column_map}})
+        assert load_config(path).data.column_map == column_map
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ConfigurationError, match="invalid JSON"):
+        with pytest.raises(ParseError, match="invalid JSON"):
             load_config(path)
 
     def test_top_level_must_be_object(self, tmp_path):

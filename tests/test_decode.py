@@ -76,6 +76,28 @@ class TestDecode:
         with pytest.raises(TypeError, match=path.replace("[", r"\[").replace("]", r"\]")):
             decode(Outer, value, "doc")
 
+    def test_complete_requires_defaulted_fields(self):
+        assert decode(Inner, {"rate": 1}, "doc") == Inner(rate=1)
+        with pytest.raises(TypeError, match="doc lacks the field 'count'"):
+            decode(Inner, {"rate": 1}, "doc", complete=True)
+        full = {"rate": 1, "count": 2, "name": None}
+        assert decode(Inner, full, "doc", complete=True) == Inner(rate=1, count=2)
+
+    @pytest.mark.parametrize(
+        "tp, value, path",
+        [
+            (list[Inner], [{"rate": 1, "count": 1, "name": None}, {"rate": 1}], r"doc\[1\]"),
+            (Inner | None, {"rate": 1, "count": 1}, "doc"),
+            (dict[str, Inner], {"a": {"rate": 1, "name": "n"}}, "doc.a"),
+            (tuple[Inner, int], [{"rate": 1}, 2], r"doc\[0\]"),
+        ],
+        ids=["list", "optional", "dict", "tuple"],
+    )
+    def test_complete_applies_inside_containers(self, tp, value, path):
+        decode(tp, value, "doc")  # without ``complete`` the defaults fill in
+        with pytest.raises(TypeError, match=f"^{path} lacks the field"):
+            decode(tp, value, "doc", complete=True)
+
     def test_unknown_keys_rejected_at_every_level(self):
         with pytest.raises(TypeError, match=r"unknown doc key\(s\) \['bogus'\] under doc$"):
             decode(Outer, {"inner": {"rate": 1}, "bogus": 1}, "doc")

@@ -16,10 +16,10 @@ from valnov.evaluation import (
     confidence_buckets,
     confusion,
     evaluate,
+    load_report,
     macro_f1,
     prf,
     render_text,
-    report_from_json,
     report_to_json,
     seed_summary,
     topic_error_rates,
@@ -332,16 +332,19 @@ class TestEvaluate:
 
 
 class TestReportSerialization:
-    def test_json_round_trip(self):
+    def test_json_round_trip_through_a_file(self, tmp_path):
         golds, preds = joint_fixture()
         report = evaluate(preds, golds, source_tag="svm")
-        text = report_to_json(report)
-        assert report_from_json(text) == report
+        path = tmp_path / "report.json"
+        path.write_text(report_to_json(report), encoding="utf-8")
+        assert load_report(path) == report
 
-    def test_single_task_round_trip(self):
+    def test_single_task_round_trip_through_a_file(self, tmp_path):
         golds, preds = joint_fixture()
         report = evaluate([p for p in preds if p.task is Task.NOVELTY], golds)
-        assert report_from_json(report_to_json(report)) == report
+        path = tmp_path / "report.json"
+        path.write_text(report_to_json(report), encoding="utf-8")
+        assert load_report(path) == report
 
     def test_render_text_layout(self):
         golds, preds = joint_fixture()

@@ -1,11 +1,13 @@
-"""The atomic writer every artifact goes through."""
+"""The atomic writer every artifact goes through, and the reader every
+input goes through."""
 
 import os
 import stat
 
 import pytest
 
-from valnov.fsutil import atomic_write_text
+from valnov.errors import ParseError
+from valnov.fsutil import atomic_write_text, open_text, read_json
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -31,3 +33,46 @@ def test_failed_write_removes_its_temporary(tmp_path):
     with pytest.raises(IsADirectoryError):
         atomic_write_text(tmp_path / "taken", "text")
     assert os.listdir(tmp_path) == ["taken"]
+
+
+@pytest.mark.parametrize(
+    "data, detail",
+    [(b'{"a": "\xff\xfe"}', "not UTF-8 text"), (b'{"a": ', "invalid JSON"),
+     (b"\xef\xbb\xbf{}", "invalid JSON")],
+    ids=["not-utf8", "truncated", "byte-order-mark"],
+)
+def test_undecodable_json_is_one_parse_error_naming_the_file(tmp_path, data, detail):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=f"^{path}: {detail}"):
+        read_json(path)
+
+
+def test_missing_json_file_stays_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        read_json(tmp_path / "absent.json")
+
+
+def test_read_json_reads_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes('{"text": "Prämisse\u2028中文"}'.encode("utf-8"))
+    assert read_json(path) == {"text": "Prämisse\u2028中文"}
+
+
+def test_non_utf8_bytes_deep_in_a_stream_are_a_parse_error(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"good\n" * 20000 + b"bad \xff\n")
+    with pytest.raises(ParseError, match=f"^{path}: not UTF-8 text"):
+        with open_text(path) as fh:
+            for _ in fh:
+                pass
+
+
+@pytest.mark.parametrize("newline, lines", [(None, ["a\n", "b\n", "c"]),
+                                            ("", ["a\r\n", "b\r", "c"])])
+def test_open_text_translates_newlines_as_open_does(tmp_path, newline, lines):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"a\r\nb\rc")
+    with open_text(path, newline=newline) as fh:
+        assert list(fh) == lines
+

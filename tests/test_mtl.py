@@ -280,9 +280,11 @@ class TestCheckpoints:
         blob = json.loads(path.read_text())
         surplus = dict(blob[section], surplus=1)
         missing = {k: v for k, v in blob[section].items() if k != "seed"}
-        for broken in (surplus, missing):
+        for broken, message in (
+            (surplus, r"unknown \w+ key\(s\) \['surplus'\]"), (missing, "lacks the field 'seed'")
+        ):
             path.write_text(json.dumps(dict(blob, **{section: broken})))
-            with pytest.raises(ConfigurationError, match="needs exactly the keys"):
+            with pytest.raises(ConfigurationError, match=message):
                 load_checkpoint(path)
 
     def test_parameters_round_trip_bit_for_bit(self, tmp_path):

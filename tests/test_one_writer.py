@@ -1,8 +1,9 @@
-"""One atomic writer and one parameter format: no module but fsutil.py
-creates or writes a file, or encodes parameters as base64.
+"""One atomic writer, one reader and one parameter format: no module but
+fsutil.py creates, writes or opens a file, or encodes parameters as base64.
 
 Every artifact then gets the same write-then-rename and the same mode,
-and every model file the same parameter records.
+every input the same UTF-8 decoding and the same error for a file that
+cannot be decoded, and every model file the same parameter records.
 """
 
 import ast
@@ -16,6 +17,8 @@ SRC = Path(valnov.__file__).parent
 WRITE_MODE_LETTERS = set("wax+")
 FILE_WRITERS = {"write_text", "write_bytes", "tofile"}  # methods, whatever the object
 NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # np.<name>
+FILE_READERS = {"open", "read_text", "read_bytes"}  # Path.open, io.open, os.open, ...
+NUMPY_READERS = {"load", "loadtxt", "genfromtxt", "fromfile"}  # np.<name>
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr | None:
@@ -66,6 +69,28 @@ def _writes(tree: ast.AST) -> list[str]:
     return found
 
 
+def _reads(tree: ast.AST) -> list[str]:
+    """``line: what`` for each file opened or read in ``tree``. A stream that
+    is not a file, such as an HTTP response, is not opened by these calls."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            found.append(f"{node.lineno}: open")
+        elif isinstance(func, ast.Attribute) and func.attr in FILE_READERS:
+            found.append(f"{node.lineno}: {func.attr}")
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in NUMPY_READERS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+        ):
+            found.append(f"{node.lineno}: {func.value.id}.{func.attr}")
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_only_fsutil_writes_files(path):
     writes = _writes(ast.parse(path.read_text(encoding="utf-8")))
@@ -73,6 +98,32 @@ def test_only_fsutil_writes_files(path):
         assert writes, "the checker no longer sees the atomic writer"
     else:
         assert writes == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fsutil_opens_files(path):
+    reads = _reads(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "fsutil.py":
+        assert reads, "the checker no longer sees the reader"
+    else:
+        assert reads == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["open(p)", 'open(p, "rb")', 'p.open(encoding="utf-8")', "io.open(p)", "os.open(p, flags)",
+     "p.read_text()", "p.read_bytes()", "np.load(p)", "numpy.loadtxt(p)", "np.fromfile(p)"],
+)
+def test_checker_sees_each_kind_of_read(source):
+    assert _reads(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source", ["json.load(response)", "read_json(p)", "open_text(p)", "urlopen(request)",
+               "np.frombuffer(b)", "fh.read()"]
+)
+def test_checker_passes_reads_through_the_reader(source):
+    assert _reads(ast.parse(source)) == []
 
 
 def _imports(tree: ast.AST) -> set[str]:

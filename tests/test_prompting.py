@@ -302,7 +302,7 @@ class TestReplayCache:
             os.unlink(path)  # another process removes the record first
             return open(path, *args, **kwargs)
 
-        monkeypatch.setattr("valnov.prompting.open", vanishing_open, raising=False)
+        monkeypatch.setattr("valnov.fsutil.open", vanishing_open, raising=False)
         assert cache.get(key) is None
 
 
