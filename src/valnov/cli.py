@@ -37,7 +37,7 @@ from .corpus import (
     write_instances_csv,
 )
 from .encoder import ReferenceEncoder
-from .errors import ConfigurationError, ValnovError
+from .errors import ConfigurationError, UsageError, ValnovError
 from .evaluation import (
     EvalReport,
     evaluate,
@@ -140,23 +140,21 @@ def _require_file(path: str | Path) -> Path:
 
 
 def cmd_prepare_data(args: argparse.Namespace, run: _RunDir) -> None:
-    per_split: dict[Split, list[ArgumentInstance]] = {}
-    if args.synthetic == "profile":
-        generated = make_profile_splits(seed=run.config.seed)
-        for split in args.splits:
-            per_split[split] = generated[split]
-            csv_path = write_instances_csv(per_split[split], run.path / f"{split.value}.csv")
-            run.track_output(csv_path.name)
-    elif args.synthetic == "separable":
-        train, dev = make_separable_corpus()
-        for split, instances in ((Split.TRAIN, train), (Split.DEV, dev)):
-            if split in args.splits:
-                per_split[split] = instances
-                csv_path = write_instances_csv(instances, run.path / f"{split.value}.csv")
-                run.track_output(csv_path.name)
+    if args.synthetic is None:
+        splits = args.splits or Split
+        per_split = {split: run.instances(split.value, None, split) for split in splits}
     else:
-        for split in args.splits:
-            per_split[split] = run.instances(split.value, None, split)
+        if args.synthetic == "profile":
+            generated = make_profile_splits(seed=run.config.seed)
+        else:
+            generated = dict(zip((Split.TRAIN, Split.DEV), make_separable_corpus()))
+        for split in args.splits or ():
+            if split not in generated:
+                raise UsageError(f"--synthetic {args.synthetic} makes no {split.value} split")
+        per_split = {split: generated[split] for split in args.splits or generated}
+        for split, instances in per_split.items():
+            csv_path = write_instances_csv(instances, run.path / f"{split.value}.csv")
+            run.track_output(csv_path.name)
 
     stats: dict[str, object] = {"splits": {}}
     for split, instances in per_split.items():
@@ -293,9 +291,7 @@ def cmd_prompt_predict(args: argparse.Namespace, run: _RunDir) -> None:
         prompting = dataclasses.replace(run.config.prompting, cache_dir=args.cache_dir)
         run.config = dataclasses.replace(run.config, prompting=prompting)
     settings = run.config.prompting
-    provider = make_provider(
-        settings.provider, endpoint=settings.endpoint, api_key=os.environ.get(settings.api_key_env)
-    )
+    provider = make_provider(settings, os.environ.get(settings.api_key_env))
     cache = ReplayCache(settings.cache_dir)
     few_shot = select_few_shot(train_set, task)
     preds = prompt_predict(
@@ -473,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("prepare-data", help="load/generate corpora, emit stats")
     _add_common(p)
-    p.add_argument("--splits", type=_splits, default="train,dev,test")
+    p.add_argument("--splits", type=_splits, help="comma-separated (default: all the source has)")
     p.add_argument(
         "--synthetic",
         choices=["profile", "separable"],

@@ -2,7 +2,10 @@
 
 Every field has a default, so an empty config is a valid desk-scale
 setup; a resolved copy of whatever was loaded is echoed into each run
-directory.
+directory. This module composes and loads the sections; each stage's
+module owns its own section and checks it: ``EncoderConfig`` in
+``encoder``, ``ContrastiveConfig`` in ``contrastive``, ``TrainConfig`` in
+``mtl`` and ``PromptSettings`` in ``prompting``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import ConfigurationError
 from .evaluation import DEFAULT_COMBINED_METRIC
 from .fsutil import read_json
 from .mtl import TrainConfig
-from .prompting import PROVIDER_NAMES
+from .prompting import PromptSettings
 
 
 @dataclass(frozen=True)
@@ -39,45 +42,6 @@ class DataSettings:
                 f"data.column_map.{unknown[0]} is not a column role; "
                 f"the roles are {', '.join(roles)}"
             )
-
-
-@dataclass(frozen=True)
-class PromptSettings:
-    provider: str = "replay-only"
-    endpoint: str | None = None
-    api_key_env: str = "COMPLETION_API_KEY"
-    cache_dir: str = "cache/completions"
-    model_id: str = "text-davinci-002"
-    temperature: float = 0.0
-    frequency_penalty: float = 0.0
-    presence_penalty: float = 0.0
-    max_tokens: int = 4
-    parallelism: int = 1
-    requests_per_second: float | None = None
-
-    def __post_init__(self):
-        if self.provider not in PROVIDER_NAMES:
-            raise ConfigurationError(
-                f"prompting.provider {self.provider!r} is unknown; "
-                f"registered: {', '.join(PROVIDER_NAMES)}"
-            )
-        if self.provider == "http-openai-compatible" and self.endpoint is None:
-            raise ConfigurationError("prompting.endpoint is needed by http-openai-compatible")
-        if self.max_tokens < 1:
-            raise ConfigurationError("prompting.max_tokens must be >= 1")
-        if self.parallelism < 1:
-            raise ConfigurationError("prompting.parallelism must be >= 1")
-        if self.requests_per_second is not None and self.requests_per_second <= 0:
-            raise ConfigurationError("prompting.requests_per_second must be null or > 0")
-
-    def decoding(self) -> dict[str, Any]:
-        return {
-            "model_id": self.model_id,
-            "temperature": self.temperature,
-            "frequency_penalty": self.frequency_penalty,
-            "presence_penalty": self.presence_penalty,
-            "max_tokens": self.max_tokens,
-        }
 
 
 @dataclass(frozen=True)
@@ -143,13 +107,10 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     data = read_json(path)
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path}: top level must be an object")
-    try:
+    try:  # a bad type, value, override or profile fails here, not mid-stage
         config = decode(RunConfig, data, "config")
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
-    try:  # a bad override or profile fails here, not mid-stage
         config.train_config()
-    except ConfigurationError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc
     return config
 

@@ -49,6 +49,11 @@ class CacheMissError(ValnovError):
         self.key = key
 
 
+class UsageError(ValnovError):
+    """The command line asks for something the command cannot do."""
+    category = "usage"
+
+
 class TrainingError(ValnovError):
     """Training aborted (e.g. non-finite loss); message names the step."""
     category = "training"

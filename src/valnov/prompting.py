@@ -4,6 +4,10 @@ Builds static few-shot prompts per task, sends them through a pluggable
 completion provider behind a deterministic on-disk replay cache, and
 parses raw completions back into task labels.  With a warm cache every
 run is fully offline and bit-reproducible.
+
+This module owns the prompting policy: ``PromptSettings`` (the config's
+``prompting`` section) is defined and checked here, and its decoding
+fields and their defaults are those of ``PromptRequest``.
 """
 
 from __future__ import annotations
@@ -15,10 +19,10 @@ import string
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Any, Mapping, Protocol, Sequence
 
 from .corpus import (
     ArgumentInstance,
@@ -31,8 +35,6 @@ from .corpus import (
 from .errors import CacheMissError, ConfigurationError, DataError, ParseError, ProviderError
 from .fsutil import atomic_write_text, read_json
 from .predictions import Prediction
-
-PROVIDER_NAMES = ("http-openai-compatible", "mock", "replay-only")
 
 _TASK_WORDS = {Task.VALIDITY: "valid", Task.NOVELTY: "novel"}
 
@@ -62,6 +64,49 @@ class PromptRequest:
             raise ConfigurationError("prompt must be non-empty")
         if self.max_tokens < 1:
             raise ConfigurationError("max_tokens must be a positive integer")
+
+
+# every field of a request but its prompt, with its upstream default
+_DECODING = tuple(f for f in fields(PromptRequest) if f.name != "prompt")
+
+
+def _check_settings(settings: PromptSettings) -> None:
+    if settings.provider not in _PROVIDERS:
+        raise ConfigurationError(
+            f"prompting.provider {settings.provider!r} is unknown; "
+            f"registered: {', '.join(_PROVIDERS)}"
+        )
+    if settings.provider == HttpProvider.name and not settings.endpoint:
+        raise ConfigurationError(f"prompting.endpoint is needed by {HttpProvider.name}")
+    if settings.max_tokens < 1:
+        raise ConfigurationError("prompting.max_tokens must be >= 1")
+    if settings.parallelism < 1:
+        raise ConfigurationError("prompting.parallelism must be >= 1")
+    if settings.requests_per_second is not None and settings.requests_per_second <= 0:
+        raise ConfigurationError("prompting.requests_per_second must be null or > 0")
+
+
+def _decoding(settings: PromptSettings) -> dict[str, Any]:
+    """The settings' decoding fields, as ``PromptRequest`` keywords."""
+    return {f.name: getattr(settings, f.name) for f in _DECODING}
+
+
+# The config's ``prompting`` section: the provider and its endpoint, the
+# replay cache, the decoding fields of ``PromptRequest`` and the pacing.
+PromptSettings = make_dataclass(
+    "PromptSettings",
+    [
+        ("provider", str, field(default="replay-only")),
+        ("endpoint", str | None, field(default=None)),
+        ("api_key_env", str, field(default="COMPLETION_API_KEY")),
+        ("cache_dir", str, field(default="cache/completions")),
+        *((f.name, f.type, field(default=f.default)) for f in _DECODING),
+        ("parallelism", int, field(default=1)),
+        ("requests_per_second", float | None, field(default=None)),
+    ],
+    namespace={"__module__": __name__, "__post_init__": _check_settings, "decoding": _decoding},
+    frozen=True,
+)
 
 
 @dataclass(frozen=True)
@@ -249,14 +294,7 @@ class HttpProvider:
 
     name = "http-openai-compatible"
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        timeout: float = 30.0,
-    ):
-        if not endpoint:
-            raise ConfigurationError("http provider needs an endpoint URL")
+    def __init__(self, endpoint: str, api_key: str | None = None, timeout: float = 30.0):
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
@@ -269,14 +307,8 @@ class HttpProvider:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        body = {
-            "model": request.model_id,
-            "prompt": request.prompt,
-            "temperature": request.temperature,
-            "frequency_penalty": request.frequency_penalty,
-            "presence_penalty": request.presence_penalty,
-            "max_tokens": request.max_tokens,
-        }
+        body = dict(vars(request))
+        body["model"] = body.pop("model_id")
         post = urllib.request.Request(
             self.endpoint, data=json.dumps(body).encode("utf-8"), headers=headers
         )
@@ -294,22 +326,18 @@ class HttpProvider:
         return text
 
 
-def make_provider(
-    name: str,
-    endpoint: str | None = None,
-    api_key: str | None = None,
-) -> CompletionProvider:
-    if name == "mock":
-        return MockProvider()
-    if name == "replay-only":
-        return ReplayOnlyProvider()
-    if name == "http-openai-compatible":
-        if endpoint is None:
-            raise ConfigurationError("http-openai-compatible provider needs an endpoint")
-        return HttpProvider(endpoint=endpoint, api_key=api_key)
-    raise ConfigurationError(
-        f"unknown provider {name!r}; registered: {', '.join(PROVIDER_NAMES)}"
-    )
+# every provider by its configured name, built from checked settings and an API key
+_PROVIDERS = {
+    HttpProvider.name: lambda settings, api_key: HttpProvider(settings.endpoint, api_key),
+    MockProvider.name: lambda settings, api_key: MockProvider(),
+    ReplayOnlyProvider.name: lambda settings, api_key: ReplayOnlyProvider(),
+}
+
+
+def make_provider(settings: PromptSettings, api_key: str | None = None) -> CompletionProvider:
+    """The provider ``settings`` names; building the settings checked both
+    the name and, for the HTTP provider, the endpoint."""
+    return _PROVIDERS[settings.provider](settings, api_key)
 
 
 def complete(

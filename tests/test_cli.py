@@ -124,6 +124,16 @@ class TestPrepareData:
         assert not (run_dir / "dev.csv").exists()
         assert (run_dir / "triplets.jsonl").is_file()
 
+    def test_split_the_generator_does_not_make_is_usage(self, workspace, capsys):
+        run_dir = workspace["root"] / "prep-sep-test"
+        code = main(["prepare-data", "--run-dir", str(run_dir), "--synthetic", "separable",
+                     "--splits", "train,test"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: usage: --synthetic separable makes no test split\n"
+        )
+        assert not run_dir.exists()
+
     def test_real_files_recorded_as_inputs(self, workspace, capsys):
         run_dir = workspace["root"] / "prep-real"
         code = main(
@@ -1382,9 +1392,26 @@ class TestIllTypedInputs:
         code = main([command, "--config", str(config_path), "--run-dir", str(run_dir), *extra])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: configuration: ") and err.count("\n") == 1
+        assert err.startswith(f"error: configuration: {config_path}: ")
+        assert err.count("\n") == 1
         assert detail in err
         assert "Traceback" not in err
+        assert not run_dir.exists()
+
+    def test_http_provider_with_empty_endpoint_is_rejected_at_load(self, workspace, capsys):
+        # a null endpoint is an OUT_OF_RANGE_CONFIG row
+        root = workspace["root"]
+        config_path = root / "empty-endpoint.json"
+        prompting = {"provider": "http-openai-compatible", "endpoint": ""}
+        config_path.write_text(json.dumps({"prompting": prompting}), encoding="utf-8")
+        run_dir = root / "empty-endpoint"
+        code = main(["prepare-data", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--synthetic", "separable"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: configuration: {config_path}: ")
+        assert err.count("\n") == 1
+        assert "prompting.endpoint" in err
         assert not run_dir.exists()
 
     @pytest.mark.parametrize("literal", NON_FINITE_LITERALS)
@@ -1445,7 +1472,7 @@ class TestIllTypedInputs:
         run_dir = root / "sweep-one-run"
         assert main(["seed-sweep", "--config", str(config_path), "--run-dir", str(run_dir)]) == 2
         assert capsys.readouterr().err == (
-            "error: configuration: sweep.runs must be >= 2: "
+            f"error: configuration: {config_path}: sweep.runs must be >= 2: "
             "a seed summary needs at least 2 runs\n"
         )
         assert not run_dir.exists()

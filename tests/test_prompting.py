@@ -26,6 +26,7 @@ from valnov.prompting import (
     FewShotSet,
     MockProvider,
     PromptRequest,
+    PromptSettings,
     ReplayCache,
     ReplayOnlyProvider,
     build_prompt,
@@ -332,27 +333,18 @@ class TestComplete:
         assert complete(ReplayOnlyProvider(), req, cache) == "no"
 
 
+def _http_settings(endpoint: str) -> PromptSettings:
+    return PromptSettings(provider="http-openai-compatible", endpoint=endpoint)
+
+
 class TestMakeProvider:
     def test_registered_names(self):
-        assert make_provider("mock").name == "mock"
-        assert make_provider("replay-only").name == "replay-only"
-        assert (
-            make_provider("http-openai-compatible", endpoint="http://x/v1").name
-            == "http-openai-compatible"
-        )
-
-    def test_http_needs_endpoint(self):
-        with pytest.raises(ConfigurationError):
-            make_provider("http-openai-compatible")
-
-    def test_unknown_provider(self):
-        with pytest.raises(ConfigurationError, match="unknown provider"):
-            make_provider("telepathy")
+        for name in ("mock", "replay-only"):
+            assert make_provider(PromptSettings(provider=name)).name == name
+        assert make_provider(_http_settings("http://x/v1")).name == "http-openai-compatible"
 
     def test_http_failure_has_retry_advice(self, tmp_path):
-        provider = make_provider(
-            "http-openai-compatible", endpoint="http://127.0.0.1:1/v1", api_key="k"
-        )
+        provider = make_provider(_http_settings("http://127.0.0.1:1/v1"), api_key="k")
         provider.timeout = 0.2
         with pytest.raises(ProviderError, match="retry"):
             complete(provider, PromptRequest(prompt="p"), ReplayCache(tmp_path))
@@ -405,9 +397,7 @@ class TestHttpProvider:
     @pytest.mark.parametrize("api_key", ["k-123", None])
     def test_success_returns_text_and_posts_the_request(self, completion_server, api_key):
         completion_server.reply = (200, json.dumps({"choices": [{"text": " yes"}]}).encode())
-        provider = make_provider(
-            "http-openai-compatible", endpoint=completion_server.endpoint, api_key=api_key
-        )
+        provider = make_provider(_http_settings(completion_server.endpoint), api_key)
         assert provider.generate(self.REQUEST) == " yes"
         [(headers, body)] = completion_server.seen
         assert body == {
@@ -439,13 +429,13 @@ class TestHttpProvider:
     )
     def test_failure_is_one_provider_error(self, completion_server, status, payload):
         completion_server.reply = (status, payload)
-        provider = make_provider("http-openai-compatible", endpoint=completion_server.endpoint)
+        provider = make_provider(_http_settings(completion_server.endpoint))
         with pytest.raises(ProviderError, match=f"call to {completion_server.endpoint} failed"):
             provider.generate(self.REQUEST)
 
     def test_timeout_is_a_provider_error(self, completion_server):
         completion_server.release.clear()  # the server answers only after the test
-        provider = make_provider("http-openai-compatible", endpoint=completion_server.endpoint)
+        provider = make_provider(_http_settings(completion_server.endpoint))
         provider.timeout = 0.2
         with pytest.raises(ProviderError, match="timed out"):
             provider.generate(self.REQUEST)
