@@ -235,6 +235,8 @@ def cmd_train(args: argparse.Namespace, run: _RunDir) -> None:
 
 def cmd_contrastive_train(args: argparse.Namespace, run: _RunDir) -> None:
     config = run.config
+    if args.triplets and args.train:
+        raise UsageError("give --triplets or --train, not both")
     if args.triplets:
         triplets = load_triplets_jsonl(run.record_input("triplets", args.triplets))
     else:

@@ -9,7 +9,7 @@ alternative; the hinge uses subgradient 0 at and below the kink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,9 +17,6 @@ from .corpus import TripletExample
 from .encoder import ReferenceEncoder
 from .errors import ConfigurationError, DataError, TrainingError
 from .optim import AdamW
-
-DISTANCES = ("cosine", "euclidean")
-
 
 @dataclass(frozen=True)
 class ContrastiveConfig:
@@ -39,7 +36,7 @@ class ContrastiveConfig:
             raise ConfigurationError("epochs and batch_size must be >= 1")
         if self.distance not in DISTANCES:
             raise ConfigurationError(
-                f"distance must be one of {DISTANCES}, got {self.distance!r}"
+                f"distance must be one of {tuple(DISTANCES)}, got {self.distance!r}"
             )
 
 
@@ -52,27 +49,6 @@ def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def _euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
-
-
-def distance(a: np.ndarray, b: np.ndarray, kind: str = "cosine") -> float:
-    if kind == "cosine":
-        return _cosine_distance(a, b)
-    if kind == "euclidean":
-        return _euclidean_distance(a, b)
-    raise ConfigurationError(f"unknown distance {kind!r}")
-
-
-def triplet_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    margin: float = 1.0,
-    dist: str = "cosine",
-) -> float:
-    """max(0, d(anchor, positive) - d(anchor, negative) + margin); a NaN
-    stays NaN, so the caller's non-finite check sees it."""
-    loss = distance(anchor, positive, dist) - distance(anchor, negative, dist) + margin
-    return 0.0 if loss <= 0.0 else loss
 
 
 def _cosine_distance_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +70,32 @@ def _euclidean_distance_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray,
     return diff / norm, -diff / norm
 
 
+# each distance kind by name: (distance, its gradients (dd/da, dd/db))
+DISTANCES: dict[str, tuple[Callable, Callable]] = {
+    "cosine": (_cosine_distance, _cosine_distance_grads),
+    "euclidean": (_euclidean_distance, _euclidean_distance_grads),
+}
+
+
+def distance(a: np.ndarray, b: np.ndarray, kind: str = "cosine") -> float:
+    if kind not in DISTANCES:
+        raise ConfigurationError(f"unknown distance {kind!r}")
+    return DISTANCES[kind][0](a, b)
+
+
+def triplet_loss(
+    anchor: np.ndarray,
+    positive: np.ndarray,
+    negative: np.ndarray,
+    margin: float = 1.0,
+    dist: str = "cosine",
+) -> float:
+    """max(0, d(anchor, positive) - d(anchor, negative) + margin); a NaN
+    stays NaN, so the caller's non-finite check sees it."""
+    loss = distance(anchor, positive, dist) - distance(anchor, negative, dist) + margin
+    return 0.0 if loss <= 0.0 else loss
+
+
 def triplet_loss_and_embedding_grads(
     anchor: np.ndarray,
     positive: np.ndarray,
@@ -106,7 +108,7 @@ def triplet_loss_and_embedding_grads(
     if loss <= 0.0:
         z = np.zeros_like(anchor)
         return loss, z, z.copy(), z.copy()
-    grads = _cosine_distance_grads if dist == "cosine" else _euclidean_distance_grads
+    grads = DISTANCES[dist][1]
     dap_a, dap_p = grads(anchor, positive)
     dan_a, dan_n = grads(anchor, negative)
     return loss, dap_a - dan_a, dap_p, -dan_n

@@ -4,12 +4,17 @@ Confusion matrices, per-label precision/recall/F1, macro F1, the
 configurable combined two-task score, confidence-bucket accuracy,
 per-topic error rates, seed-variance aggregation, and report emission
 (JSON for machines, an aligned table for humans).
+
+``evaluate`` pairs each covered task's predictions with the golds once,
+and every score in its report comes from those pairs; precision, recall
+and F1 are computed from (tp, fp, fn) in one place.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -68,11 +73,14 @@ class EvalReport:
     source_tag: str = ""
 
 
+Pairs = list[tuple[ArgumentInstance, Prediction]]
+
+
 def _pairs(
     predictions: Sequence[Prediction],
     golds: Sequence[ArgumentInstance],
     task: Task,
-) -> list[tuple[ArgumentInstance, Prediction]]:
+) -> Pairs:
     task = Task(task)
     by_id = task_index(predictions, task)
     missing = [g.id for g in golds if g.id not in by_id]
@@ -81,34 +89,67 @@ def _pairs(
     return [(g, by_id[g.id]) for g in golds]
 
 
+def _tally(
+    pairs: Pairs, task: Task
+) -> tuple[Matrix, dict[str, BucketStats], list[tuple[str, float, int]]]:
+    """The one pass over a task's pairs: its confusion matrix, accuracy per
+    gold-confidence tag (``Confidence`` order, empty ones left out) and
+    error rate per topic (highest first, ties broken on the topic)."""
+    counts = [[0, 0], [0, 0]]
+    by_confidence: dict[str, list[int]] = {}
+    by_topic: dict[str, list[int]] = {}
+    for gold, pred in pairs:
+        t = int(mapped_value(gold, task) is LabelValue.POSITIVE)
+        p = int(pred.value is LabelValue.POSITIVE)
+        counts[t][p] += 1
+        for tally in (
+            by_confidence.setdefault(confidence_for(gold, task).value, [0, 0]),
+            by_topic.setdefault(gold.topic, [0, 0]),
+        ):
+            tally[0] += t != p
+            tally[1] += 1
+    buckets = {}
+    for bucket in [c.value for c in Confidence]:
+        if bucket in by_confidence:
+            wrong, count = by_confidence[bucket]
+            buckets[bucket] = BucketStats(
+                correct_fraction=(count - wrong) / count,
+                error_fraction=wrong / count,
+                count=count,
+            )
+    topics = sorted(
+        ((topic, wrong / count, count) for topic, (wrong, count) in by_topic.items()),
+        key=lambda item: (-item[1], item[0]),
+    )
+    return (tuple(counts[0]), tuple(counts[1])), buckets, topics
+
+
 def confusion(
     predictions: Sequence[Prediction],
     golds: Sequence[ArgumentInstance],
     task: Task,
 ) -> Matrix:
-    counts = [[0, 0], [0, 0]]
-    for gold, pred in _pairs(predictions, golds, task):
-        t = int(mapped_value(gold, task) is LabelValue.POSITIVE)
-        p = int(pred.value is LabelValue.POSITIVE)
-        counts[t][p] += 1
-    return (tuple(counts[0]), tuple(counts[1]))
+    return _tally(_pairs(predictions, golds, task), task)[0]
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
+def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision, recall and F1; division by zero yields 0, which keeps
+    degenerate all-one-class predictions scoreable."""
+    precision = _safe_div(tp, tp + fp)
+    recall = _safe_div(tp, tp + fn)
+    return precision, recall, _safe_div(2 * precision * recall, precision + recall)
+
+
 def prf(matrix: Matrix) -> dict[str, ClassMetrics]:
-    """Per-class precision/recall/F1/support. Division by zero yields 0,
-    which keeps degenerate all-one-class predictions scoreable."""
+    """Per-class precision/recall/F1/support."""
     out = {}
     for c, name in ((0, "negative"), (1, "positive")):
-        col = matrix[0][c] + matrix[1][c]
-        row = matrix[c][0] + matrix[c][1]
-        precision = _safe_div(matrix[c][c], col)
-        recall = _safe_div(matrix[c][c], row)
-        f1 = _safe_div(2 * precision * recall, precision + recall)
-        out[name] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=row)
+        tp, fp, fn = matrix[c][c], matrix[1 - c][c], matrix[c][1 - c]
+        out[name] = ClassMetrics(*_prf(tp, fp, fn), support=tp + fn)
     return out
 
 
@@ -117,44 +158,40 @@ def macro_f1(matrix: Matrix) -> float:
     return (per_class["negative"].f1 + per_class["positive"].f1) / 2.0
 
 
-def _joint_macro_f1(
-    predictions: Sequence[Prediction], golds: Sequence[ArgumentInstance]
-) -> float:
+def _joint_macro_f1(validity: Pairs, novelty: Pairs) -> float:
     """Macro F1 over the four joint (validity, novelty) classes present in
     the golds or the predictions."""
-    val = dict((g.id, p) for g, p in _pairs(predictions, golds, Task.VALIDITY))
-    nov = dict((g.id, p) for g, p in _pairs(predictions, golds, Task.NOVELTY))
-    true_cls, pred_cls = [], []
-    for g in golds:
-        true_cls.append((mapped_value(g, Task.VALIDITY), mapped_value(g, Task.NOVELTY)))
-        pred_cls.append((val[g.id].value, nov[g.id].value))
-    classes = sorted(set(true_cls) | set(pred_cls), key=lambda c: (c[0].value, c[1].value))
-    f1s = []
-    for cls in classes:
-        tp = sum(1 for t, p in zip(true_cls, pred_cls) if t == cls and p == cls)
-        fp = sum(1 for t, p in zip(true_cls, pred_cls) if t != cls and p == cls)
-        fn = sum(1 for t, p in zip(true_cls, pred_cls) if t == cls and p != cls)
-        precision = _safe_div(tp, tp + fp)
-        recall = _safe_div(tp, tp + fn)
-        f1s.append(_safe_div(2 * precision * recall, precision + recall))
+    joint = Counter(
+        (
+            (mapped_value(g, Task.VALIDITY), mapped_value(g, Task.NOVELTY)),
+            (v.value, n.value),
+        )
+        for (g, v), (_, n) in zip(validity, novelty)
+    )
+    true_count, pred_count = Counter(), Counter()
+    for (t, p), k in joint.items():
+        true_count[t] += k
+        pred_count[p] += k
+    classes = sorted(true_count | pred_count, key=lambda c: (c[0].value, c[1].value))
+    f1s = [
+        _prf(joint[c, c], pred_count[c] - joint[c, c], true_count[c] - joint[c, c])[2]
+        for c in classes
+    ]
     return sum(f1s) / len(f1s) if f1s else 0.0
 
 
-def _task_mean_macro_f1(
-    predictions: Sequence[Prediction], golds: Sequence[ArgumentInstance]
-) -> float:
+def _task_mean_macro_f1(validity: Pairs, novelty: Pairs) -> float:
     return (
-        macro_f1(confusion(predictions, golds, Task.VALIDITY))
-        + macro_f1(confusion(predictions, golds, Task.NOVELTY))
+        macro_f1(_tally(validity, Task.VALIDITY)[0])
+        + macro_f1(_tally(novelty, Task.NOVELTY)[0])
     ) / 2.0
 
 
 # The shared-task organizer's exact combined metric is not public; the
 # default joint four-class macro F1 is recorded in every report, and other
-# definitions can be registered here.
-COMBINED_METRICS: dict[
-    str, Callable[[Sequence[Prediction], Sequence[ArgumentInstance]], float]
-] = {
+# definitions can be registered here. Each takes the validity and the
+# novelty pairs, both in gold order.
+COMBINED_METRICS: dict[str, Callable[[Pairs, Pairs], float]] = {
     "joint-macro-f1": _joint_macro_f1,
     "task-mean-macro-f1": _task_mean_macro_f1,
 }
@@ -162,62 +199,22 @@ COMBINED_METRICS: dict[
 DEFAULT_COMBINED_METRIC = "joint-macro-f1"
 
 
+def _combined_metric(metric: str) -> Callable[[Pairs, Pairs], float]:
+    if metric not in COMBINED_METRICS:
+        raise ConfigurationError(
+            f"unknown combined metric {metric!r}; known: {sorted(COMBINED_METRICS)}"
+        )
+    return COMBINED_METRICS[metric]
+
+
 def combined_score(
     predictions: Sequence[Prediction],
     golds: Sequence[ArgumentInstance],
     metric: str = DEFAULT_COMBINED_METRIC,
 ) -> float:
-    if metric not in COMBINED_METRICS:
-        raise ConfigurationError(
-            f"unknown combined metric {metric!r}; known: {sorted(COMBINED_METRICS)}"
-        )
-    return COMBINED_METRICS[metric](predictions, golds)
-
-
-def confidence_buckets(
-    predictions: Sequence[Prediction],
-    golds: Sequence[ArgumentInstance],
-    task: Task,
-) -> dict[str, BucketStats]:
-    """Correct/error fractions grouped by the annotator-confidence tag of
-    the gold label. The unknown bucket is reported separately like any
-    other value it takes."""
-    tallies: dict[str, list[int]] = {}
-    for gold, pred in _pairs(predictions, golds, task):
-        bucket = confidence_for(gold, task).value
-        correct = int(pred.value is mapped_value(gold, task))
-        t = tallies.setdefault(bucket, [0, 0])
-        t[0] += correct
-        t[1] += 1
-    out = {}
-    for bucket in [c.value for c in Confidence]:
-        if bucket not in tallies:
-            continue
-        correct, count = tallies[bucket]
-        out[bucket] = BucketStats(
-            correct_fraction=correct / count,
-            error_fraction=(count - correct) / count,
-            count=count,
-        )
-    return out
-
-
-def topic_error_rates(
-    predictions: Sequence[Prediction],
-    golds: Sequence[ArgumentInstance],
-    task: Task,
-) -> list[tuple[str, float, int]]:
-    """Per-topic error fractions, highest first; ties break on the topic
-    string."""
-    tallies: dict[str, list[int]] = {}
-    for gold, pred in _pairs(predictions, golds, task):
-        wrong = int(pred.value is not mapped_value(gold, task))
-        t = tallies.setdefault(gold.topic, [0, 0])
-        t[0] += wrong
-        t[1] += 1
-    return sorted(
-        ((topic, wrong / count, count) for topic, (wrong, count) in tallies.items()),
-        key=lambda item: (-item[1], item[0]),
+    score = _combined_metric(metric)
+    return score(
+        _pairs(predictions, golds, Task.VALIDITY), _pairs(predictions, golds, Task.NOVELTY)
     )
 
 
@@ -259,19 +256,21 @@ def evaluate(
     source_tag: str = "",
 ) -> EvalReport:
     """Full report over whichever tasks the predictions cover. The combined
-    score is only computed when both tasks are covered."""
+    score is only computed when both tasks are covered; an unknown metric
+    is an error either way."""
+    score = _combined_metric(metric)
     report = EvalReport(
         n_instances=len(golds),
         combined_metric=metric,
         flagged_count=sum(1 for p in predictions if p.flagged),
         source_tag=source_tag,
     )
-    covered = []
+    pairs = {}
     for task in (Task.VALIDITY, Task.NOVELTY):
         if not any(p.task is task for p in predictions):
             continue
-        covered.append(task)
-        matrix = confusion(predictions, golds, task)
+        pairs[task] = _pairs(predictions, golds, task)
+        matrix, buckets, topics = _tally(pairs[task], task)
         per_class = prf(matrix)
         task_report = TaskReport(
             negative=per_class["negative"],
@@ -279,16 +278,11 @@ def evaluate(
             macro_f1=macro_f1(matrix),
             confusion=matrix,
         )
-        if task is Task.VALIDITY:
-            report.validity = task_report
-        else:
-            report.novelty = task_report
-        report.confidence_buckets[task.value] = confidence_buckets(
-            predictions, golds, task
-        )
-        report.topic_errors[task.value] = topic_error_rates(predictions, golds, task)
-    if len(covered) == 2:
-        report.combined = combined_score(predictions, golds, metric)
+        setattr(report, task.value, task_report)  # report.validity or report.novelty
+        report.confidence_buckets[task.value] = buckets
+        report.topic_errors[task.value] = topics
+    if len(pairs) == 2:
+        report.combined = score(pairs[Task.VALIDITY], pairs[Task.NOVELTY])
     return report
 
 

@@ -279,7 +279,7 @@ def train(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(config.epochs):
             losses = []
-            for _ in range(steps_per_epoch):
+            for k in range(steps_per_epoch):
                 step += 1
                 task = sample_task(rng, config.task_probabilities)
                 batch = streams[task].next_batch(config.batch_size)
@@ -299,7 +299,8 @@ def train(
                     else:
                         accumulated[name] = grad  # a fresh array, ours to update
                 since_update += 1
-                if since_update >= config.grad_accumulation:
+                # an epoch's last partial accumulation is applied before its dev score
+                if since_update >= config.grad_accumulation or k == steps_per_epoch - 1:
                     if since_update > 1:
                         for name in accumulated:
                             accumulated[name] /= since_update

@@ -896,6 +896,24 @@ class TestErrorContract:
             "usage",
         )
 
+    def test_triplets_and_train_together_is_usage(self, workspace, capsys):
+        root = workspace["root"]
+        triplets = root / "given-triplets.jsonl"
+        triplets.write_text(
+            '{"anchor": "a", "positive": "p", "negative": "n", "topic": "t"}\n',
+            encoding="utf-8",
+        )
+        run_dir = root / "e-triplets-and-train"
+        err = self.run_expecting(
+            capsys,
+            ["contrastive-train", "--config", workspace["config"], "--run-dir",
+             str(run_dir), "--triplets", str(triplets),
+             "--train", str(root / "nope.jsonl")],
+            "usage",
+        )
+        assert "--triplets" in err and "--train" in err
+        assert not run_dir.exists()
+
     @pytest.mark.parametrize(
         "config, run_dir",
         [("{root}", "{root}/e-config-dir"), ("{config}", "{file}"),
@@ -949,7 +967,7 @@ class TestErrorContract:
         train, dev = root / "named-train.csv", root / "named-dev.csv"
         train.write_text(header + "t,p0,c0,1,1\nt,p1,c1,-1,0\n", encoding="utf-8")
         dev.write_text(header + "t,p0,c0,1,1\nt,,c1,-1,0\n", encoding="utf-8")
-        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
         config["data"].update(train_path=str(train), dev_path=str(dev))
         config_path = root / "named-csv.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -1014,7 +1032,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("steps", [0, -5])
     def test_baseline_steps_below_one_is_configuration(self, workspace, capsys, steps):
         root = workspace["root"]
-        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
         config["baseline"] = {"steps": steps}
         config_path = root / f"steps-{steps}.json"
         config_path.write_text(json.dumps(config), encoding="utf-8")
@@ -1366,7 +1384,7 @@ def _set_key(config: dict, dotted: str, value) -> dict:
 def _config_with_literal(workspace, name, dotted, literal, in_pair=False) -> Path:
     """The workspace config, saved as ``<name>.json``, with the dotted key set
     to the JSON text ``literal`` (as the first of a pair if ``in_pair``)."""
-    config = json.loads(open(workspace["config"], encoding="utf-8").read())
+    config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
     text = json.dumps(_set_key(config, dotted, ["@", 1.0] if in_pair else "@"))
     path = workspace["root"] / f"{name}.json"
     path.write_text(text.replace('"@"', literal), encoding="utf-8")
@@ -1384,7 +1402,7 @@ class TestIllTypedInputs:
         self, workspace, capsys, dotted, value, command, detail
     ):
         root = workspace["root"]
-        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
         config_path = root / f"typed-{dotted}.json"
         config_path.write_text(json.dumps(_set_key(config, dotted, value)), encoding="utf-8")
         run_dir = root / f"typed-{dotted}"
@@ -1466,7 +1484,7 @@ class TestIllTypedInputs:
 
     def test_seed_sweep_of_one_run_is_rejected_before_training(self, workspace, capsys):
         root = workspace["root"]
-        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
         config_path = root / "sweep-one-run.json"
         config_path.write_text(json.dumps(_set_key(config, "sweep.runs", 1)), encoding="utf-8")
         run_dir = root / "sweep-one-run"
@@ -1551,7 +1569,7 @@ class TestIllTypedInputs:
         # no coercion: 0 stays 0, so the echo and every cache key are the
         # bytes a config written with 0 has always produced
         root = workspace["root"]
-        config = json.loads(open(workspace["config"], encoding="utf-8").read())
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
         config_path = root / "int-temperature.json"
         config_path.write_text(
             json.dumps(_set_key(config, "prompting.temperature", 0)), encoding="utf-8"

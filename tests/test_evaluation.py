@@ -1,19 +1,23 @@
 """Metrics, combined scoring, error analysis, reports, seed aggregation."""
 
+import hashlib
 import math
+from dataclasses import replace
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valnov.corpus import Confidence, LabelValue, Task
+from valnov.corpus import Confidence, LabelValue, Split, Task
 from valnov.errors import ConfigurationError, CoverageError
+from valnov import evaluation
 from valnov.evaluation import (
     COMBINED_METRICS,
     DEFAULT_COMBINED_METRIC,
     EvalReport,
     combined_score,
-    confidence_buckets,
     confusion,
     evaluate,
     load_report,
@@ -22,9 +26,9 @@ from valnov.evaluation import (
     render_text,
     report_to_json,
     seed_summary,
-    topic_error_rates,
 )
-from valnov.predictions import Prediction
+from valnov.predictions import Prediction, task_index
+from valnov.synthetic import make_profile_split, make_random_eval_fixture
 
 from conftest import make_instance
 
@@ -220,7 +224,7 @@ class TestConfidenceBuckets:
             pred("b", Task.VALIDITY, False),  # wrong
             pred("c", Task.VALIDITY, False),  # correct
         ]
-        buckets = confidence_buckets(preds, golds, Task.VALIDITY)
+        buckets = evaluate(preds, golds).confidence_buckets["validity"]
         assert set(buckets) == {"majority", "confident"}
         assert buckets["majority"].correct_fraction == pytest.approx(0.5)
         assert buckets["majority"].error_fraction == pytest.approx(0.5)
@@ -230,10 +234,8 @@ class TestConfidenceBuckets:
 
     def test_unknown_reported_separately(self):
         golds = [make_instance(id="a", vconf=Confidence.UNKNOWN, validity=1)]
-        buckets = confidence_buckets(
-            [pred("a", Task.VALIDITY, True)], golds, Task.VALIDITY
-        )
-        assert set(buckets) == {"unknown"}
+        report = evaluate([pred("a", Task.VALIDITY, True)], golds)
+        assert set(report.confidence_buckets["validity"]) == {"unknown"}
 
 
 class TestTopicErrorRates:
@@ -251,7 +253,7 @@ class TestTopicErrorRates:
 
     def test_ranked_highest_error_first(self):
         golds, preds = self.fixture()
-        ranked = topic_error_rates(preds, golds, Task.VALIDITY)
+        ranked = evaluate(preds, golds).topic_errors["validity"]
         assert ranked == [
             ("apples", 1.0, 2),
             ("bricks", 0.5, 2),
@@ -264,7 +266,7 @@ class TestTopicErrorRates:
             make_instance(id="a1", topic="art", validity=1),
         ]
         preds = [pred("z1", Task.VALIDITY, False), pred("a1", Task.VALIDITY, False)]
-        ranked = topic_error_rates(preds, golds, Task.VALIDITY)
+        ranked = evaluate(preds, golds).topic_errors["validity"]
         assert [t for t, _, _ in ranked] == ["art", "zinc"]
 
 
@@ -319,10 +321,32 @@ class TestEvaluate:
         assert report.novelty is None
         assert report.combined is None
 
+    def test_unknown_metric_rejected_for_a_single_task_too(self):
+        golds, preds = joint_fixture()
+        novelty_only = [p for p in preds if p.task is Task.NOVELTY]
+        with pytest.raises(ConfigurationError, match="unknown combined metric"):
+            evaluate(novelty_only, golds, metric="vibes")
+
     def test_flagged_count(self):
         golds = [make_instance(id="a", validity=1)]
         report = evaluate([pred("a", Task.VALIDITY, True, flagged=True)], golds)
         assert report.flagged_count == 1
+
+    @pytest.mark.parametrize("metric", sorted(COMBINED_METRICS))
+    def test_each_task_is_paired_once(self, monkeypatch, metric):
+        calls = []
+
+        def spy(predictions, task):
+            calls.append(task)
+            return task_index(predictions, task)
+
+        monkeypatch.setattr(evaluation, "task_index", spy)
+        golds, preds = joint_fixture()
+        evaluate(preds, golds, metric=metric)
+        assert calls == [Task.VALIDITY, Task.NOVELTY]
+        calls.clear()
+        evaluate([p for p in preds if p.task is Task.NOVELTY], golds, metric=metric)
+        assert calls == [Task.NOVELTY]
 
     def test_metric_selection(self):
         golds, preds = joint_fixture()
@@ -367,3 +391,50 @@ class TestReportSerialization:
         report = evaluate([p for p in preds if p.task is Task.VALIDITY], golds)
         assert "n/a (single task)" in render_text(report)
 
+
+
+def _golden_report_texts():
+    """Reports over random fixtures of several sizes (both combined metrics,
+    both tasks and novelty only) and over the profile test split, re-tagged
+    so every confidence value occurs, with seeded random predictions."""
+    rng = np.random.default_rng(2024)
+    texts = []
+    for n in (1, 2, 5, 37, 520):
+        golds, preds, _ = make_random_eval_fixture(rng, n)
+        novelty_only = [p for p in preds if p.task is Task.NOVELTY]
+        for metric in ("joint-macro-f1", "task-mean-macro-f1"):
+            for covered in (preds, novelty_only):
+                texts.append(report_to_json(evaluate(covered, golds, metric)))
+    tags = list(Confidence)
+    golds = [
+        replace(g, validity_confidence=tags[k % 5], novelty_confidence=tags[k % 7 % 5])
+        if k % 4 == 0 else g
+        for k, g in enumerate(make_profile_split(Split.TEST))
+    ]
+    preds = [
+        Prediction(
+            g.id,
+            task,
+            LabelValue.POSITIVE if rng.random() < 0.4 else LabelValue.NEGATIVE,
+            "rnd",
+            flagged=rng.random() < 0.05,
+        )
+        for g in golds
+        for task in Task
+    ]
+    for metric in ("joint-macro-f1", "task-mean-macro-f1"):
+        report = evaluate(preds, golds, metric, source_tag="profile")
+        texts.append(report_to_json(report))
+        texts.append(render_text(report))
+    return texts
+
+
+# sha256 of the reports above, recorded before evaluate paired each task
+# once; a scoring change that moves a single byte of report.json or
+# report.txt shows here
+GOLDEN_REPORTS_SHA256 = "e371bc0c6f66123ad3ae4b27c101893720ee84778dee4ff4bd057a15796ea965"
+
+
+def test_reports_are_byte_stable():
+    text = "\n".join(_golden_report_texts())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_REPORTS_SHA256

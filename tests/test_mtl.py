@@ -27,6 +27,7 @@ from valnov.mtl import (
     select_best,
     train,
 )
+from valnov.optim import AdamW
 from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
@@ -242,6 +243,22 @@ class TestTrain:
         )
         assert len(result.history) == 2
 
+    def test_each_epoch_applies_its_partial_accumulation(self, monkeypatch):
+        # 200 instances in batches of 16 are 13 micro-batches an epoch; with
+        # accumulation 3 that is 4 full updates and one of the last batch
+        steps = []
+        real_step = AdamW.step
+
+        def spy(self, params, grads):
+            steps.append(len(grads))
+            real_step(self, params, grads)
+
+        monkeypatch.setattr(AdamW, "step", spy)
+        train_set, dev_set = make_separable_corpus(n_train=200, n_dev=20)
+        config = self.desk_config(epochs=2, grad_accumulation=3, batch_size=16)
+        train(MtlModel(SMALL, seed=0), train_set, dev_set, config)
+        assert len(steps) == 10
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):
             train(MtlModel(SMALL), [], [make_instance()], self.desk_config())
@@ -354,9 +371,11 @@ GOLDEN_MTL_CHAIN_SHA256 = {
         "2fd066f81f480f2b25b6e1d9a7b9f500e94a1963135ae1b8eb33a495cb16825b",
         "300eea478c5a7747c4c0073c206f8fe66f2028514ca06f5f2e1feeb0e30893e7",
     ),
+    # re-recorded when each epoch's last partial accumulation began to be
+    # applied before its dev evaluation (25 micro-batches an epoch here)
     "accumulate": (
-        "c53f45d2e5e828cee3813b3148f7584f11304855b3b562591949a295fa3b981d",
-        "2cc781c118dc79a713c36a8d39b25f9343b26b33573a9c8e89eeca4919f3ddca",
+        "f739d090288db8c065b8eaebfd2a7cce87f02b6c4a8fbca5372cf8e86df1819f",
+        "a6d5b8898e8b981a1f35776333302afb40b481a35b6553a66752044674ed9372",
     ),
 }
 
