@@ -2,14 +2,13 @@
 
 Each subcommand runs one pipeline stage into a run directory that
 records the resolved config, sha256 digests of its inputs, its outputs,
-and a manifest. Errors exit nonzero with a single
-``error: <category>: <message>`` line on stderr.
+and a manifest, and that appears whole or not at all. Errors exit
+nonzero with a single ``error: <category>: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -46,13 +45,13 @@ from .evaluation import (
     report_to_json,
     seed_summary,
 )
-from .fsutil import atomic_write_text, sha256_file
+from .fsutil import MANIFEST, atomic_dir, atomic_write_text, sha256_file
 from .predictions import Prediction, load_predictions, mix, save_predictions, source_label
 from .prompting import ReplayCache, make_provider, prompt_predict, select_few_shot
 from .synthetic import make_profile_splits, make_separable_corpus
 
 # OS errors reported as ``usage``: a missing or unreadable input, or a path
-# naming the wrong kind of thing (--config a directory, --run-dir a file)
+# naming the wrong kind of thing (--config a directory, --cache-dir a file)
 _USAGE_ERRORS = (
     FileNotFoundError, PermissionError, IsADirectoryError, NotADirectoryError, FileExistsError
 )
@@ -67,7 +66,7 @@ class _RunDir:
         self.config = config
         self.inputs: dict[str, dict[str, str]] = {}
         self.output_names: list[str] = []
-        path.mkdir(parents=True, exist_ok=True)
+        path.mkdir(exist_ok=True)
 
     def record_input(self, label: str, path: str | Path) -> Path:
         """``path``, checked to be a file, with its digest recorded as ``label``."""
@@ -108,23 +107,7 @@ class _RunDir:
             },
             "created": datetime.now(timezone.utc).isoformat(),
         }
-        atomic_write_text(
-            self.path / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True)
-        )
-
-
-@contextlib.contextmanager
-def _removed_on_error(path: Path):
-    """Run the block; if it raises, remove ``path`` and those of its parents
-    that did not exist before it, as far as they are empty."""
-    created = [p for p in (path, *path.parents) if not p.exists()]
-    try:
-        yield
-    except Exception:
-        for p in created:  # innermost first; rmdir never deletes a file
-            with contextlib.suppress(OSError):
-                os.rmdir(p)
-        raise
+        atomic_write_text(self.path / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _require_file(path: str | Path) -> Path:
@@ -208,13 +191,13 @@ def _train_once(
 
 
 def _init_encoder(run: _RunDir, args: argparse.Namespace) -> ReferenceEncoder | None:
-    """The encoder of the recorded ``--init-encoder`` checkpoint, if one was
-    given; its config must be the run's ``encoder``."""
+    """The encoder of the recorded ``--init-encoder`` checkpoint, if one was given;
+    its config must be the run's ``encoder`` but for the seed: its weights replace the draw."""
     if args.init_encoder is None:
         return None
     path = run.record_input("init-encoder", args.init_encoder)
     encoder, _ = mtl.load_encoder_checkpoint(path)
-    if encoder.config != run.config.encoder:
+    if dataclasses.replace(encoder.config, seed=run.config.encoder.seed) != run.config.encoder:
         raise ConfigurationError(
             f"{path}: encoder_config {dataclasses.asdict(encoder.config)} differs from "
             f"config.encoder {dataclasses.asdict(run.config.encoder)}"
@@ -403,20 +386,18 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     seeds = list(range(config.seed, config.seed + config.sweep.runs))
 
     runs: list[tuple[int, list, EvalReport]] = []
-    for seed in seeds:
-        sub_path = run.path / f"seed-{seed}"
-        with _removed_on_error(sub_path):
-            sub = _RunDir(sub_path, "train", dataclasses.replace(config, seed=seed))
-            sub.inputs.update(run.inputs)  # the parent's records: each file is hashed once
-            result = _train_once(sub, train_set, dev_set, init_encoder)
-            report = evaluate(
-                result.model.predict_both(dev_set),
-                dev_set,
-                metric=config.combined_metric,
-                source_tag=f"{result.model.name}(seed={seed})",
-            )
-            sub.write("report.json", report_to_json(report))
-            sub.finalize()
+    for seed in seeds:  # each sub-run is a directory of the parent's, committed with it
+        sub = _RunDir(run.path / f"seed-{seed}", "train", dataclasses.replace(config, seed=seed))
+        sub.inputs.update(run.inputs)  # the parent's records: each file is hashed once
+        result = _train_once(sub, train_set, dev_set, init_encoder)
+        report = evaluate(
+            result.model.predict_both(dev_set),
+            dev_set,
+            metric=config.combined_metric,
+            source_tag=f"{result.model.name}(seed={seed})",
+        )
+        sub.write("report.json", report_to_json(report))
+        sub.finalize()
         runs.append((seed, [h.as_tuple() for h in result.history], report))
 
     summary = seed_summary(runs)
@@ -543,19 +524,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand. Every stage but ``report`` runs into its own
-    run directory, whose config echo and manifest are written only when
-    the stage succeeds. A stage that fails removes the directories it
-    created for its run directory (and ``seed-sweep`` those of the sub-run
-    that failed), as far as they are still empty."""
+    """Run one subcommand. Every stage but ``report`` builds its own run
+    directory aside and renames it into place only when the stage succeeds,
+    replacing an earlier run there whole; a stage that fails leaves nothing.
+    A ``--run-dir`` that is a file, or a non-empty directory that is not a
+    run, is refused before any stage work."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
             args.func(args)
         else:
-            run_dir = Path(args.run_dir)
-            with _removed_on_error(run_dir):
-                run = _RunDir(run_dir, args.command, load_config(args.config))
+            with atomic_dir(args.run_dir) as staging:
+                run = _RunDir(staging, args.command, load_config(args.config))
                 args.func(args, run)
                 run.finalize()
     except (ValnovError, *_USAGE_ERRORS) as exc:

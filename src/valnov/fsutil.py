@@ -1,7 +1,7 @@
-"""The one file reader and the one atomic file writer, file digests, and
-the parameter record of every model file: ``{"shape": [...], "data":
-"<base64>"}``, where ``data`` holds the little-endian float64 values in
-C order.
+"""The one file reader, the one atomic file writer and its counterpart
+for run directories, file digests, and the parameter record of every
+model file: ``{"shape": [...], "data": "<base64>"}``, where ``data`` holds
+the little-endian float64 values in C order.
 
 Every input is read as UTF-8 through ``read_json`` or ``open_text``, so a
 file that cannot be decoded is one ``ParseError`` naming it, whatever
@@ -16,14 +16,17 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
+import tempfile
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TrainingError
+from .errors import ParseError, SchemaError, TrainingError, UsageError
 
 _TMP_SERIAL = itertools.count()
+MANIFEST = "manifest.json"  # marks a directory as a run: see atomic_dir
 
 
 def read_json(path: str | Path) -> Any:
@@ -76,6 +79,38 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         except FileNotFoundError:
             pass
         raise
+
+
+@contextlib.contextmanager
+def atomic_dir(target: str | Path) -> Iterator[Path]:
+    """Build the directory ``target`` so readers see it whole or not at all.
+
+    The block fills a staging directory inside a ``.valnov-partial-*`` one in
+    the nearest existing ancestor; it is renamed into place if the block
+    returns. An existing ``target`` must be empty or a run (it holds a
+    manifest), replaced whole; anything else is refused before the block
+    runs, so no file this program did not write is ever removed.
+    """
+    target = Path(os.path.realpath(target))
+    replaced = (target / MANIFEST).is_file()
+    empty = target.is_dir() and not any(target.iterdir())
+    if target.exists() and not (replaced or empty):
+        raise UsageError(f"{target}: not an empty directory or a run directory (no {MANIFEST})")
+    ancestor = next(p for p in target.parents if p.exists())
+    partial = Path(tempfile.mkdtemp(prefix=".valnov-partial-", dir=ancestor))
+    try:
+        staging = partial / "run"
+        staging.mkdir()  # mkdtemp's own mode is 0700; a run directory gets mkdir's
+        yield staging
+        target.parent.mkdir(parents=True, exist_ok=True)
+        if replaced:
+            os.rename(target, partial / "old")
+        try:
+            os.rename(staging, target)
+        except OSError as exc:  # the stage itself wrote into target, as a cache dir may
+            raise UsageError(f"{target}: changed while the stage ran ({exc.strerror})") from exc
+    finally:
+        shutil.rmtree(partial, ignore_errors=True)
 
 
 def sha256_file(path: str | Path) -> str:

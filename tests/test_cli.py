@@ -32,7 +32,7 @@ from valnov.corpus import (
 from valnov.predictions import load_predictions, save_predictions, Prediction
 from valnov.corpus import LabelValue
 from valnov.encoder import EncoderConfig, ReferenceEncoder
-from valnov.errors import DataError
+from valnov.errors import DataError, TrainingError
 from valnov.fsutil import sha256_file
 from valnov.mtl import (
     TrainConfig,
@@ -549,6 +549,24 @@ class TestConfigEcho:
         assert "config.encoder {'vocab_buckets': 256, 'embed_dim': 12, 'projection_dim': 8" in err
         assert not run_dir.exists()
 
+    def test_init_encoder_from_another_encoder_seed(self, workspace, tmp_path):
+        # the same weights saved under encoder.seed 1 and 0 start the same run
+        config = EncoderConfig(vocab_buckets=256, embed_dim=12, projection_dim=8)
+        pretrained = ReferenceEncoder(dataclasses.replace(config, seed=1))
+        pretrained.embedding += 0.25  # weights no initialisation draws
+        save_encoder_checkpoint(pretrained, [0.5], tmp_path / "seed-1.json")
+        same = ReferenceEncoder(config)
+        for name, value in pretrained.parameters().items():
+            same.parameters()[name][...] = value
+        save_encoder_checkpoint(same, [0.5], tmp_path / "seed-0.json")
+        for seed in (1, 0):
+            assert main(["train", "--config", workspace["config"], "--run-dir",
+                         str(tmp_path / f"train-{seed}"),
+                         "--init-encoder", str(tmp_path / f"seed-{seed}.json")]) == 0
+        checkpoints = [(tmp_path / f"train-{seed}" / "checkpoint.json").read_bytes()
+                       for seed in (1, 0)]
+        assert checkpoints[0] == checkpoints[1]
+
 
 @pytest.fixture(scope="module")
 def dev_predictions(workspace):
@@ -623,6 +641,10 @@ class TestStageDriver:
         assert set(manifest["outputs"]) == outputs | {"config.json"}
         for name, digest in manifest["outputs"].items():
             assert digest == sha256_file(run_dir / name)
+        # the run directory holds what its manifest names, and nothing else
+        sub_runs = {"seed-0", "seed-1"} if command == "seed-sweep" else set()
+        assert set(os.listdir(run_dir)) == set(manifest["outputs"]) | {"manifest.json"} | sub_runs
+        assert list(root.glob(".valnov-partial-*")) == []
 
     def test_seed_sweep_sub_runs_are_train_manifests(self, workspace):
         run_dir = workspace["root"] / "manifest-sweep-subs"
@@ -724,22 +746,67 @@ class TestStageDriver:
         assert left == {"": [], "run": ["run"], "run/sub": ["run", "run/sub"],
                         "run/sub/stage": ["run", "run/sub", "run/sub/stage"]}[existing]
 
-    def test_failed_stage_keeps_what_it_wrote(
-        self, workspace, dev_predictions, capsys, tmp_path, monkeypatch
-    ):
+    @staticmethod
+    def fail_render(monkeypatch):
+        """Make ``evaluate`` fail after it has written report.json, when it
+        renders the text table."""
         import valnov.cli
 
         def failing_render(report):
             raise DataError("cannot render")
 
-        # evaluate writes report.json before it renders the text table
         monkeypatch.setattr(valnov.cli, "render_text", failing_render)
+
+    def test_failed_stage_leaves_no_run_dir_and_no_partial(
+        self, workspace, dev_predictions, capsys, tmp_path, monkeypatch
+    ):
+        self.fail_render(monkeypatch)
         run_dir = tmp_path / "eval"
         argv = ["evaluate", "--config", workspace["config"], "--run-dir", str(run_dir),
                 "--predictions", str(dev_predictions["both"])]
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: data: cannot render\n"
-        assert [path.name for path in run_dir.iterdir()] == ["report.json"]
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_rerun_leaves_the_earlier_run_byte_identical(
+        self, workspace, dev_predictions, capsys, tmp_path, monkeypatch
+    ):
+        run_dir = tmp_path / "eval"
+        argv = ["evaluate", "--config", workspace["config"], "--run-dir", str(run_dir)]
+        assert main(argv + ["--predictions", str(dev_predictions["both"])]) == 0
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        self.fail_render(monkeypatch)
+        # other predictions: a report.json written over the earlier one would differ
+        assert main(argv + ["--predictions", str(dev_predictions["validity"])]) == 2
+        assert capsys.readouterr().err == "error: data: cannot render\n"
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+        assert os.listdir(tmp_path) == ["eval"]
+
+    def test_rerun_replaces_the_run_dir_whole(self, tmp_path):
+        run_dir = tmp_path / "prep"
+        argv = ["prepare-data", "--run-dir", str(run_dir), "--synthetic", "separable"]
+        assert main(argv) == 0
+        (run_dir / "extra.txt").write_text("left by hand\n", encoding="utf-8")
+        assert main(argv) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert set(os.listdir(run_dir)) == set(manifest["outputs"]) | {"manifest.json"}
+        assert os.listdir(tmp_path) == ["prep"]
+
+    @pytest.mark.parametrize("run_dir", ["mine", "."], ids=["non-empty", "cwd"])
+    def test_non_empty_directory_that_is_not_a_run_is_refused(
+        self, capsys, tmp_path, monkeypatch, run_dir
+    ):
+        (tmp_path / "mine").mkdir()
+        (tmp_path / "mine" / "notes.txt").write_text("mine\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["prepare-data", "--run-dir", run_dir, "--synthetic", "separable"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+        assert "not an empty directory or a run directory" in err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "mine" / "notes.txt").read_text(encoding="utf-8") == "mine\n"
 
     @pytest.fixture
     def diverging_config(self, workspace, tmp_path):
@@ -756,6 +823,38 @@ class TestStageDriver:
         assert capsys.readouterr().err.startswith("error: training: non-finite loss")
         assert not (run_dir / "seed-0").exists()
         assert not run_dir.exists()
+
+    def test_stage_writing_into_its_own_run_dir_is_usage(self, workspace, capsys, tmp_path):
+        run_dir = tmp_path / "prompt"
+        argv = ["prompt-predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+                "--task", "validity", "--cache-dir", str(run_dir / "cache")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: {run_dir.resolve()}: changed while the stage ran")
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["prompt"]
+        assert os.listdir(run_dir) == ["cache"]  # the records the stage paid for are kept
+
+    def test_sweep_failing_in_its_second_run_leaves_nothing(
+        self, workspace, capsys, tmp_path, monkeypatch
+    ):
+        import valnov.cli
+
+        real_train, calls = valnov.cli.mtl.train, []
+
+        def second_run_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise TrainingError("second run fails")
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(valnov.cli.mtl, "train", second_run_fails)
+        run_dir = tmp_path / "out" / "sweep"
+        argv = ["seed-sweep", "--config", workspace["config"], "--run-dir", str(run_dir)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: training: second run fails\n"
+        assert len(calls) == 2
+        assert os.listdir(tmp_path) == []
 
     def test_diverging_training_prints_only_the_error_line(self, diverging_config, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(valnov.__file__).parents[1])}

@@ -1,5 +1,5 @@
-"""The atomic writer every artifact goes through, and the reader every
-input goes through."""
+"""The atomic writer every artifact goes through, its counterpart for
+run directories, and the reader every input goes through."""
 
 import os
 import stat
@@ -7,7 +7,7 @@ import stat
 import pytest
 
 from valnov.errors import ParseError
-from valnov.fsutil import atomic_write_text, open_text, read_json
+from valnov.fsutil import atomic_dir, atomic_write_text, open_text, read_json
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -18,6 +18,18 @@ def test_written_file_mode_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "a.json").stat().st_mode) == mode
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o755), (0o077, 0o700)])
+def test_committed_directory_mode_follows_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        with atomic_dir(tmp_path / "run"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "run").stat().st_mode) == mode
+    assert os.listdir(tmp_path) == ["run"]
 
 
 def test_rewrite_replaces_content_and_leaves_no_temporary(tmp_path):
