@@ -226,7 +226,7 @@ def cmd_contrastive_train(args: argparse.Namespace, run: _RunDir) -> None:
         triplets = extract_triplets(run.instances("train", args.train, Split.TRAIN))
 
     encoder = ReferenceEncoder(config.encoder)
-    result = contrastive_train(encoder, triplets, config.contrastive)
+    result = contrastive_train(encoder, triplets, config.contrastive, config.seed)
     satisfied = constraint_satisfaction(
         result.encoder, triplets, dist=config.contrastive.distance
     )
@@ -269,13 +269,18 @@ def cmd_predict(args: argparse.Namespace, run: _RunDir) -> None:
 
 def cmd_prompt_predict(args: argparse.Namespace, run: _RunDir) -> None:
     task = Task(args.task)
-    train_set = run.instances("train", args.train, Split.TRAIN)
-    targets = run.instances("targets", args.on, Split.TEST)
-
     if args.cache_dir is not None:
         prompting = dataclasses.replace(run.config.prompting, cache_dir=args.cache_dir)
         run.config = dataclasses.replace(run.config, prompting=prompting)
     settings = run.config.prompting
+    cache_dir, run_dir = (Path(os.path.realpath(p)) for p in (settings.cache_dir, args.run_dir))
+    if cache_dir == run_dir or run_dir in cache_dir.parents:
+        raise UsageError(
+            f"the prompt cache {settings.cache_dir} lies inside --run-dir {args.run_dir}, "
+            "which a run replaces whole"
+        )
+    train_set = run.instances("train", args.train, Split.TRAIN)
+    targets = run.instances("targets", args.on, Split.TEST)
     provider = make_provider(settings, os.environ.get(settings.api_key_env))
     cache = ReplayCache(settings.cache_dir)
     few_shot = select_few_shot(train_set, task)
@@ -315,7 +320,7 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
         try:
             fits[task] = baseline_mod.svm_train(
                 X, baseline_mod.task_labels(train_set, task), dim=len(tfidf.vocabulary),
-                C=getattr(settings, key), steps=settings.steps, seed=settings.seed,
+                C=getattr(settings, key), steps=settings.steps, seed=run.config.seed,
             )
         except ConfigurationError as exc:  # C too large for the train set
             raise ConfigurationError(f"baseline.{key}: {exc}") from exc
@@ -527,8 +532,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one subcommand. Every stage but ``report`` builds its own run
     directory aside and renames it into place only when the stage succeeds,
     replacing an earlier run there whole; a stage that fails leaves nothing.
-    A ``--run-dir`` that is a file, or a non-empty directory that is not a
-    run, is refused before any stage work."""
+    A ``--run-dir`` that is a file, a non-empty directory that is not a
+    run, or the working directory or one of its parents, is refused before
+    any stage work."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":

@@ -49,7 +49,6 @@ class BaselineSettings:
     c_validity: float = 0.09
     c_novelty: float = 4.7
     steps: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("c_validity", "c_novelty"):
@@ -83,6 +82,9 @@ class RunConfig:
     seed: int = 0
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
+    def __post_init__(self):  # the run's seed draws the encoder too, so a sweep redraws it
+        object.__setattr__(self, "encoder", dataclasses.replace(self.encoder, seed=self.seed))
+
     def train_config(self) -> TrainConfig:
         """The profile's TrainConfig with ``train_overrides`` decoded onto it."""
         for key in ("seed", "combined_metric"):
@@ -109,6 +111,10 @@ def load_config(path: str | Path | None = None) -> RunConfig:
         raise ConfigurationError(f"{path}: top level must be an object")
     try:  # a bad type, value, override or profile fails here, not mid-stage
         config = decode(RunConfig, data, "config")
+        if data.get("encoder", {}).get("seed", config.seed) != config.seed:
+            raise ConfigurationError(
+                "config.encoder.seed has no effect: a run's seed is the top-level seed"
+            )
         config.train_config()
     except (TypeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from exc

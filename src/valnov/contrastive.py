@@ -25,7 +25,6 @@ class ContrastiveConfig:
     epochs: int = 3
     batch_size: int = 16
     distance: str = "cosine"
-    seed: int = 0
 
     def __post_init__(self):
         if self.margin < 0:
@@ -124,16 +123,17 @@ def contrastive_train(
     encoder: ReferenceEncoder,
     triplets: Sequence[TripletExample],
     config: ContrastiveConfig,
+    seed: int = 0,
 ) -> ContrastiveResult:
     """Mini-batch AdamW descent on the mean triplet loss, shuffled per
-    epoch by seed. Mutates and returns the encoder with per-epoch mean
+    epoch by ``seed``. Mutates and returns the encoder with per-epoch mean
     losses. An empty triplet list is a configuration error: skipping the
     stage must be an explicit pipeline choice."""
     if not triplets:
         raise ConfigurationError(
             "no triplets provided; skip the contrastive stage explicitly instead"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     optimizer = AdamW(config.learning_rate)
     params = encoder.parameters()
     epoch_losses: list[float] = []

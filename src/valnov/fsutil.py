@@ -88,14 +88,18 @@ def atomic_dir(target: str | Path) -> Iterator[Path]:
     The block fills a staging directory inside a ``.valnov-partial-*`` one in
     the nearest existing ancestor; it is renamed into place if the block
     returns. An existing ``target`` must be empty or a run (it holds a
-    manifest), replaced whole; anything else is refused before the block
-    runs, so no file this program did not write is ever removed.
+    manifest), replaced whole; anything else, or the working directory or
+    one of its parents, is refused before the block runs, so no file this
+    program did not write is ever removed.
     """
     target = Path(os.path.realpath(target))
     replaced = (target / MANIFEST).is_file()
     empty = target.is_dir() and not any(target.iterdir())
     if target.exists() and not (replaced or empty):
         raise UsageError(f"{target}: not an empty directory or a run directory (no {MANIFEST})")
+    cwd = Path.cwd()
+    if target == cwd or target in cwd.parents:  # the rename would leave the shell in no directory
+        raise UsageError(f"{target}: the working directory or one of its parents")
     ancestor = next(p for p in target.parents if p.exists())
     partial = Path(tempfile.mkdtemp(prefix=".valnov-partial-", dir=ancestor))
     try:

@@ -25,7 +25,7 @@ from valnov.baseline import (
     tfidf_rows,
 )
 from valnov.cli import main
-from valnov.config import BaselineSettings
+from valnov.config import BaselineSettings, RunConfig
 from valnov.corpus import LabelValue, Split, Task, mapped_value, save_instances_jsonl
 from valnov.errors import ConfigurationError, DataError, TrainingError
 from valnov.fsutil import unpack_params
@@ -267,7 +267,7 @@ def test_saved_model_decodes_bit_equal_to_the_fit(tmp_path, task_arg):
     fits = {
         task: svm_train(
             X, task_labels(train, task), dim=len(tfidf.vocabulary),
-            C=getattr(settings, f"c_{task.value}"), steps=settings.steps, seed=settings.seed,
+            C=getattr(settings, f"c_{task.value}"), steps=settings.steps, seed=RunConfig().seed,
         ).model
         for task in tasks
     }

@@ -491,6 +491,18 @@ class TestSeedSweep:
             assert (sub / "checkpoint.json").is_file()
             assert (sub / "report.json").is_file()
 
+    def test_sub_runs_start_from_different_encoders(self, workspace):
+        run_dir = workspace["root"] / "sweep-encoders"
+        argv = ["seed-sweep", "--config", seeded_config(workspace, 3), "--run-dir", str(run_dir)]
+        assert main(argv) == 0
+        for seed in (3, 4):
+            blob = json.loads(
+                (run_dir / f"seed-{seed}" / "checkpoint.json").read_text(encoding="utf-8")
+            )
+            assert blob["encoder_config"]["seed"] == seed
+        first, second = (ReferenceEncoder(RunConfig(seed=seed).encoder) for seed in (3, 4))
+        assert not np.array_equal(first.embedding, second.embedding)
+
 
 class TestConfigEcho:
     """A run's config.json is the config the stage ran with."""
@@ -808,6 +820,32 @@ class TestStageDriver:
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "mine" / "notes.txt").read_text(encoding="utf-8") == "mine\n"
 
+    def test_empty_working_directory_as_run_dir_is_refused(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["prepare-data", "--run-dir", ".", "--synthetic", "separable"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: usage: {tmp_path.resolve()}: the working directory or one of its parents\n"
+        )
+        assert os.listdir(tmp_path) == []
+        assert os.listdir(".") == []  # the shell's directory is still the one it names
+
+    @pytest.mark.parametrize("cwd, run_dir", [("prep", "."), ("prep/notes", "..")],
+                             ids=["cwd", "parent"])
+    def test_earlier_run_holding_the_working_directory_is_refused(
+        self, capsys, tmp_path, monkeypatch, cwd, run_dir
+    ):
+        argv = ["prepare-data", "--synthetic", "separable", "--run-dir"]
+        assert main([*argv, str(tmp_path / "prep")]) == 0
+        (tmp_path / cwd).mkdir(exist_ok=True)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        monkeypatch.chdir(tmp_path / cwd)
+        assert main([*argv, run_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: ") and err.count("\n") == 1
+        assert "the working directory or one of its parents" in err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+        assert sorted(os.listdir(tmp_path)) == ["prep"]
+
     @pytest.fixture
     def diverging_config(self, workspace, tmp_path):
         config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
@@ -830,10 +868,38 @@ class TestStageDriver:
                 "--task", "validity", "--cache-dir", str(run_dir / "cache")]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: usage: {run_dir.resolve()}: changed while the stage ran")
+        assert err.startswith("error: usage: the prompt cache ")
         assert err.count("\n") == 1
-        assert os.listdir(tmp_path) == ["prompt"]
-        assert os.listdir(run_dir) == ["cache"]  # the records the stage paid for are kept
+        assert os.listdir(tmp_path) == []  # refused before any record is paid for
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_prompt_cache_inside_an_earlier_run_is_refused(
+        self, workspace, capsys, tmp_path, monkeypatch, where
+    ):
+        run_dir = tmp_path / "prompt"
+        argv = ["prompt-predict", "--run-dir", str(run_dir), "--task", "validity"]
+        assert main([*argv, "--config", workspace["config"]]) == 0
+        before = {path.name: path.read_bytes() for path in run_dir.iterdir()}
+        monkeypatch.chdir(tmp_path)
+        import valnov.cli
+
+        monkeypatch.setattr(valnov.cli, "make_provider", lambda *a: pytest.fail("provider made"))
+        if where == "flag":
+            argv += ["--config", workspace["config"], "--cache-dir", str(run_dir / "cache")]
+        else:  # the run directory itself, relative to the working directory
+            config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+            config_path = tmp_path / "cache-in-run.json"
+            config_path.write_text(
+                json.dumps(_set_key(config, "prompting.cache_dir", "prompt")), encoding="utf-8"
+            )
+            argv += ["--config", str(config_path)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage: the prompt cache ")
+        assert "lies inside --run-dir" in err and err.count("\n") == 1
+        assert {path.name: path.read_bytes() for path in run_dir.iterdir()} == before
+        assert set(os.listdir(tmp_path)) - {"cache-in-run.json"} == {"prompt"}
 
     def test_sweep_failing_in_its_second_run_leaves_nothing(
         self, workspace, capsys, tmp_path, monkeypatch
@@ -1418,6 +1484,10 @@ ILL_TYPED_CONFIG = [
      "config.prompting.temperature must be float"),
     ("baseline.steps", True, "baseline", "config.baseline.steps must be int"),
     ("data.column_map.topic", 5, "prepare-data", "config.data.column_map.topic must be str"),
+    # the encoder's seed is the run's: it may only repeat it (the workspace seed is 0)
+    ("encoder.seed", 1, "train", "config.encoder.seed has no effect"),
+    ("contrastive.seed", 0, "contrastive-train", "['seed'] under config.contrastive"),
+    ("baseline.seed", 0, "baseline", "['seed'] under config.baseline"),
 ]
 
 # well-typed values out of range: each fails in load_config as well

@@ -58,7 +58,7 @@ class TestLoading:
         assert config.profile == "desk"
         assert config.seed == 7
         assert config.encoder == EncoderConfig(
-            vocab_buckets=512, embed_dim=16, projection_dim=8
+            vocab_buckets=512, embed_dim=16, projection_dim=8, seed=7
         )
         assert config.contrastive.margin == 0.5
         assert config.contrastive.distance == "euclidean"
@@ -74,6 +74,11 @@ class TestLoading:
         path = self.write(tmp_path, {"train_overrides": {"seed": seed}})
         with pytest.raises(ConfigurationError, match=r"train_overrides\.seed .*top-level seed"):
             load_config(path)
+
+    def test_encoder_seed_may_repeat_the_run_seed(self, tmp_path):
+        # any other value is an ILL_TYPED_CONFIG row in test_cli.py
+        config = load_config(self.write(tmp_path, {"seed": 4, "encoder": {"seed": 4}}))
+        assert config == RunConfig(seed=4)
 
     def test_unknown_top_level_key(self, tmp_path):
         path = self.write(tmp_path, {"optimiser": "adam"})

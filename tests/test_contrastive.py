@@ -159,7 +159,7 @@ class TestContrastiveTrain:
         for _ in range(2):
             enc = ReferenceEncoder(SMALL)
             contrastive_train(
-                enc, triplets, ContrastiveConfig(learning_rate=1e-3, epochs=2, seed=9)
+                enc, triplets, ContrastiveConfig(learning_rate=1e-3, epochs=2), seed=9
             )
             outs.append(enc.encode(["affirmed fresh"]))
         assert np.array_equal(outs[0], outs[1])

@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from valnov.errors import ParseError
+from valnov.errors import ParseError, UsageError
 from valnov.fsutil import atomic_dir, atomic_write_text, open_text, read_json
 
 
@@ -30,6 +30,16 @@ def test_committed_directory_mode_follows_the_umask(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "run").stat().st_mode) == mode
     assert os.listdir(tmp_path) == ["run"]
+
+
+def test_block_writing_into_its_own_target_is_usage(tmp_path):
+    target = tmp_path / "run"
+    with pytest.raises(UsageError, match="changed while the stage ran"):
+        with atomic_dir(target):
+            target.mkdir()
+            (target / "record.json").write_text("{}", encoding="utf-8")
+    assert os.listdir(tmp_path) == ["run"]
+    assert os.listdir(target) == ["record.json"]  # what the block wrote there is kept
 
 
 def test_rewrite_replaces_content_and_leaves_no_temporary(tmp_path):

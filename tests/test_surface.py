@@ -32,12 +32,12 @@ CONFIG_VALUES = [
     "profile",
     "train_overrides",
     "contrastive.margin", "contrastive.learning_rate", "contrastive.epochs",
-    "contrastive.batch_size", "contrastive.distance", "contrastive.seed",
+    "contrastive.batch_size", "contrastive.distance",
     "prompting.provider", "prompting.endpoint", "prompting.api_key_env", "prompting.cache_dir",
     "prompting.model_id", "prompting.temperature", "prompting.frequency_penalty",
     "prompting.presence_penalty", "prompting.max_tokens", "prompting.parallelism",
     "prompting.requests_per_second",
-    "baseline.c_validity", "baseline.c_novelty", "baseline.steps", "baseline.seed",
+    "baseline.c_validity", "baseline.c_novelty", "baseline.steps",
     "combined_metric",
     "seed",
     "sweep.runs",
@@ -68,7 +68,7 @@ def test_settings_surface(capsys):
     assert flags == FLAGS
     assert sum(map(len, flags.values())) == 44
     assert _config_values(RunConfig()) == CONFIG_VALUES
-    assert len(CONFIG_VALUES) == 34
+    assert len(CONFIG_VALUES) == 32
 
     for name, names in FLAGS.items():
         with pytest.raises(SystemExit) as exit_info:
