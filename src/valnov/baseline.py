@@ -15,20 +15,19 @@ therefore costs O(nnz(x)), not O(vocabulary).
 
 from __future__ import annotations
 
-import json
 import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .encoder import tokenize
 from .errors import ConfigurationError, DataError
-from .fsutil import atomic_write_text, pack_params
+from .fsutil import atomic_write_text, model_json, pack_params
 from .predictions import Prediction
 from .stemming import stem
 
@@ -335,17 +334,27 @@ def predict_corpus(
     ]
 
 
+@dataclass(frozen=True)
+class BaselineModel:
+    """The TF-IDF model (``vocabulary`` lists its terms in index order) and
+    each task's SVM (``C`` and ``bias`` in ``tasks``, weights in ``params``)."""
+
+    FORMAT: ClassVar[str] = "valnov-baseline-model"
+    VERSION: ClassVar[int] = 1
+    document_count: int
+    vocabulary: list[str]
+    tasks: dict[str, dict[str, float]]
+    params: dict[str, dict]
+
+
 def save_baseline(path: str | Path, tfidf: TfidfModel, models: dict[Task, LinearSvm]) -> None:
-    """One JSON file for the TF-IDF model and each task's SVM; ``vocabulary``
-    lists the terms in index order."""
+    """One model file for the TF-IDF model and each task's SVM."""
     params = {"idf": tfidf.idf}
     params.update({f"{task.value}.weights": model.weights for task, model in models.items()})
-    payload = {
-        "format": "valnov-baseline-model",
-        "version": 1,
-        "document_count": tfidf.document_count,
-        "vocabulary": sorted(tfidf.vocabulary, key=tfidf.vocabulary.__getitem__),
-        "tasks": {task.value: {"C": model.C, "bias": model.bias} for task, model in models.items()},
-        "params": pack_params(params),
-    }
-    atomic_write_text(Path(path), json.dumps(payload, ensure_ascii=False))
+    record = BaselineModel(
+        document_count=tfidf.document_count,
+        vocabulary=sorted(tfidf.vocabulary, key=tfidf.vocabulary.__getitem__),
+        tasks={task.value: {"C": model.C, "bias": model.bias} for task, model in models.items()},
+        params=pack_params(params),
+    )
+    atomic_write_text(Path(path), model_json(record))

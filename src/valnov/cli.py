@@ -46,7 +46,7 @@ from .evaluation import (
     seed_summary,
 )
 from .fsutil import MANIFEST, atomic_dir, atomic_write_text, sha256_file
-from .predictions import Prediction, load_predictions, mix, save_predictions, source_label
+from .predictions import load_predictions, mix, save_predictions, source_label
 from .prompting import ReplayCache, make_provider, prompt_predict, select_few_shot
 from .synthetic import make_profile_splits, make_separable_corpus
 
@@ -65,7 +65,6 @@ class _RunDir:
         self.command = command
         self.config = config
         self.inputs: dict[str, dict[str, str]] = {}
-        self.output_names: list[str] = []
         path.mkdir(exist_ok=True)
 
     def record_input(self, label: str, path: str | Path) -> Path:
@@ -86,24 +85,18 @@ class _RunDir:
 
     def write(self, name: str, text: str) -> None:
         atomic_write_text(self.path / name, text)
-        self.track_output(name)
-
-    def save_predictions(self, preds: Sequence[Prediction]) -> None:
-        save_predictions(preds, self.path / "predictions.csv")
-        self.track_output("predictions.csv")
-
-    def track_output(self, name: str) -> None:
-        if name not in self.output_names:
-            self.output_names.append(name)
 
     def finalize(self) -> None:
-        config_text = resolved_config_json(self.config)
-        self.write("config.json", config_text)
+        """Echo the config and write the manifest. The run directory is a fresh
+        staging one, so its every file is an output (its directories are sub-runs)."""
+        self.write("config.json", resolved_config_json(self.config))
         manifest = {
             "command": self.command,
             "inputs": self.inputs,
             "outputs": {
-                name: sha256_file(self.path / name) for name in sorted(self.output_names)
+                path.name: sha256_file(path)
+                for path in sorted(self.path.iterdir())
+                if path.is_file() and path.name != MANIFEST
             },
             "created": datetime.now(timezone.utc).isoformat(),
         }
@@ -136,13 +129,11 @@ def cmd_prepare_data(args: argparse.Namespace, run: _RunDir) -> None:
                 raise UsageError(f"--synthetic {args.synthetic} makes no {split.value} split")
         per_split = {split: generated[split] for split in args.splits or generated}
         for split, instances in per_split.items():
-            csv_path = write_instances_csv(instances, run.path / f"{split.value}.csv")
-            run.track_output(csv_path.name)
+            write_instances_csv(instances, run.path / f"{split.value}.csv")
 
     stats: dict[str, object] = {"splits": {}}
     for split, instances in per_split.items():
         save_instances_jsonl(instances, run.path / f"instances-{split.value}.jsonl")
-        run.track_output(f"instances-{split.value}.jsonl")
         stats["splits"][split.value] = {
             "size": len(instances),
             "class_distribution": list(class_distribution(instances).counts),
@@ -158,7 +149,6 @@ def cmd_prepare_data(args: argparse.Namespace, run: _RunDir) -> None:
     if Split.TRAIN in per_split:
         triplets = extract_triplets(per_split[Split.TRAIN])
         save_triplets_jsonl(triplets, run.path / "triplets.jsonl")
-        run.track_output("triplets.jsonl")
         stats["train_triplets"] = len(triplets)
 
     run.write("stats.json", json.dumps(stats, indent=2, sort_keys=True))
@@ -181,7 +171,6 @@ def _train_once(
         model.restore({f"encoder.{k}": v for k, v in init_encoder.parameters().items()})
     result = mtl.train(model, train_set, dev_set, train_config)
     mtl.save_checkpoint(result, train_config, run.path / "checkpoint.json")
-    run.track_output("checkpoint.json")
     history = result.history
     run.write("train-loss.dat", "".join(f"{h.epoch} {h.train_loss}\n" for h in history))
     run.write(
@@ -233,7 +222,6 @@ def cmd_contrastive_train(args: argparse.Namespace, run: _RunDir) -> None:
     mtl.save_encoder_checkpoint(
         result.encoder, result.epoch_losses, run.path / "encoder-checkpoint.json"
     )
-    run.track_output("encoder-checkpoint.json")
     run.write(
         "contrastive-loss.dat",
         "".join(f"{i} {loss}\n" for i, loss in enumerate(result.epoch_losses)),
@@ -263,7 +251,7 @@ def cmd_predict(args: argparse.Namespace, run: _RunDir) -> None:
     instances = run.instances("instances", args.on, Split.TEST)
     tasks = _tasks_from_arg(args.task)
     predictions = [p for p in model.predict_both(instances) if p.task in tasks]
-    run.save_predictions(predictions)
+    save_predictions(predictions, run.path / "predictions.csv")
     print(f"wrote {len(predictions)} predictions from {model.name}")
 
 
@@ -293,7 +281,7 @@ def cmd_prompt_predict(args: argparse.Namespace, run: _RunDir) -> None:
         parallelism=settings.parallelism,
         requests_per_second=settings.requests_per_second,
     )
-    run.save_predictions(preds)
+    save_predictions(preds, run.path / "predictions.csv")
     run.write(
         "few-shot.json",
         json.dumps(
@@ -329,7 +317,6 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
     baseline_mod.save_baseline(
         run.path / "baseline-model.json", tfidf, {task: fit.model for task, fit in fits.items()}
     )
-    run.track_output("baseline-model.json")
     all_predictions = []
     objectives = {}
     counters = {}
@@ -344,7 +331,7 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
         all_predictions.extend(
             baseline_mod.predict_corpus(fit.model, target_rows, targets, task)
         )
-    run.save_predictions(all_predictions)
+    save_predictions(all_predictions, run.path / "predictions.csv")
     run.write(
         "baseline-stats.json",
         json.dumps({"objective": objectives, "counters": counters}, indent=2),
@@ -357,7 +344,7 @@ def cmd_mix(args: argparse.Namespace, run: _RunDir) -> None:
         load_predictions(run.record_input("validity", args.validity)),
         load_predictions(run.record_input("novelty", args.novelty)),
     )
-    run.save_predictions(mixed)
+    save_predictions(mixed, run.path / "predictions.csv")
     print(
         f"mixed predictions: mix({source_label(mixed, Task.VALIDITY)},"
         f"{source_label(mixed, Task.NOVELTY)})"

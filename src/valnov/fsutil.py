@@ -1,7 +1,10 @@
 """The one file reader, the one atomic file writer and its counterpart
-for run directories, file digests, and the parameter record of every
-model file: ``{"shape": [...], "data": "<base64>"}``, where ``data`` holds
-the little-endian float64 values in C order.
+for run directories, file digests, and the model file: a dataclass
+record whose class names its ``FORMAT`` and ``VERSION``, written by
+``model_json`` as that header and then the record's fields, and checked
+by ``load_model`` against the same class. Each parameter in it is a record
+``{"shape": [...], "data": "<base64>"}``, where ``data`` holds the
+little-endian float64 values in C order.
 
 Every input is read as UTF-8 through ``read_json`` or ``open_text``, so a
 file that cannot be decoded is one ``ParseError`` naming it, whatever
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -23,7 +27,8 @@ from typing import Any, Iterator, TextIO
 
 import numpy as np
 
-from .errors import ParseError, SchemaError, TrainingError, UsageError
+from .decode import decode
+from .errors import ConfigurationError, ParseError, SchemaError, TrainingError, UsageError
 
 _TMP_SERIAL = itertools.count()
 MANIFEST = "manifest.json"  # marks a directory as a run: see atomic_dir
@@ -123,6 +128,35 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def model_json(record: Any) -> str:
+    """The model file of the dataclass ``record``: the header of its class,
+    then its fields in declaration order."""
+    header = {"format": record.FORMAT, "version": record.VERSION}
+    # shallow: asdict of the whole record would deep-copy every parameter record
+    return json.dumps({**header, **vars(record)}, default=dataclasses.asdict, ensure_ascii=False)
+
+
+def load_model(path: str | Path, cls: type) -> Any:
+    """The model file ``path`` as a ``cls`` record; each error names ``path``.
+    Another format or version is a ConfigurationError, and so is a stored
+    config value out of range; any field missing, unknown or ill-typed is a
+    SchemaError naming it."""
+    blob = read_json(path)
+    if not isinstance(blob, dict) or blob.get("format") != cls.FORMAT:
+        raise ConfigurationError(f"{path}: not a {cls.FORMAT} file")
+    version = blob.get("version")
+    if type(version) is not int or version != cls.VERSION:  # 2.0 == 2 and true == 1 in Python
+        raise ConfigurationError(f"{path}: unsupported checkpoint version {version} "
+                                 f"(not {cls.VERSION}); re-run the stage that wrote it")
+    try:
+        body = {k: v for k, v in blob.items() if k not in ("format", "version")}
+        return decode(cls, body, "checkpoint", complete=True)
+    except TypeError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from exc
 
 
 def pack_params(params: dict[str, np.ndarray]) -> dict[str, dict]:

@@ -10,20 +10,17 @@ step is left untouched by that step's update.
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
-from .decode import decode
 from .encoder import EncoderConfig, ReferenceEncoder
-from .errors import ConfigurationError, SchemaError, TrainingError
+from .errors import ConfigurationError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
-from .fsutil import atomic_write_text, pack_params, read_json, unpack_params
+from .fsutil import atomic_write_text, load_model, model_json, pack_params, unpack_params
 from .optim import AdamW
 from .predictions import Prediction
 
@@ -325,91 +322,63 @@ def train(
     return TrainResult(model=model, history=history, best_epoch=select_best(history))
 
 
-# --- checkpoint format: JSON, format/version header, fsutil parameter records ---
-
-CHECKPOINT_FORMAT = "valnov-mtl-checkpoint"
-ENCODER_CHECKPOINT_FORMAT = "valnov-encoder-checkpoint"
-CHECKPOINT_VERSION = 2
-
-
-def _read_checkpoint(path: str | Path, fmt: str, fields: Sequence[str]) -> dict:
-    """The decoded checkpoint, after its format, version and field checks."""
-    blob = read_json(path)
-    if not isinstance(blob, dict) or blob.get("format") != fmt:
-        raise ConfigurationError(f"{path}: not a {fmt} file")
-    if blob.get("version") != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"{path}: unsupported checkpoint version {blob.get('version')} "
-                                 f"(not {CHECKPOINT_VERSION}); re-run the stage that wrote it")
-    missing = [name for name in fields if name not in blob]
-    if missing:
-        raise SchemaError(f"{path}: checkpoint lacks {missing}")
-    return blob
+@dataclass(frozen=True)
+class Checkpoint:
+    """The model file ``train`` writes and ``predict`` reads."""
+    FORMAT: ClassVar[str] = "valnov-mtl-checkpoint"
+    VERSION: ClassVar[int] = 2
+    name: str
+    encoder_config: EncoderConfig
+    train_config: TrainConfig
+    best_epoch: int
+    history: list[tuple[int, float, float]]
+    params: dict[str, dict]
 
 
-def _config_from_blob(cls: type, blob: dict, path: str | Path):
-    """Rebuild a config dataclass from its ``dataclasses.asdict`` blob,
-    which must spell out every field."""
-    try:
-        return decode(cls, blob, cls.__name__, complete=True)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: checkpoint {exc}") from exc
+@dataclass(frozen=True)
+class EncoderCheckpoint:
+    """The encoder file ``contrastive-train`` writes and ``train --init-encoder`` reads."""
+    FORMAT: ClassVar[str] = "valnov-encoder-checkpoint"
+    VERSION: ClassVar[int] = 2
+    encoder_config: EncoderConfig
+    epoch_losses: list[float]
+    params: dict[str, dict]
 
 
-def save_checkpoint(
-    result: TrainResult, config: TrainConfig, path: str | Path
-) -> None:
+def save_checkpoint(result: TrainResult, config: TrainConfig, path: str | Path) -> None:
     model = result.model
-    blob = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "name": model.name,
-        "encoder_config": dataclasses.asdict(model.encoder.config),
-        "train_config": dataclasses.asdict(config),
-        "best_epoch": result.best_epoch,
-        "history": [list(h.as_tuple()) for h in result.history],
-    }
-    atomic_write_text(Path(path), json.dumps(dict(blob, params=pack_params(model.parameters()))))
+    record = Checkpoint(
+        name=model.name,
+        encoder_config=model.encoder.config,
+        train_config=config,
+        best_epoch=result.best_epoch,
+        history=[h.as_tuple() for h in result.history],
+        params=pack_params(model.parameters()),
+    )
+    atomic_write_text(Path(path), model_json(record))
 
 
 def load_checkpoint(path: str | Path) -> tuple[MtlModel, TrainConfig, list[EpochRecord], int]:
-    blob = _read_checkpoint(
-        path,
-        CHECKPOINT_FORMAT,
-        ("encoder_config", "train_config", "best_epoch", "history", "params"),
-    )
-    enc_cfg = _config_from_blob(EncoderConfig, blob["encoder_config"], path)
-    config = _config_from_blob(TrainConfig, blob["train_config"], path)
-    try:
-        name = decode(str, blob.get("name", "mtl"), "name")
-        rows = decode(list[tuple[int, float, float]], blob["history"], "history")
-        best_epoch = decode(int, blob["best_epoch"], "best_epoch")
-    except TypeError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    model = MtlModel(enc_cfg, seed=config.seed, name=name)
-    unpack_params(blob["params"], model.parameters(), path)
-    return model, config, [EpochRecord(*row) for row in rows], best_epoch
+    record = load_model(path, Checkpoint)
+    config = record.train_config
+    model = MtlModel(record.encoder_config, seed=config.seed, name=record.name)
+    unpack_params(record.params, model.parameters(), path)
+    return model, config, [EpochRecord(*row) for row in record.history], record.best_epoch
 
 
 def save_encoder_checkpoint(
     encoder: ReferenceEncoder, epoch_losses: Sequence[float], path: str | Path
 ) -> None:
-    blob = {
-        "format": ENCODER_CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "encoder_config": dataclasses.asdict(encoder.config),
-        "epoch_losses": [float(x) for x in epoch_losses],
-    }
-    atomic_write_text(Path(path), json.dumps(dict(blob, params=pack_params(encoder.parameters()))))
+    record = EncoderCheckpoint(
+        encoder_config=encoder.config,
+        epoch_losses=[float(x) for x in epoch_losses],
+        params=pack_params(encoder.parameters()),
+    )
+    atomic_write_text(Path(path), model_json(record))
 
 
 def load_encoder_checkpoint(path: str | Path) -> tuple[ReferenceEncoder, list[float]]:
-    blob = _read_checkpoint(
-        path, ENCODER_CHECKPOINT_FORMAT, ("encoder_config", "epoch_losses", "params")
-    )
-    encoder = ReferenceEncoder(_config_from_blob(EncoderConfig, blob["encoder_config"], path))
-    unpack_params(blob["params"], encoder.parameters(), path)
-    try:
-        epoch_losses = decode(list[float], blob["epoch_losses"], "epoch_losses")
-    except TypeError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-    return encoder, epoch_losses
+    record = load_model(path, EncoderCheckpoint)
+    encoder = ReferenceEncoder(record.encoder_config)
+    unpack_params(record.params, encoder.parameters(), path)
+    return encoder, record.epoch_losses

@@ -1025,6 +1025,10 @@ def _broken_checkpoint(text: str, case: str) -> str:
             rec["data"] = _floats(rec["data"]).tolist()
     elif case == "config-type":
         blob["encoder_config"]["embed_dim"] = "12"
+    elif case == "config-range":
+        blob["encoder_config"]["embed_dim"] = 0
+    elif case == "unknown-field":
+        blob["extra"] = 1
     return json.dumps(blob)
 
 
@@ -1039,7 +1043,9 @@ CHECKPOINT_DAMAGE = [
     ("odd-bytes", "schema"),
     ("list-data", "schema"),
     ("version-1", "configuration"),
-    ("config-type", "configuration"),
+    ("config-type", "schema"),
+    ("config-range", "configuration"),
+    ("unknown-field", "schema"),
 ]
 
 
@@ -1671,7 +1677,7 @@ class TestIllTypedInputs:
         path.write_text(json.dumps(blob), encoding="utf-8")
         return path
 
-    def test_checkpoint_train_config_type_is_configuration(self, workspace, trained, capsys):
+    def test_checkpoint_train_config_type_is_schema(self, workspace, trained, capsys):
         def damage(blob):
             blob["train_config"]["seed"] = "3"
 
@@ -1682,7 +1688,7 @@ class TestIllTypedInputs:
         err = capsys.readouterr().err
         assert code == 2
         assert err == (
-            f"error: configuration: {broken}: checkpoint TrainConfig.seed must be int, got '3'\n"
+            f"error: schema: {broken}: checkpoint.train_config.seed must be int, got '3'\n"
         )
         assert not (run_dir / "predictions.csv").exists()
 
@@ -1694,9 +1700,10 @@ class TestIllTypedInputs:
             ("best_epoch", True, "best_epoch must be int"),
             ("history", "0.5", "history[0][1] must be float"),
             ("name", 5, "name must be str"),
+            ("name", ..., "checkpoint lacks the field 'name'"),
         ],
         ids=["best-epoch-text", "best-epoch-fraction", "best-epoch-bool", "history-cell-text",
-             "name-not-text"],
+             "name-not-text", "name-missing"],
     )
     def test_ill_typed_checkpoint_metadata_is_schema(
         self, workspace, trained, capsys, field, value, detail
@@ -1704,6 +1711,8 @@ class TestIllTypedInputs:
         def damage(blob):
             if field == "history":
                 blob["history"][0][1] = value
+            elif value is ...:
+                del blob[field]
             else:
                 blob[field] = value
 
@@ -1731,7 +1740,9 @@ class TestIllTypedInputs:
                      "--init-encoder", str(broken)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err == f"error: schema: {broken}: epoch_losses[1] must be float, got '0.25'\n"
+        assert err == (
+            f"error: schema: {broken}: checkpoint.epoch_losses[1] must be float, got '0.25'\n"
+        )
         assert not (run_dir / "checkpoint.json").exists()
 
     def test_int_temperature_keeps_echo_and_cache_keys(self, workspace):

@@ -9,7 +9,7 @@ import pytest
 from valnov.cli import main
 from valnov.corpus import LabelValue, Split, Task, save_instances_jsonl
 from valnov.encoder import EncoderConfig
-from valnov.errors import ConfigurationError, TrainingError
+from valnov.errors import ConfigurationError, SchemaError, TrainingError
 from valnov.fsutil import pack_params, unpack_params
 from valnov.mtl import (
     EpochRecord,
@@ -301,7 +301,7 @@ class TestCheckpoints:
             (surplus, r"unknown \w+ key\(s\) \['surplus'\]"), (missing, "lacks the field 'seed'")
         ):
             path.write_text(json.dumps(dict(blob, **{section: broken})))
-            with pytest.raises(ConfigurationError, match=message):
+            with pytest.raises(SchemaError, match=message):
                 load_checkpoint(path)
 
     def test_parameters_round_trip_bit_for_bit(self, tmp_path):
@@ -330,6 +330,12 @@ class TestCheckpoints:
         path = tmp_path / "v1.json"
         path.write_text('{"format": "valnov-encoder-checkpoint", "version": 1}')
         with pytest.raises(ConfigurationError, match="version 1 .*re-run the stage"):
+            load_encoder_checkpoint(path)
+
+    def test_float_version_is_not_the_version(self, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text('{"format": "valnov-encoder-checkpoint", "version": 2.0}')
+        with pytest.raises(ConfigurationError, match="unsupported checkpoint version"):
             load_encoder_checkpoint(path)
 
     def test_encoder_round_trip(self, tmp_path):

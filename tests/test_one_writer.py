@@ -1,9 +1,11 @@
-"""One atomic writer, one reader and one parameter format: no module but
-fsutil.py creates, writes or opens a file, or encodes parameters as base64.
+"""One atomic writer, one reader and one model-file format: no module but
+fsutil.py creates, writes or opens a file, encodes parameters as base64,
+or spells out a model file's ``format``/``version`` header.
 
 Every artifact then gets the same write-then-rename and the same mode,
 every input the same UTF-8 decoding and the same error for a file that
-cannot be decoded, and every model file the same parameter records.
+cannot be decoded, and every model file the same header checks and the
+same parameter records.
 """
 
 import ast
@@ -19,6 +21,7 @@ FILE_WRITERS = {"write_text", "write_bytes", "tofile"}  # methods, whatever the 
 NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # np.<name>
 FILE_READERS = {"open", "read_text", "read_bytes"}  # Path.open, io.open, os.open, ...
 NUMPY_READERS = {"load", "loadtxt", "genfromtxt", "fromfile"}  # np.<name>
+HEADER_KEYS = {"format", "version"}  # a model file's header, written and checked by fsutil
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr | None:
@@ -166,3 +169,28 @@ def test_checker_passes_reads(source):
 )
 def test_checker_sees_each_kind_of_base64_import(source):
     assert "base64" in _imports(ast.parse(source))
+
+
+def _header_keys(tree: ast.AST) -> list[str]:
+    """``line: key`` for each string constant in ``tree`` that names a header key."""
+    return [
+        f"{node.lineno}: {node.value}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in HEADER_KEYS
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fsutil_spells_the_model_header(path):
+    keys = _header_keys(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "fsutil.py":
+        assert keys, "the checker no longer sees the header"
+    else:
+        assert keys == []
+
+
+@pytest.mark.parametrize(
+    "source", ['{"format": f}', 'blob.get("version")', 'x = "format"', 'f(key="version")']
+)
+def test_checker_sees_each_header_key(source):
+    assert _header_keys(ast.parse(source))
