@@ -37,14 +37,7 @@ from .corpus import (
 )
 from .encoder import ReferenceEncoder
 from .errors import ConfigurationError, UsageError, ValnovError
-from .evaluation import (
-    EvalReport,
-    evaluate,
-    load_report,
-    render_text,
-    report_to_json,
-    seed_summary,
-)
+from .evaluation import EvalReport, evaluate, render_text, report_to_json, seed_summary
 from .fsutil import MANIFEST, atomic_dir, atomic_write_text, sha256_file
 from .predictions import load_predictions, mix, save_predictions, source_label
 from .prompting import ReplayCache, make_provider, prompt_predict, select_few_shot
@@ -362,13 +355,6 @@ def cmd_evaluate(args: argparse.Namespace, run: _RunDir) -> None:
     print(text, end="")
 
 
-def cmd_report(args: argparse.Namespace) -> None:
-    text = render_text(load_report(_require_file(args.report)))
-    if args.out:
-        atomic_write_text(args.out, text)
-    print(text, end="")
-
-
 def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     config = run.config
     train_set = run.instances("train", args.train, Split.TRAIN)
@@ -500,11 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--golds", default=None, help="gold instances (default: test path)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = commands.add_parser("report", help="render a saved report.json")
-    p.add_argument("--report", required=True)
-    p.add_argument("--out", default=None, help="also write the text table here")
-    p.set_defaults(func=cmd_report)
-
     p = commands.add_parser("seed-sweep", help="train across seeds, aggregate variance")
     _add_common(p)
     p.add_argument("--train", default=None)
@@ -516,21 +497,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Run one subcommand. Every stage but ``report`` builds its own run
-    directory aside and renames it into place only when the stage succeeds,
-    replacing an earlier run there whole; a stage that fails leaves nothing.
+    """Run one subcommand. Every stage builds its own run directory aside
+    and renames it into place only when the stage succeeds, replacing an
+    earlier run there whole; a stage that fails leaves nothing.
     A ``--run-dir`` that is a file, a non-empty directory that is not a
     run, or the working directory or one of its parents, is refused before
     any stage work."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "report":
-            args.func(args)
-        else:
-            with atomic_dir(args.run_dir) as staging:
-                run = _RunDir(staging, args.command, load_config(args.config))
-                args.func(args, run)
-                run.finalize()
+        with atomic_dir(args.run_dir) as staging:
+            run = _RunDir(staging, args.command, load_config(args.config))
+            args.func(args, run)
+            run.finalize()
     except (ValnovError, *_USAGE_ERRORS) as exc:
         category = exc.category if isinstance(exc, ValnovError) else "usage"
         print(f"error: {category}: {exc}", file=sys.stderr)

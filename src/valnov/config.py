@@ -18,12 +18,12 @@ from typing import Any
 
 from .contrastive import ContrastiveConfig
 from .corpus import DEFAULT_COLUMN_MAP
-from .decode import decode
+from .decode import check_ranges, decode
 from .encoder import EncoderConfig
 from .errors import ConfigurationError
-from .evaluation import DEFAULT_COMBINED_METRIC
+from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC
 from .fsutil import read_json
-from .mtl import TrainConfig
+from .mtl import TRAIN_PROFILES, TrainConfig
 from .prompting import PromptSettings
 
 
@@ -39,50 +39,45 @@ class DataSettings:
         unknown = sorted(set(self.column_map) - set(roles))
         if unknown:
             raise ConfigurationError(
-                f"data.column_map.{unknown[0]} is not a column role; "
+                f"column_map.{unknown[0]} is not a column role; "
                 f"the roles are {', '.join(roles)}"
             )
 
 
 @dataclass(frozen=True)
 class BaselineSettings:
-    c_validity: float = 0.09
-    c_novelty: float = 4.7
-    steps: int | None = None
+    c_validity: float = field(default=0.09, metadata={"gt": 0})
+    c_novelty: float = field(default=4.7, metadata={"gt": 0})
+    steps: int | None = field(default=None, metadata={"min": 1})
 
-    def __post_init__(self):
-        for name in ("c_validity", "c_novelty"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"baseline.{name} must be > 0")
-        if self.steps is not None and self.steps < 1:
-            raise ConfigurationError("baseline.steps must be null or >= 1")
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class SweepSettings:
-    runs: int = 3
+    runs: int = field(default=3, metadata={"min": 2})  # a seed summary needs 2 runs
 
-    def __post_init__(self):
-        if self.runs < 2:
-            raise ConfigurationError(
-                "sweep.runs must be >= 2: a seed summary needs at least 2 runs"
-            )
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class RunConfig:
     data: DataSettings = field(default_factory=DataSettings)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    profile: str = "clteaml-2"
+    profile: str = field(default="clteaml-2", metadata={"one_of": TRAIN_PROFILES})
     train_overrides: dict[str, Any] = field(default_factory=dict)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
     prompting: PromptSettings = field(default_factory=PromptSettings)
     baseline: BaselineSettings = field(default_factory=BaselineSettings)
-    combined_metric: str = DEFAULT_COMBINED_METRIC
-    seed: int = 0
+    combined_metric: str = field(
+        default=DEFAULT_COMBINED_METRIC, metadata={"one_of": COMBINED_METRICS}
+    )
+    seed: int = field(default=0, metadata={"min": 0})
     sweep: SweepSettings = field(default_factory=SweepSettings)
 
-    def __post_init__(self):  # the run's seed draws the encoder too, so a sweep redraws it
+    def __post_init__(self):
+        check_ranges(self)
+        # the run's seed draws the encoder too, so a sweep redraws it
         object.__setattr__(self, "encoder", dataclasses.replace(self.encoder, seed=self.seed))
 
     def train_config(self) -> TrainConfig:

@@ -8,35 +8,16 @@ alternative; the hinge uses subgradient 0 at and below the kink.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import TripletExample
+from .decode import check_ranges
 from .encoder import ReferenceEncoder
 from .errors import ConfigurationError, DataError, TrainingError
 from .optim import AdamW
-
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    margin: float = 1.0
-    learning_rate: float = 1e-5
-    epochs: int = 3
-    batch_size: int = 16
-    distance: str = "cosine"
-
-    def __post_init__(self):
-        if self.margin < 0:
-            raise ConfigurationError("margin must be >= 0")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs and batch_size must be >= 1")
-        if self.distance not in DISTANCES:
-            raise ConfigurationError(
-                f"distance must be one of {tuple(DISTANCES)}, got {self.distance!r}"
-            )
 
 
 def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -74,6 +55,17 @@ DISTANCES: dict[str, tuple[Callable, Callable]] = {
     "cosine": (_cosine_distance, _cosine_distance_grads),
     "euclidean": (_euclidean_distance, _euclidean_distance_grads),
 }
+
+
+@dataclass(frozen=True)
+class ContrastiveConfig:
+    margin: float = field(default=1.0, metadata={"min": 0})
+    learning_rate: float = field(default=1e-5, metadata={"min": 0})
+    epochs: int = field(default=3, metadata={"min": 1})
+    batch_size: int = field(default=16, metadata={"min": 1})
+    distance: str = field(default="cosine", metadata={"one_of": DISTANCES})
+
+    __post_init__ = check_ranges
 
 
 def distance(a: np.ndarray, b: np.ndarray, kind: str = "cosine") -> float:

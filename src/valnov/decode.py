@@ -14,12 +14,48 @@ It never coerces a scalar: an int in a ``float`` field stays an int, and
 a bool is not a number. Config echoes and replay-cache keys are
 ``json.dumps`` of decoded values, so turning ``0`` into ``0.0`` would
 change their bytes, and a filled cache would no longer replay.
+
+A dataclass that refuses its values raises ConfigurationError from its
+``__post_init__``, and ``decode`` puts the dotted path in front of it.
+``check_ranges`` is such a check: a field declares its range once, in
+its metadata, as ``{"min": 1}``, ``{"gt": 0}`` or ``{"one_of": names}``;
+a field whose default is None also takes None.
 """
 
+import operator
 import sys
 from dataclasses import MISSING, fields, is_dataclass
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
+
+from .errors import ConfigurationError
+
+_COMPARISONS = {"min": (operator.ge, ">="), "gt": (operator.gt, ">")}
+# per class: (field name, takes None, metadata key, limit) of each bounded field
+_BOUNDS: dict[type, tuple[tuple[str, bool, str, Any], ...]] = {}
+
+
+def check_ranges(obj: Any) -> None:
+    """Raise a ConfigurationError, starting with the field name, for the first
+    field of the dataclass ``obj`` outside the range its metadata declares."""
+    bounds = _BOUNDS.get(type(obj))
+    if bounds is None:
+        bounds = _BOUNDS[type(obj)] = tuple(
+            (f.name, f.default is None, key, limit)
+            for f in fields(obj) for key, limit in f.metadata.items()
+        )
+    for name, nullable, key, limit in bounds:
+        value = getattr(obj, name)
+        if value is None and nullable:
+            continue
+        if key == "one_of":
+            if value not in limit:
+                raise ConfigurationError(f"{name} {value!r} is unknown; known: {sorted(limit)}")
+            continue
+        compare, symbol = _COMPARISONS[key]
+        if not compare(value, limit):
+            null = "null or " if nullable else ""
+            raise ConfigurationError(f"{name} must be {null}{symbol} {limit}")
 
 
 def decode(tp: Any, value: Any, where: str, complete: bool = False) -> Any:
@@ -37,7 +73,11 @@ def decode(tp: Any, value: Any, where: str, complete: bool = False) -> Any:
             if f.name not in value and (complete or not optional):
                 raise TypeError(f"{where} lacks the field {f.name!r}")
         hints = get_type_hints(tp)
-        return tp(**{k: decode(hints[k], v, f"{where}.{k}", complete) for k, v in value.items()})
+        kwargs = {k: decode(hints[k], v, f"{where}.{k}", complete) for k, v in value.items()}
+        try:
+            return tp(**kwargs)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}.{exc}") from exc
     if origin is UnionType:  # ``X | None``
         return None if value is None else decode(args[0], value, where, complete)
     if origin is dict and isinstance(value, dict):

@@ -21,25 +21,22 @@ from __future__ import annotations
 
 import hashlib
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .decode import check_ranges
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    vocab_buckets: int = 2048
-    embed_dim: int = 32
-    projection_dim: int = 32
-    seed: int = 0
+    vocab_buckets: int = field(default=2048, metadata={"min": 1})
+    embed_dim: int = field(default=32, metadata={"min": 1})
+    projection_dim: int = field(default=32, metadata={"min": 1})
+    seed: int = field(default=0, metadata={"min": 0})
 
-    def __post_init__(self):
-        for name in ("vocab_buckets", "embed_dim", "projection_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1")
+    __post_init__ = check_ranges
 
 
 def tokenize(text: str) -> list[str]:

@@ -10,13 +10,14 @@ step is left untouched by that step's update.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar, Sequence
 
 import numpy as np
 
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
+from .decode import check_ranges
 from .encoder import EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
@@ -36,31 +37,23 @@ TRAIN_PROFILES: dict[str, tuple[float, int, int]] = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-5
-    epochs: int = 9
-    grad_accumulation: int = 1
-    batch_size: int = 16
-    weight_decay: float = 0.01
-    seed: int = 0
+    learning_rate: float = field(default=1e-5, metadata={"min": 0})
+    epochs: int = field(default=9, metadata={"min": 1})
+    grad_accumulation: int = field(default=1, metadata={"min": 1})
+    batch_size: int = field(default=16, metadata={"min": 1})
+    weight_decay: float = field(default=0.01, metadata={"min": 0})
+    seed: int = field(default=0, metadata={"min": 0})
     task_probabilities: tuple[float, float] = (0.5, 0.5)
-    combined_metric: str = DEFAULT_COMBINED_METRIC
+    combined_metric: str = field(
+        default=DEFAULT_COMBINED_METRIC, metadata={"one_of": COMBINED_METRICS}
+    )
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
-        if self.epochs < 1 or self.grad_accumulation < 1 or self.batch_size < 1:
-            raise ConfigurationError("epochs, grad_accumulation, batch_size must be >= 1")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        check_ranges(self)
         probabilities = self.task_probabilities
         if len(probabilities) != 2 or min(probabilities) < 0 or abs(sum(probabilities) - 1.0) > 1e-9:
             raise ConfigurationError(
-                f"task probabilities must be a non-negative pair summing to 1, got {probabilities}"
-            )
-        if self.combined_metric not in COMBINED_METRICS:
-            raise ConfigurationError(
-                f"combined_metric {self.combined_metric!r} is unknown; "
-                f"known: {sorted(COMBINED_METRICS)}"
+                f"task_probabilities must be a non-negative pair summing to 1, got {probabilities}"
             )
 
     @classmethod

@@ -7,7 +7,7 @@ run is fully offline and bit-reproducible.
 
 This module owns the prompting policy: ``PromptSettings`` (the config's
 ``prompting`` section) is defined and checked here, and its decoding
-fields and their defaults are those of ``PromptRequest``.
+fields, their defaults and their ranges are those of ``PromptRequest``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .corpus import (
     confidence_for,
     mapped_value,
 )
+from .decode import check_ranges
 from .errors import CacheMissError, ConfigurationError, DataError, ParseError, ProviderError
 from .fsutil import atomic_write_text, read_json
 from .predictions import Prediction
@@ -57,13 +58,12 @@ class PromptRequest:
     temperature: float = 0.0
     frequency_penalty: float = 0.0
     presence_penalty: float = 0.0
-    max_tokens: int = 4
+    max_tokens: int = field(default=4, metadata={"min": 1})
 
     def __post_init__(self) -> None:
         if not self.prompt:
             raise ConfigurationError("prompt must be non-empty")
-        if self.max_tokens < 1:
-            raise ConfigurationError("max_tokens must be a positive integer")
+        check_ranges(self)
 
 
 # every field of a request but its prompt, with its upstream default
@@ -73,17 +73,11 @@ _DECODING = tuple(f for f in fields(PromptRequest) if f.name != "prompt")
 def _check_settings(settings: PromptSettings) -> None:
     if settings.provider not in _PROVIDERS:
         raise ConfigurationError(
-            f"prompting.provider {settings.provider!r} is unknown; "
-            f"registered: {', '.join(_PROVIDERS)}"
+            f"provider {settings.provider!r} is unknown; registered: {', '.join(_PROVIDERS)}"
         )
     if settings.provider == HttpProvider.name and not settings.endpoint:
-        raise ConfigurationError(f"prompting.endpoint is needed by {HttpProvider.name}")
-    if settings.max_tokens < 1:
-        raise ConfigurationError("prompting.max_tokens must be >= 1")
-    if settings.parallelism < 1:
-        raise ConfigurationError("prompting.parallelism must be >= 1")
-    if settings.requests_per_second is not None and settings.requests_per_second <= 0:
-        raise ConfigurationError("prompting.requests_per_second must be null or > 0")
+        raise ConfigurationError(f"endpoint is needed by {HttpProvider.name}")
+    check_ranges(settings)
 
 
 def _decoding(settings: PromptSettings) -> dict[str, Any]:
@@ -100,9 +94,9 @@ PromptSettings = make_dataclass(
         ("endpoint", str | None, field(default=None)),
         ("api_key_env", str, field(default="COMPLETION_API_KEY")),
         ("cache_dir", str, field(default="cache/completions")),
-        *((f.name, f.type, field(default=f.default)) for f in _DECODING),
-        ("parallelism", int, field(default=1)),
-        ("requests_per_second", float | None, field(default=None)),
+        *((f.name, f.type, field(default=f.default, metadata=f.metadata)) for f in _DECODING),
+        ("parallelism", int, field(default=1, metadata={"min": 1})),
+        ("requests_per_second", float | None, field(default=None, metadata={"gt": 0})),
     ],
     namespace={"__module__": __name__, "__post_init__": _check_settings, "decoding": _decoding},
     frozen=True,

@@ -347,30 +347,6 @@ class TestPredictEvaluate:
         assert report["source_tag"] == "mtl"
         assert (eval_dir / "report.txt").is_file()
 
-    def test_report_rerenders(self, workspace, trained, capsys):
-        eval_dir = workspace["root"] / "eval-run"
-        out_path = workspace["root"] / "rendered.txt"
-        code = main(
-            ["report", "--report", str(eval_dir / "report.json"),
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        stdout = capsys.readouterr().out
-        assert stdout == out_path.read_text(encoding="utf-8")
-        assert "Evaluation over 16 instances" in stdout
-
-
-@pytest.fixture(scope="module")
-def saved_report(workspace, trained):
-    """``report.json`` of an evaluate run over the trained model's predictions."""
-    root = workspace["root"]
-    common = ["--config", workspace["config"]]
-    assert main(["predict", *common, "--run-dir", str(root / "pred-report"),
-                 "--checkpoint", str(trained)]) == 0
-    assert main(["evaluate", *common, "--run-dir", str(root / "eval-report"),
-                 "--predictions", str(root / "pred-report" / "predictions.csv")]) == 0
-    return root / "eval-report" / "report.json"
-
 
 class TestPromptPredictCli:
     def test_mock_then_replay_identical(self, workspace, capsys):
@@ -1029,6 +1005,8 @@ def _broken_checkpoint(text: str, case: str) -> str:
         blob["encoder_config"]["embed_dim"] = 0
     elif case == "unknown-field":
         blob["extra"] = 1
+    elif case == "seed-range":
+        blob["encoder_config"]["seed"] = -1
     return json.dumps(blob)
 
 
@@ -1046,6 +1024,7 @@ CHECKPOINT_DAMAGE = [
     ("config-type", "schema"),
     ("config-range", "configuration"),
     ("unknown-field", "schema"),
+    ("seed-range", "configuration"),
 ]
 
 
@@ -1104,10 +1083,9 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "argv",
-        [["report", "--report", "{root}"],
-         ["evaluate", "--config", "{config}", "--run-dir", "{root}/e-dir-input",
+        [["evaluate", "--config", "{config}", "--run-dir", "{root}/e-dir-input",
           "--predictions", "{root}"]],
-        ids=["report", "evaluate"],
+        ids=["evaluate"],
     )
     def test_directory_input_is_not_a_file(self, workspace, capsys, argv):
         root = workspace["root"]
@@ -1376,33 +1354,6 @@ class TestErrorContract:
             assert not (run_dir / "predictions.csv").exists()
         assert victim.read_text(encoding="utf-8") == record  # never overwritten
 
-    @pytest.mark.parametrize(
-        "case, category",
-        [("truncated", "parse"), ("not-utf8", "parse"), ("empty-object", "schema"),
-         ("support-not-a-count", "schema"), ("topic-row-short", "schema")],
-    )
-    def test_broken_report(self, workspace, saved_report, capsys, case, category):
-        root = workspace["root"]
-        text = saved_report.read_text(encoding="utf-8")
-        blob = json.loads(text)
-        if case == "support-not-a-count":
-            blob["validity"]["negative"]["support"] = "8"
-        elif case == "topic-row-short":
-            blob["topic_errors"]["novelty"] = [["topic", 0.5]]
-        damaged = {
-            "truncated": text[: len(text) // 2].encode("utf-8"),
-            "not-utf8": b'{"source_tag": "\xff\xfe"}',
-            "empty-object": b"{}",
-        }.get(case, json.dumps(blob).encode("utf-8"))
-        broken = root / f"report-{case}.json"
-        broken.write_bytes(damaged)
-        out_path = root / f"rendered-{case}.txt"
-        err = self.run_expecting(
-            capsys, ["report", "--report", str(broken), "--out", str(out_path)], category
-        )
-        assert str(broken) in err
-        assert not out_path.exists()
-
     @pytest.mark.parametrize("splits", ["train,bogus", "", ","])
     def test_unknown_split_name_is_rejected_by_parser(self, workspace, capsys, splits):
         run_dir = workspace["root"] / "prep-bogus"
@@ -1518,6 +1469,10 @@ OUT_OF_RANGE_CONFIG = [
      "prompting.endpoint is needed by http-openai-compatible"),
     ("data.column_map", {"premis": "Premise", "validty": "X"}, "prepare-data",
      "data.column_map.premis is not a column role"),
+    # a negative seed would reach numpy's generator, which refuses it
+    ("seed", -1, "train", "config.seed must be >= 0"),
+    ("seed", -1, "baseline", "config.seed must be >= 0"),
+    ("seed", -1, "prepare-data --synthetic profile", "config.seed must be >= 0"),
 ]
 
 STAGE_ARGS = {
@@ -1582,7 +1537,9 @@ class TestIllTypedInputs:
         config_path.write_text(json.dumps(_set_key(config, dotted, value)), encoding="utf-8")
         run_dir = root / f"typed-{dotted}"
         extra = [arg.format(root=root) for arg in STAGE_ARGS.get(command, [])]
-        code = main([command, "--config", str(config_path), "--run-dir", str(run_dir), *extra])
+        code = main(
+            [*command.split(), "--config", str(config_path), "--run-dir", str(run_dir), *extra]
+        )
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith(f"error: configuration: {config_path}: ")
@@ -1665,8 +1622,7 @@ class TestIllTypedInputs:
         run_dir = root / "sweep-one-run"
         assert main(["seed-sweep", "--config", str(config_path), "--run-dir", str(run_dir)]) == 2
         assert capsys.readouterr().err == (
-            f"error: configuration: {config_path}: sweep.runs must be >= 2: "
-            "a seed summary needs at least 2 runs\n"
+            f"error: configuration: {config_path}: config.sweep.runs must be >= 2\n"
         )
         assert not run_dir.exists()
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valnov.config import RunConfig, load_config
-from valnov.decode import decode
+from valnov.decode import check_ranges, decode
+from valnov.encoder import EncoderConfig
 from valnov.errors import ConfigurationError
-from valnov.mtl import TrainConfig
+from valnov.fsutil import load_model, model_json
+from valnov.mtl import Checkpoint, EncoderCheckpoint, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,21 @@ class Outer:
     tags: dict[str, str] = field(default_factory=dict)
     extra: dict[str, Any] = field(default_factory=dict)
     flag: bool = False
+
+
+@dataclass(frozen=True)
+class Bounded:
+    count: int = field(default=1, metadata={"min": 1})
+    rate: float | None = field(default=None, metadata={"gt": 0})
+    kind: str = field(default="a", metadata={"one_of": ("a", "b")})
+
+    __post_init__ = check_ranges
+
+
+@dataclass(frozen=True)
+class Holder:
+    bounded: Bounded
+    rows: list[Bounded] = field(default_factory=list)
 
 
 class TestDecode:
@@ -105,6 +123,40 @@ class TestDecode:
             decode(Outer, {"inner": {"rate": 1, "bogus": 1}}, "doc")
 
 
+class TestCheckRanges:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"count": 0}, "count must be >= 1"),
+            ({"rate": 0}, "rate must be null or > 0"),
+            ({"rate": float("nan")}, "rate must be null or > 0"),
+            ({"kind": "c"}, "kind 'c' is unknown; known: ['a', 'b']"),
+        ],
+        ids=["min", "gt", "gt-nan", "one_of"],
+    )
+    def test_direct_construction_names_the_field(self, kwargs, message):
+        with pytest.raises(ConfigurationError) as info:
+            Bounded(**kwargs)
+        assert str(info.value) == message
+
+    def test_in_range_and_null_pass(self):
+        assert Bounded(count=1, rate=1e-9, kind="b").rate == 1e-9
+        assert Bounded(rate=None).rate is None
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ({"bounded": {"count": 0}}, "doc.bounded.count must be >= 1"),
+            ({"bounded": {}, "rows": [{}, {"rate": -1}]}, "doc.rows[1].rate must be null or > 0"),
+        ],
+        ids=["nested", "in-list"],
+    )
+    def test_decode_prefixes_the_dotted_path_once(self, value, message):
+        with pytest.raises(ConfigurationError) as info:
+            decode(Holder, value, "doc")
+        assert str(info.value) == message
+
+
 # --- every settable config key, given a JSON value of another type ---
 
 _TEXT = st.text(max_size=5)
@@ -171,3 +223,85 @@ def test_ill_typed_config_value_names_its_key(tmp_path_factory, case):
         load_config(path)
     assert f"config.{dotted} must be" in str(info.value)
 
+
+
+# --- every field that declares a range, given a value just outside it ---
+
+
+def _bounded_fields(cls: type, prefix: tuple[str, ...] = ()) -> list[tuple[str, Any, Any]]:
+    """(dotted key, annotated type, field) of every field of ``cls``, nested
+    ones too, whose metadata declares a range."""
+    keys = []
+    hints = get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(hints[f.name]):
+            keys.extend(_bounded_fields(hints[f.name], prefix + (f.name,)))
+        elif f.metadata:
+            keys.append((".".join(prefix + (f.name,)), hints[f.name], f))
+    return keys
+
+
+def _just_outside(tp: Any, f: dataclasses.Field) -> tuple[Any, str]:
+    """A value just outside the range ``f`` declares, and the message that
+    refuses it, after the field's name."""
+    ((kind, limit),) = f.metadata.items()
+    if kind == "one_of":
+        return "nope", f" 'nope' is unknown; known: {sorted(limit)}"
+    null = "null or " if f.default is None else ""
+    if kind == "gt":
+        return limit, f" must be {null}> {limit}"
+    below = limit - 1 if int in (tp, *get_args(tp)) else math.nextafter(limit, -math.inf)
+    return below, f" must be {null}>= {limit}"
+
+
+def _ids(keys):
+    return [key for key, *_ in keys]
+
+
+# as CONFIG_KEYS: the RunConfig tree plus what ``train_overrides`` may set
+BOUNDED_CONFIG_KEYS = _bounded_fields(RunConfig) + [
+    (f"train_overrides.{key}", tp, f) for key, tp, f in _bounded_fields(TrainConfig)
+    if key not in ("seed", "combined_metric")
+]
+# each model file record with the configs it stores, and an instance of it
+MODEL_RECORDS = {
+    Checkpoint: Checkpoint(name="m", encoder_config=EncoderConfig(), train_config=TrainConfig(),
+                           best_epoch=0, history=[], params={}),
+    EncoderCheckpoint: EncoderCheckpoint(encoder_config=EncoderConfig(), epoch_losses=[],
+                                         params={}),
+}
+BOUNDED_MODEL_KEYS = [
+    (cls, key, tp, f) for cls in MODEL_RECORDS for key, tp, f in _bounded_fields(cls)
+]
+
+
+@pytest.mark.parametrize("dotted, tp, f", BOUNDED_CONFIG_KEYS, ids=_ids(BOUNDED_CONFIG_KEYS))
+def test_config_value_out_of_range_names_its_key(tmp_path, dotted, tp, f):
+    value, refusal = _just_outside(tp, f)
+    doc: dict = {}
+    *sections, name = dotted.split(".")
+    node = doc
+    for section in sections:
+        node = node.setdefault(section, {})
+    node[name] = value
+    path = tmp_path / "out-of-range.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigurationError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: config.{dotted}{refusal}"
+
+
+@pytest.mark.parametrize(
+    "cls, dotted, tp, f", BOUNDED_MODEL_KEYS,
+    ids=[f"{cls.__name__}-{key}" for cls, key, *_ in BOUNDED_MODEL_KEYS],
+)
+def test_stored_value_out_of_range_names_file_and_key(tmp_path, cls, dotted, tp, f):
+    value, refusal = _just_outside(tp, f)
+    blob = json.loads(model_json(MODEL_RECORDS[cls]))
+    section, name = dotted.split(".")
+    blob[section][name] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    with pytest.raises(ConfigurationError) as info:
+        load_model(path, cls)
+    assert str(info.value) == f"{path}: checkpoint.{dotted}{refusal}"

@@ -1,6 +1,7 @@
 """Metrics, combined scoring, error analysis, reports, seed aggregation."""
 
 import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valnov.corpus import Confidence, LabelValue, Split, Task
-from valnov.errors import ConfigurationError, CoverageError
+from valnov.errors import ConfigurationError, CoverageError, ValnovError
 from valnov import evaluation
 from valnov.evaluation import (
     COMBINED_METRICS,
@@ -369,6 +370,31 @@ class TestReportSerialization:
         path = tmp_path / "report.json"
         path.write_text(report_to_json(report), encoding="utf-8")
         assert load_report(path) == report
+
+    @pytest.mark.parametrize(
+        "case, category",
+        [("truncated", "parse"), ("not-utf8", "parse"), ("empty-object", "schema"),
+         ("support-not-a-count", "schema"), ("topic-row-short", "schema")],
+    )
+    def test_broken_report(self, tmp_path, case, category):
+        golds, preds = joint_fixture()
+        text = report_to_json(evaluate(preds, golds))
+        blob = json.loads(text)
+        if case == "support-not-a-count":
+            blob["validity"]["negative"]["support"] = "8"
+        elif case == "topic-row-short":
+            blob["topic_errors"]["novelty"] = [["topic", 0.5]]
+        damaged = {
+            "truncated": text[: len(text) // 2].encode("utf-8"),
+            "not-utf8": b'{"source_tag": "\xff\xfe"}',
+            "empty-object": b"{}",
+        }.get(case, json.dumps(blob).encode("utf-8"))
+        broken = tmp_path / f"report-{case}.json"
+        broken.write_bytes(damaged)
+        with pytest.raises(ValnovError) as info:
+            load_report(broken)
+        assert info.value.category == category
+        assert str(broken) in str(info.value)
 
     def test_render_text_layout(self):
         golds, preds = joint_fixture()

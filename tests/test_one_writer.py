@@ -1,11 +1,13 @@
-"""One atomic writer, one reader and one model-file format: no module but
-fsutil.py creates, writes or opens a file, encodes parameters as base64,
-or spells out a model file's ``format``/``version`` header.
+"""One atomic writer, one reader, one model-file format and one range
+check: no module but fsutil.py creates, writes or opens a file, encodes
+parameters as base64, or spells out a model file's ``format``/``version``
+header, and no config check spells out a range by hand.
 
 Every artifact then gets the same write-then-rename and the same mode,
 every input the same UTF-8 decoding and the same error for a file that
-cannot be decoded, and every model file the same header checks and the
-same parameter records.
+cannot be decoded, every model file the same header checks and the
+same parameter records, and every setting's range is declared once, on
+its field, where ``decode.check_ranges`` reads it.
 """
 
 import ast
@@ -22,6 +24,8 @@ NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # np.<name>
 FILE_READERS = {"open", "read_text", "read_bytes"}  # Path.open, io.open, os.open, ...
 NUMPY_READERS = {"load", "loadtxt", "genfromtxt", "fromfile"}  # np.<name>
 HEADER_KEYS = {"format", "version"}  # a model file's header, written and checked by fsutil
+CONFIG_CHECKS = {"__post_init__", "_check_settings"}  # the functions that check a config
+RANGE_WORDS = ("must be >", "must be null or")  # a bound spelled out in a message
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr | None:
@@ -194,3 +198,35 @@ def test_only_fsutil_spells_the_model_header(path):
 )
 def test_checker_sees_each_header_key(source):
     assert _header_keys(ast.parse(source))
+
+
+def _hand_ranges(tree: ast.AST) -> list[str]:
+    """``line: text`` for each string constant in a config check in ``tree``
+    that spells out a range."""
+    return [
+        f"{node.lineno}: {node.value}"
+        for check in ast.walk(tree)
+        if isinstance(check, ast.FunctionDef) and check.name in CONFIG_CHECKS
+        for node in ast.walk(check)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(words in node.value for words in RANGE_WORDS)
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_config_check_spells_a_range(path):
+    assert _hand_ranges(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    ['def __post_init__(self):\n    raise E("n must be >= 1")',
+     'def _check_settings(s):\n    raise E(f"{s.x} must be null or > 0")',
+     'class C:\n    def __post_init__(self):\n        if x:\n            raise E(f"{n} must be > 0")'],
+)
+def test_checker_sees_each_hand_range(source):
+    assert _hand_ranges(ast.parse(source))
+
+
+def test_checker_passes_ranges_outside_config_checks():
+    assert _hand_ranges(ast.parse('def svm_train(C):\n    raise E("steps must be >= 1")')) == []

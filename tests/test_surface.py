@@ -22,7 +22,6 @@ FLAGS = {
     "baseline": [*COMMON, "--task", "--train", "--on"],
     "mix": [*COMMON, "--validity", "--novelty"],
     "evaluate": [*COMMON, "--predictions", "--golds"],
-    "report": ["--report", "--out"],
     "seed-sweep": [*COMMON, "--train", "--dev", "--init-encoder"],
 }
 
@@ -66,7 +65,7 @@ def test_settings_surface(capsys):
         for name, sub in commands.choices.items()
     }
     assert flags == FLAGS
-    assert sum(map(len, flags.values())) == 44
+    assert sum(map(len, flags.values())) == 42
     assert _config_values(RunConfig()) == CONFIG_VALUES
     assert len(CONFIG_VALUES) == 32
 
