@@ -319,6 +319,9 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
             "vocab": len(tfidf.vocabulary),
             "train_nnz": train_nnz,
             "steps": fit.steps,
+            "passes": fit.passes,
+            "spread": fit.spread,
+            "converged": fit.converged,
             "violations": fit.violations,
         }
         all_predictions.extend(

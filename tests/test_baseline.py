@@ -1,4 +1,4 @@
-"""TF-IDF weighting and the primal-subgradient linear SVM."""
+"""TF-IDF weighting and the dual-coordinate-descent linear SVM."""
 
 import hashlib
 import json
@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valnov import baseline
 from valnov.baseline import (
     CsrRows,
     LinearSvm,
@@ -151,7 +152,7 @@ class TestSvmTrain:
         assert a.objective == b.objective
 
     def test_tiny_c_shrinks_weights(self):
-        # projection radius is sqrt(C*n)
+        # at the optimum ‖w‖² + b² ≤ Σα ≤ C·n
         fit = svm_train(TOY_X, TOY_Y, dim=2, C=1e-6, steps=400)
         assert float(np.linalg.norm(fit.model.weights)) <= math.sqrt(1e-6 * 4) + 1e-12
 
@@ -160,15 +161,6 @@ class TestSvmTrain:
         w = float(fit.model.weights[0])
         assert w > 0
         assert abs(fit.model.bias / w) <= 0.1
-
-    def test_tail_average_trace_nearly_monotone(self):
-        # the trace of the dense oracle, whose iterates the solver matches
-        fit = svm_train(TOY_X, TOY_Y, dim=2, C=1.0, steps=4000)
-        *_, trace, _ = _dense_svm_oracle(TOY_X, TOY_Y, 2, C=1.0, steps=4000, trace_every=50)
-        assert len(trace) >= 10
-        for prev, cur in zip(trace, trace[1:]):
-            assert cur <= prev + 1e-3 * max(1.0, abs(prev))
-        assert trace[-1] == pytest.approx(fit.objective, rel=1e-6)
 
     @pytest.mark.parametrize("steps", [0, -1])
     def test_steps_below_one_rejected(self, steps):
@@ -307,54 +299,6 @@ def test_non_finite_weight_is_a_training_error(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _dense_svm_oracle(X, y, dim, C, steps=None, seed=0, trace_every=0):
-    """The dense O(vocabulary)-per-step solver the sparse one replaced,
-    kept verbatim apart from counting projections: (w, b, trace, projections)."""
-
-    def sparse_dot(weights, x):
-        return sum(weights[idx] * value for idx, value in x.items())
-
-    n = len(X)
-    if steps is None:
-        steps = 50 * n
-    lam = 1.0 / (C * n)
-    radius = 1.0 / math.sqrt(lam)
-    rng = np.random.default_rng(seed)
-
-    w = np.zeros(dim)
-    b = 0.0
-    tail_start = steps // 2
-    avg_w = np.zeros(dim)
-    avg_b = 0.0
-    avg_count = 0
-    trace = []
-    projections = 0
-    order = np.empty(0, dtype=np.int64)
-
-    for t in range(steps):
-        if t % n == 0:
-            order = rng.permutation(n)
-        i = int(order[t % n])
-        eta = 1.0 / (lam * (t + 1))
-        violates = y[i] * (sparse_dot(w, X[i]) + b) < 1.0
-        w *= t / (t + 1.0)
-        if violates:
-            for idx, value in X[i].items():
-                w[idx] += eta * y[i] * value
-            b += eta * y[i]
-        norm = float(np.linalg.norm(w))
-        if norm > radius:
-            w *= radius / norm
-            projections += 1
-        if t >= tail_start:
-            avg_w += w
-            avg_b += b
-            avg_count += 1
-            if trace_every and avg_count % trace_every == 0:
-                trace.append(svm_objective(avg_w / avg_count, avg_b / avg_count, X, y, C))
-    return avg_w / avg_count, avg_b / avg_count, trace, projections
-
-
 def _random_sparse_problem(seed, n, dim, nnz, scale=1.0, noise=0.3):
     """Rows with up to ``nnz`` nonzeros (row 0 has none), labels from a
     noisy hidden hyperplane with both classes present."""
@@ -371,59 +315,70 @@ def _random_sparse_problem(seed, n, dim, nnz, scale=1.0, noise=0.3):
         for x in X
     ]
     y[1], y[2] = 1, -1
-    held_out = [row(k) for k in range(50)]
-    return X, y, held_out
+    return X, y
 
 
-class TestSparseSolverMatchesDenseOracle:
-    """The scaled-vector solver does the dense loop's arithmetic in
-    another order: weights and bias agree to rounding, signs exactly."""
+def _regularised_primal(fit, X, y):
+    """The objective the solver minimises: ``svm_objective`` plus ½b²."""
+    model = fit.model
+    return svm_objective(model.weights, model.bias, X, y, model.C) + 0.5 * model.bias**2
 
-    @staticmethod
-    def assert_matches(X, y, dim, held_out, **kwargs):
-        fit = svm_train(X, y, dim=dim, **kwargs)
-        w, b, _, projections = _dense_svm_oracle(X, y, dim, **kwargs)
-        scale = max(1.0, float(np.abs(w).max()))
-        assert float(np.abs(fit.model.weights - w).max()) <= 1e-9 * scale
-        assert fit.model.bias == pytest.approx(b, rel=1e-9, abs=1e-9)
-        for x in held_out:
-            ours = sum(fit.model.weights[i] * v for i, v in x.items()) + fit.model.bias
-            theirs = sum(w[i] * v for i, v in x.items()) + b
-            assert (ours > 0) == (theirs > 0)
-        return fit, projections
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_default_schedule(self, seed):
-        X, y, held_out = _random_sparse_problem(seed, n=40, dim=60, nnz=8)
-        self.assert_matches(X, y, 60, held_out, C=1.0, seed=seed)
+# (problem seed, _random_sparse_problem keywords, C), at C = 1e-5, 0.5 and 1
+CONVERGING_PROBLEMS = [
+    *[(seed, dict(n=40, dim=60, nnz=8), 1.0) for seed in (0, 1, 2)],
+    *[(seed, dict(n=30, dim=50, nnz=6), 1e-5) for seed in (3, 4)],
+    (7, dict(n=37, dim=45, nnz=7), 0.5),
+]
 
-    @pytest.mark.parametrize("seed", [3, 4])
-    def test_tiny_c(self, seed):
-        X, y, held_out = _random_sparse_problem(seed, n=30, dim=50, nnz=6)
-        fit, _ = self.assert_matches(X, y, 50, held_out, C=1e-5, steps=900, seed=seed)
-        assert float(np.linalg.norm(fit.model.weights)) <= math.sqrt(1e-5 * 30)
+# (problem seed, primal value of the projected-subgradient solver after
+# 1000·n steps) at C = 1000, with noisy labels on 12 features
+LARGE_C_PROBLEMS = [(5, 257330.45705853967), (6, 122384.12669592214)]
 
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_projection_after_every_violation(self, seed):
-        # a violating step moves w by about C·n·‖x‖/(t+1), above the
-        # radius √(C·n) for t < √(C·n)·‖x‖, about 2000 here, and noisy
-        # labels keep 40% of steps violating: the scale a shrinks by
-        # orders of magnitude and is folded into v dozens of times
-        X, y, held_out = _random_sparse_problem(
-            seed, n=60, dim=12, nnz=6, scale=5.0, noise=3.0
-        )
-        steps = 1000
-        _, projections = self.assert_matches(
-            X, y, 12, held_out, C=1000.0, steps=steps, seed=seed
-        )
-        assert projections > steps // 3
 
-    def test_steps_not_a_multiple_of_n(self):
-        X, y, held_out = _random_sparse_problem(7, n=37, dim=45, nnz=7)
-        self.assert_matches(X, y, 45, held_out, C=0.5, steps=1001, seed=7)
+class TestSolverOptimality:
+    @pytest.mark.parametrize("seed, shape, C", CONVERGING_PROBLEMS)
+    def test_tolerance_solve_is_near_the_tight_one(self, monkeypatch, seed, shape, C):
+        X, y = _random_sparse_problem(seed, **shape)
+        fit = svm_train(X, y, dim=shape["dim"], C=C, seed=seed)
+        monkeypatch.setattr(baseline, "_TOLERANCE", 1e-6)
+        tight = svm_train(X, y, dim=shape["dim"], C=C, seed=seed)
+        assert fit.converged and tight.converged
+        assert fit.spread < 1e-3 and tight.spread < 1e-6
+        ours, best = _regularised_primal(fit, X, y), _regularised_primal(tight, X, y)
+        assert best <= ours <= best * (1 + 2e-3)
+
+    @pytest.mark.parametrize("seed, subgradient_objective", LARGE_C_PROBLEMS)
+    def test_large_c_on_few_features_stops_at_the_cap(self, seed, subgradient_objective):
+        # dual coordinate descent converges slowly when C is large and
+        # the examples far outnumber the features: the spread stays
+        # above the tolerance for all 1000 passes, and the fit says so
+        X, y = _random_sparse_problem(seed, n=60, dim=12, nnz=6, scale=5.0, noise=3.0)
+        fit = svm_train(X, y, dim=12, C=1000.0, seed=seed)
+        assert (fit.steps, fit.passes) == (1000 * 60, 1000)
+        assert not fit.converged
+        assert fit.spread >= baseline._TOLERANCE
+        assert fit.objective <= subgradient_objective
+
+    @pytest.mark.parametrize("steps", [1, 39, 40 + 7])
+    def test_steps_cap_ends_the_solve(self, steps):
+        X, y = _random_sparse_problem(0, n=40, dim=60, nnz=8)
+        fit = svm_train(X, y, dim=60, C=1.0, steps=steps, seed=0)
+        assert fit.steps == steps
+        assert fit.passes == -(-steps // 40)
+        assert not fit.converged
+
+    def test_a_solve_that_converges_stops_at_a_pass_end(self):
+        X, y = _random_sparse_problem(0, n=40, dim=60, nnz=8)
+        fit = svm_train(X, y, dim=60, C=1.0, seed=0)
+        assert fit.converged
+        assert fit.steps == 40 * fit.passes
+        capped = svm_train(X, y, dim=60, C=1.0, steps=fit.steps, seed=0)
+        assert capped.converged
+        assert np.array_equal(capped.model.weights, fit.model.weights)
 
     def test_dict_rows_and_csr_rows_train_identically(self):
-        X, y, _ = _random_sparse_problem(8, n=20, dim=30, nnz=5)
+        X, y = _random_sparse_problem(8, n=20, dim=30, nnz=5)
         from_dicts = svm_train(X, y, dim=30, C=1.0, seed=1)
         from_csr = svm_train(CsrRows.from_dicts(X), y, dim=30, C=1.0, seed=1)
         assert np.array_equal(from_dicts.model.weights, from_csr.model.weights)
@@ -432,8 +387,8 @@ class TestSparseSolverMatchesDenseOracle:
 
 
 # sha256 of predictions.csv from `baseline --task both` on the corpus in
-# test_cli_predictions_are_byte_stable, recorded with the dense solver
-GOLDEN_PREDICTIONS_SHA256 = "86f88a425b9d00d6065dfc652e5b5f19ad72f452cd74b5e4afeea6c562928d5e"
+# test_cli_predictions_are_byte_stable, recorded with the dual solver
+GOLDEN_PREDICTIONS_SHA256 = "d8fc7da0398d9ac9a8bb412e0fcc365e03bcdb0222a9b67a1b5b4c1381b35306"
 
 
 def test_cli_predictions_are_byte_stable(tmp_path):
@@ -495,14 +450,12 @@ def _zipf_corpus(seed, n, prefix):
     return instances
 
 
-# sha256 of each file `baseline --task both` writes for _zipf_corpus. The
-# predictions and stats digests date from before the tokenize, stemming and
-# solver fast paths; the model file decodes bit-equal to the two per-task
-# model files recorded with them
+# sha256 of each file `baseline --task both` writes for _zipf_corpus,
+# recorded with the dual solver
 GOLDEN_ZIPF_BASELINE_SHA256 = {
-    "baseline-model.json": "76195092ed66c53f4932b1bbfe1df451e05b65263892b0b1b5fca450d19d0126",
-    "predictions.csv": "3660993fe72c0d22a25551fcd9f8885ba840f003759ab7ff09e05227cf36886e",
-    "baseline-stats.json": "1d93900d1b849a2b247884fa930d0347270c78ac1797399b2993ecf4cc335634",
+    "baseline-model.json": "6ec891ffec8f59d4dcb68130b39e587fc8fbd6159bb576bf86011e41f52b5515",
+    "predictions.csv": "6dba1f647512310ec9f8ba30abd1b8318766a2632496543c9138e866bebe044c",
+    "baseline-stats.json": "c82f2582c053bb8ed2fc37f4c2b19117bde1fcd4da8427eb11749be032997937",
 }
 
 
@@ -526,3 +479,22 @@ def test_zipf_baseline_outputs_are_byte_stable(tmp_path):
         for name in GOLDEN_ZIPF_BASELINE_SHA256
     }
     assert digests == GOLDEN_ZIPF_BASELINE_SHA256
+
+
+# novelty primal value on the _zipf_corpus train set (default C and seed)
+# of the projected-subgradient solver run for 50·n steps
+ZIPF_NOVELTY_SUBGRADIENT_OBJECTIVE = 218.8313268710582
+
+
+def test_zipf_novelty_objective_beats_the_subgradient_solver(monkeypatch):
+    train = _zipf_corpus(11, 400, "tr")
+    tfidf, X, _ = featurize(train)
+    y = task_labels(train, Task.NOVELTY)
+    kwargs = dict(dim=len(tfidf.vocabulary), C=BaselineSettings().c_novelty, seed=RunConfig().seed)
+    fit = svm_train(X, y, **kwargs)
+    assert fit.converged
+    assert fit.objective <= ZIPF_NOVELTY_SUBGRADIENT_OBJECTIVE
+    monkeypatch.setattr(baseline, "_TOLERANCE", 1e-6)
+    tight = svm_train(X, y, **kwargs)
+    best = _regularised_primal(tight, X, y)
+    assert best <= _regularised_primal(fit, X, y) <= best * (1 + 2e-3)

@@ -414,7 +414,9 @@ class TestBaselineMix:
         assert set(counters) == {"validity", "novelty"}
         for task_counters in counters.values():
             assert task_counters["vocab"] == len(model["vocabulary"])
-            assert task_counters["steps"] == 50 * 40  # 40 training instances
+            assert 1 <= task_counters["steps"] <= 1000 * 40  # 40 training instances
+            assert task_counters["passes"] >= 1
+            assert task_counters["converged"]
             assert 0 < task_counters["violations"] <= task_counters["steps"]
             assert task_counters["train_nnz"] > 0
         header = (root / "svm-count-a" / "predictions.csv").read_text().splitlines()[0]
@@ -1601,7 +1603,7 @@ class TestIllTypedInputs:
 
     @pytest.mark.parametrize("c_novelty", ["1e308", "1" + "0" * 308], ids=["float", "int"])
     def test_c_too_large_for_the_train_set_is_configuration(self, workspace, capsys, c_novelty):
-        # finite, but 1/(C*n) underflows to 0 and the SVM has no step size
+        # finite, but C*n, the primal value at w = 0, overflows
         name = f"c-novelty-{len(c_novelty)}"
         config_path = _config_with_literal(workspace, name, "baseline.c_novelty", c_novelty)
         run_dir = workspace["root"] / name
