@@ -324,6 +324,11 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
             "converged": fit.converged,
             "violations": fit.violations,
         }
+        if not fit.converged:
+            print(
+                f"svm {task.value}: not converged (steps cap): passes {fit.passes},"
+                f" spread {fit.spread:.3g}, tolerance {baseline_mod._TOLERANCE:g}"
+            )
         all_predictions.extend(
             baseline_mod.predict_corpus(fit.model, target_rows, targets, task)
         )

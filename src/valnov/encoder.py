@@ -8,13 +8,17 @@ backward), deterministic given its seed, and cheap enough for CPU tests.
 Each encoder keeps a memo from text to its int64 bucket ids, so a text
 is tokenized and hashed once per encoder however often it is encoded;
 the ids depend only on the frozen ``vocab_buckets``, so new parameters
-never invalidate it. Pooling adds each text's embedding rows one token
-position at a time in text order, the order of a per-row
-``embedding[ids].mean(axis=0)``, and backward accumulates into the
-embedding gradient token by token in the same order, so outputs and
-gradients are bit-identical to the per-row loops. (With ``embed_dim``
-1 that mean sums pairwise instead, and pooling may differ from it in
-the last bit.)
+never invalidate it.
+
+Pooling works on blocks of at most ``_POOL_BLOCK`` (64) texts: one
+gather lays a block's embedding rows out token position first, padding
+positions are set to +0.0, and one reduction over that axis adds each
+text's rows in text order. That is the order of adding the rows one
+token position at a time from +0.0, so pooling is byte-equal to that
+loop for every ``embed_dim``. Each encoder keeps one gather buffer of
+64 × (longest text of any batch so far) × ``embed_dim`` floats. Backward
+accumulates into the embedding gradient token by token in the same
+order, so outputs and gradients are bit-identical to the per-row loops.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .decode import check_ranges
+
+_POOL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -90,6 +96,7 @@ class ReferenceEncoder:
         )
         self.proj_b = np.zeros(config.projection_dim)
         self._ids: dict[str, np.ndarray] = {}
+        self._pool_buffer = np.empty(0)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "proj_w": self.proj_w, "proj_b": self.proj_b}
@@ -112,11 +119,30 @@ class ReferenceEncoder:
         present = np.arange(width) < lengths[:, None]  # (n, width)
         padded = np.zeros((len(rows), width), dtype=np.int64)
         padded[present] = flat
-        pooled = np.zeros((len(rows), self.config.embed_dim))
-        # one token position at a time, so each row sums in text order as a
-        # per-row mean(axis=0) does (np.add.reduceat does not)
-        for j in range(width):
-            np.add(pooled, self.embedding[padded[:, j]], out=pooled, where=present[:, j, None])
+        dim = self.config.embed_dim
+        pooled = np.zeros((len(rows), dim))
+        # one gather buffer, kept and grown: a fresh one per block or per call
+        # (large enough to come from mmap) made batches of 202 and 520 texts
+        # slower than the position loop
+        need = min(len(rows), _POOL_BLOCK) * width * dim
+        if self._pool_buffer.size < need:
+            self._pool_buffer = np.empty(need)
+        buffer = self._pool_buffer
+        for lo in range(0, len(rows), _POOL_BLOCK):
+            hi = min(lo + _POOL_BLOCK, len(rows))
+            cols = int(lengths[lo:hi].max())
+            # (position, text, dim): the reduction runs over the outer axis,
+            # so each text's rows are added in text order (reduceat is not).
+            # Every id is below vocab_buckets, so "clip" moves none; unlike
+            # the default mode it lets take write into out without a copy
+            block = buffer[: cols * (hi - lo) * dim].reshape(cols, hi - lo, dim)
+            np.take(self.embedding, padded[lo:hi, :cols].T, axis=0, out=block, mode="clip")
+            block[~present[lo:hi, :cols].T] = 0.0
+            out = pooled[lo:hi]
+            if out.size > 1:
+                np.add.reduce(block, axis=0, out=out)
+            else:  # numpy would sum a lone column pairwise
+                out[...] = np.add.accumulate(np.append(0.0, block.ravel()))[-1]
         pooled /= np.maximum(lengths, 1)[:, None]  # an empty text pools to zeros
         outputs = np.tanh(pooled @ self.proj_w.T + self.proj_b)
         return ForwardCache(token_ids=flat, lengths=lengths, pooled=pooled, outputs=outputs)

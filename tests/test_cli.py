@@ -422,6 +422,30 @@ class TestBaselineMix:
         header = (root / "svm-count-a" / "predictions.csv").read_text().splitlines()[0]
         assert header == "instance_id,task,value,source,flagged"
 
+    def test_capped_solve_prints_one_line_per_task(self, workspace, capsys, tmp_path):
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["baseline"] = {"steps": 1}
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = tmp_path / "capped"
+        assert main(["baseline", "--config", str(path), "--run-dir", str(run_dir)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        stats = json.loads((run_dir / "baseline-stats.json").read_text(encoding="utf-8"))
+        assert out.splitlines()[:2] == [
+            f"svm {task}: not converged (steps cap): passes 1,"
+            f" spread {stats['counters'][task]['spread']:.3g}, tolerance 0.001"
+            for task in ("validity", "novelty")
+        ]
+        assert not any(c["converged"] for c in stats["counters"].values())
+
+    def test_converged_solve_prints_no_cap_line(self, workspace, capsys, tmp_path):
+        run_dir = tmp_path / "converged"
+        assert main(["baseline", "--config", workspace["config"], "--run-dir", str(run_dir)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out == "wrote 32 svm predictions\n"
+
     def test_mix_tags_sources(self, workspace, capsys):
         root = workspace["root"]
         svm_file = root / "svm-run" / "predictions.csv"
@@ -900,16 +924,32 @@ class TestStageDriver:
         assert len(calls) == 2
         assert os.listdir(tmp_path) == []
 
-    def test_diverging_training_prints_only_the_error_line(self, diverging_config, tmp_path):
+    @staticmethod
+    def _sweep_prints_only_the_error_line(config, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(valnov.__file__).parents[1])}
         done = subprocess.run(
-            [sys.executable, "-m", "valnov.cli", "seed-sweep", "--config", diverging_config,
+            [sys.executable, "-m", "valnov.cli", "seed-sweep", "--config", config,
              "--run-dir", str(tmp_path / "sweep")],
             env=env, capture_output=True, text=True,
         )
         assert done.returncode == 2
         assert done.stderr.startswith("error: training: non-finite loss")
         assert done.stderr.count("\n") == 1
+
+    def test_diverging_training_prints_only_the_error_line(self, diverging_config, tmp_path):
+        self._sweep_prints_only_the_error_line(diverging_config, tmp_path)
+
+    def test_diverging_training_with_the_default_encoder_prints_only_the_error_line(
+        self, diverging_config, tmp_path
+    ):
+        # the default 2048x32 embedding is large enough for AdamW to hand
+        # half of its update to the worker thread, which must run under
+        # the trainer's np.errstate too
+        config = json.loads(Path(diverging_config).read_text(encoding="utf-8"))
+        del config["encoder"]
+        path = tmp_path / "diverging-default-encoder.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        self._sweep_prints_only_the_error_line(str(path), tmp_path)
 
     @pytest.fixture
     def overflowing_config(self, workspace, tmp_path):

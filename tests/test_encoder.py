@@ -268,3 +268,46 @@ class TestTokenIdMemo:
         )
         assert counted.count("alpha beta") == 2  # once per encoder
 
+
+def position_loop_pooled(enc, texts):
+    """Pooling one token position at a time, each text's rows added in
+    text order from +0.0: the oracle the blocked pooling must reproduce
+    byte for byte, for every ``embed_dim``."""
+    rows = [enc.token_ids(t) for t in texts]
+    lengths = np.array([len(r) for r in rows], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    present = np.arange(width) < lengths[:, None]
+    padded = np.zeros((len(rows), width), dtype=np.int64)
+    padded[present] = np.concatenate(rows) if rows else []
+    pooled = np.zeros((len(rows), enc.config.embed_dim))
+    for j in range(width):
+        np.add(pooled, enc.embedding[padded[:, j]], out=pooled, where=present[:, j, None])
+    pooled /= np.maximum(lengths, 1)[:, None]
+    return pooled, np.tanh(pooled @ enc.proj_w.T + enc.proj_b)
+
+
+def _pooling_batch(n):
+    """``n`` texts across the 64-text block edge: the first and last are
+    longer than 128 tokens (so a lone text in the last block is summed
+    over many positions), and empty texts sit among the rest."""
+    texts = _word_salad(6, n, 40)
+    texts[-1] = " ".join(f"w{k % 40}" for k in range(150))
+    texts[0] = " ".join(f"w{k % 37}" for k in range(200))
+    if n > 3:
+        texts[1], texts[2], texts[n // 2] = "", "...", "w0 w1"
+    return texts
+
+
+@pytest.mark.parametrize("n", [1, 64, 65, 202])
+@pytest.mark.parametrize("embed_dim", [1, 2, 32])
+def test_blocked_pooling_is_byte_equal_to_the_position_loop(n, embed_dim):
+    enc = ReferenceEncoder(EncoderConfig(vocab_buckets=512, embed_dim=embed_dim, seed=8))
+    # two rows of -0.0: the loop starts from +0.0, so "w0 w1" pools to
+    # +0.0, also where no padding follows it in its block
+    for word in ("w0", "w1"):
+        enc.embedding[_hash_token(word, 512)] = -0.0
+    for texts in (_pooling_batch(n), ["w0 w1", "w1"][:n]):
+        pooled, outputs = position_loop_pooled(enc, texts)
+        cache = enc.forward(texts)
+        assert cache.pooled.tobytes() == pooled.tobytes()
+        assert cache.outputs.tobytes() == outputs.tobytes()

@@ -1,8 +1,11 @@
 """Adam with decoupled weight decay."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from valnov import optim
 from valnov.optim import AdamW
 
 
@@ -149,3 +152,110 @@ def test_subset_steps_bit_identical_and_absent_names_untouched():
                 assert np.array_equal(params[name], before[name]), name
     # per-name step counts: each advanced only on the steps that named it
     assert fused._t == oracle.t == {"embedding": 9, "proj_w": 9, "proj_b": 12}
+
+
+# the default encoder's embedding: at least optim._SPLIT_MIN values, so
+# its update is split with the worker thread when several CPUs may run
+SPLIT_SHAPES = {"embedding": (2048, 32), "proj_w": (32, 32), "proj_b": (32,)}
+
+
+@pytest.fixture
+def submitted(monkeypatch):
+    """Forces the split path and counts the halves handed to the worker."""
+    calls = []
+    real_submit = optim._submit
+
+    def counting_submit(*args):
+        calls.append(args[1].shape)
+        return real_submit(*args)
+
+    monkeypatch.setattr(optim, "_may_use_several_cpus", lambda: True)
+    monkeypatch.setattr(optim, "_submit", counting_submit)
+    return calls
+
+
+def _split_run(optimizer):
+    """Steps on subsets of names with mostly-zero embedding rows; returns
+    the parameters after each step."""
+    rng = np.random.default_rng(5)
+    params = {name: rng.normal(size=shape) for name, shape in SPLIT_SHAPES.items()}
+    subsets = [("embedding", "proj_w", "proj_b"), ("embedding",), ("proj_w",),
+               ("embedding", "proj_b")]
+    trajectory = []
+    for subset in subsets * 3:
+        grads = {name: rng.normal(size=SPLIT_SHAPES[name]) for name in subset}
+        if "embedding" in grads:
+            grads["embedding"][rng.random(2048) < 0.9] = 0.0
+        optimizer.step(params, grads)
+        trajectory.append({name: p.tobytes() for name, p in params.items()})
+    return trajectory
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01, 0.3])
+def test_split_steps_byte_equal_to_allocating_and_serial_updates(
+    weight_decay, submitted, monkeypatch
+):
+    split = AdamW(0.05, weight_decay=weight_decay)
+    split_run = _split_run(split)
+    assert submitted == [(2048 * 32 // 2,)] * 9  # the upper half, on every embedding step
+
+    oracle = AllocatingAdamW(0.05, weight_decay=weight_decay)
+    assert _split_run(oracle) == split_run
+
+    monkeypatch.setattr(optim, "_may_use_several_cpus", lambda: False)
+    serial = AdamW(0.05, weight_decay=weight_decay)
+    assert _split_run(serial) == split_run
+    assert len(submitted) == 9  # the serial run submitted nothing
+
+    assert split._t == serial._t == oracle.t == {"embedding": 9, "proj_w": 6, "proj_b": 6}
+
+
+def test_a_non_contiguous_parameter_is_updated_serially(submitted):
+    rng = np.random.default_rng(6)
+    params = {"w": np.asfortranarray(rng.normal(size=(2048, 32)))}
+    expected = {"w": params["w"].copy()}
+    opt, oracle = AdamW(0.05, weight_decay=0.01), AllocatingAdamW(0.05, weight_decay=0.01)
+    for _ in range(3):
+        grads = {"w": rng.normal(size=(2048, 32))}
+        opt.step(params, grads)
+        oracle.step(expected, grads)
+    assert submitted == []
+    assert params["w"].tobytes() == expected["w"].tobytes()
+
+
+def test_worker_half_runs_under_the_callers_errstate(submitted):
+    opt = AdamW(1e300)
+    p = np.ones(2 * optim._SPLIT_MIN)
+    g = np.zeros_like(p)
+    g[optim._SPLIT_MIN:] = 1e300  # g*g overflows, in the worker's half only
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            opt.step({"w": p}, {"w": g})
+    assert submitted == [(optim._SPLIT_MIN,)]
+    assert np.all(p[: optim._SPLIT_MIN] == 1.0)
+    assert not np.isfinite(p[optim._SPLIT_MIN :]).any()
+
+
+def test_an_error_in_the_worker_half_is_raised_by_step(submitted):
+    opt = AdamW(0.1)
+    p = np.ones(2 * optim._SPLIT_MIN)
+    g = np.zeros_like(p)
+    g[-1] = 1e300
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            opt.step({"w": p}, {"w": g})
+
+
+def test_the_cpu_decision_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(optim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert optim._may_use_several_cpus() is False
+    monkeypatch.setattr(optim.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert optim._may_use_several_cpus() is True
+    monkeypatch.delattr(optim.os, "sched_getaffinity")
+    monkeypatch.setattr(optim.os, "cpu_count", lambda: 1)
+    assert optim._may_use_several_cpus() is False
+    monkeypatch.setattr(optim.os, "cpu_count", lambda: None)
+    assert optim._may_use_several_cpus() is False
+    monkeypatch.setattr(optim.os, "cpu_count", lambda: 4)
+    assert optim._may_use_several_cpus() is True
