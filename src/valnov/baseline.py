@@ -5,8 +5,23 @@ counts by smoothed inverse document frequency with L2 normalization,
 and trains one linear SVM per task by dual coordinate descent, the
 solver of LIBLINEAR, with the bias as a constant feature.
 
-Each document is tokenized and stemmed once per ``analyse`` call, and
-the weighted documents are held as one CSR matrix (``CsrRows``). A
+The corpus has one analysed form, ``AnalysedCorpus``: the stem id of
+every token in one flat int32 array, each document's offsets into it,
+and the stem strings indexed by id. ``analyse`` builds it, tokenizing
+each document and stemming each distinct token once. ``tfidf_fit`` and
+``tfidf_rows`` work on it ``_BLOCK`` documents at a time with numpy: a
+stable sort of (document, stem) keys finds each pair's first token and
+count, so a block costs a few array passes instead of a ``Counter`` per
+document, and the temporaries stay the size of one block.
+
+The rows keep the bytes of the per-document loop they replace. Each row
+lists its terms in first-occurrence order, and its norm adds the
+squared weights left to right from 0, as ``sum`` of floats does through
+Python 3.11 (``np.bincount`` with weights adds in input order; a numpy
+reduction would add pairwise). The idf of each document frequency comes
+from ``math.log``.
+
+The weighted documents are held as one CSR matrix (``CsrRows``). A
 solver step reads and updates the weights only at one example's
 nonzeros, so it costs O(nnz(x)), not O(vocabulary).
 """
@@ -15,10 +30,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -35,30 +50,67 @@ SparseVector = dict[int, float]
 # than this
 _TOLERANCE = 1e-3
 
+# documents per block of the bulk TF-IDF passes
+_BLOCK = 128
+
 
 def document_text(instance: ArgumentInstance) -> str:
     return f"{instance.premise} {instance.conclusion}"
 
 
-def _terms(document: str) -> list[str]:
-    return [stem(token) for token in tokenize(document)]
+@dataclass(frozen=True, eq=False)
+class AnalysedCorpus:
+    """Documents as stem ids: document i is ``ids[offsets[i]:offsets[i + 1]]``,
+    and id k stands for ``stems[k]``."""
+
+    ids: np.ndarray  # int32, the stem id of every token, document after document
+    offsets: np.ndarray  # int64, one longer than the document count
+    stems: list[str]  # indexed by stem id
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, docs: slice) -> AnalysedCorpus:
+        """The documents of ``docs`` (a slice of step 1), over the same stems."""
+        lo, hi, _ = docs.indices(len(self))
+        start = self.offsets[lo]
+        return AnalysedCorpus(
+            ids=self.ids[start : self.offsets[hi]],
+            offsets=self.offsets[lo : hi + 1] - start,
+            stems=self.stems,
+        )
+
+    def token_documents(self) -> np.ndarray:
+        """The document index of every token."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
 
 
-def analyse(documents: Sequence[str]) -> list[list[str]]:
-    """Stemmed tokens of each document; each distinct token is stemmed once."""
-    memo: dict[str, str] = {}
-    stems: dict[str, str] = {}  # one string per distinct stem, to save memory
-    analysed = []
+def _analyse(documents: Iterable[str]) -> AnalysedCorpus:
+    # tfidf_fit analyses raw texts through this, not through the public
+    # analyse, so that a traced fit has its tokenize and stem calls
+    # directly under it
+    memo: dict[str, int] = {}  # token -> stem id
+    stem_ids: dict[str, int] = {}
+    ids = array("i")
+    offsets = array("q", [0])
     for document in documents:
-        terms = []
         for token in tokenize(document):
-            term = memo.get(token)
-            if term is None:
-                term = stem(token)
-                term = memo[token] = stems.setdefault(term, term)
-            terms.append(term)
-        analysed.append(terms)
-    return analysed
+            stem_id = memo.get(token)
+            if stem_id is None:
+                stem_id = memo[token] = stem_ids.setdefault(stem(token), len(stem_ids))
+            ids.append(stem_id)
+        offsets.append(len(ids))
+    return AnalysedCorpus(
+        ids=np.frombuffer(ids, dtype=np.int32),
+        offsets=np.frombuffer(offsets, dtype=np.int64),
+        stems=list(stem_ids),
+    )
+
+
+def analyse(documents: Iterable[str]) -> AnalysedCorpus:
+    """Tokenize every document and stem each distinct token once; stem
+    ids are numbered in order of first occurrence."""
+    return _analyse(documents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,47 +159,88 @@ class TfidfModel:
     document_count: int
 
 
-def tfidf_fit(documents: Sequence[str] | Sequence[list[str]]) -> TfidfModel:
+def tfidf_fit(documents: Sequence[str] | AnalysedCorpus) -> TfidfModel:
     """Fit vocabulary and smoothed idf: ln((1 + N) / (1 + df)) + 1.
 
-    ``documents`` are raw texts or their term lists from ``analyse``.
+    ``documents`` are raw texts or an ``analyse`` result.
     """
     if not documents:
         raise ConfigurationError("cannot fit TF-IDF on an empty corpus")
-    df: Counter[str] = Counter()
-    for document in documents:
-        df.update(set(_terms(document) if isinstance(document, str) else document))
-    vocabulary = {term: idx for idx, term in enumerate(sorted(df))}
+    if not isinstance(documents, AnalysedCorpus):
+        documents = _analyse(documents)
+    n_stems = len(documents.stems)
+    df = np.zeros(n_stems, dtype=np.int64)
+    for lo in range(0, len(documents), _BLOCK):
+        block = documents[lo : lo + _BLOCK]
+        # the first token of each (document, stem)
+        first = _first_counts(block.token_documents() * n_stems + block.ids) > 0
+        np.add.at(df, block.ids[first], 1)
+    present = df > 0
+    terms = sorted(compress(documents.stems, present.tolist()))
+    vocabulary = dict(zip(terms, range(len(terms))))
     n_docs = len(documents)
-    idf = np.zeros(len(vocabulary))
-    for term, idx in vocabulary.items():
-        idf[idx] = math.log((1 + n_docs) / (1 + df[term])) + 1.0
+    idf_of_df = [math.log((1 + n_docs) / (1 + d)) + 1.0 for d in range(df.max(initial=0) + 1)]
+    idf = np.empty(len(terms))
+    idf[_columns(vocabulary, documents.stems)[present]] = np.array(idf_of_df)[df[present]]
     return TfidfModel(vocabulary=vocabulary, idf=idf, document_count=n_docs)
 
 
-def tfidf_rows(model: TfidfModel, analysed: Sequence[list[str]]) -> CsrRows:
+def _columns(vocabulary: dict[str, int], stems: list[str]) -> np.ndarray:
+    """The column of each stem id, or -1 for a stem not in ``vocabulary``."""
+    return np.fromiter((vocabulary.get(term, -1) for term in stems), np.int64, len(stems))
+
+
+def _first_counts(keys: np.ndarray) -> np.ndarray:
+    """How often each key occurs, at the position of its first occurrence;
+    0 at every later one."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.zeros(len(keys), dtype=np.int64)
+    counts[order[starts]] = np.diff(starts, append=len(keys))
+    return counts
+
+
+def tfidf_rows(model: TfidfModel, analysed: AnalysedCorpus) -> CsrRows:
     """tf·idf rows of analysed documents, L2-normalized; unseen terms
-    dropped, so a document with no known term is an empty row."""
-    vocabulary = model.vocabulary
-    idf = model.idf.tolist()
-    indptr = array("q", [0])
-    indices = array("q")
-    values = array("d")
-    for terms in analysed:
-        row = [
-            (idx, tf * idf[idx])
-            for term, tf in Counter(terms).items()
-            if (idx := vocabulary.get(term)) is not None
-        ]
-        norm = math.sqrt(sum(weight * weight for _, weight in row))
-        indices.extend([idx for idx, _ in row])
-        values.extend([weight / norm for _, weight in row])
-        indptr.append(len(indices))
-    return CsrRows(
-        indptr=np.frombuffer(indptr, dtype=np.int64),
-        indices=np.frombuffer(indices, dtype=np.int64),
-        values=np.frombuffer(values, dtype=np.float64),
-    )
+    dropped, so a document with no known term is an empty row.
+
+    Each row lists its terms in first-occurrence order, and its squared
+    weights are added left to right, as a loop over the document's
+    term counts would add them.
+    """
+    column = _columns(model.vocabulary, analysed.stems)
+    width = len(model.vocabulary)
+    # a row has at most one entry per token: fill buffers of that size,
+    # then cut them to the entries written
+    indptr = np.zeros(len(analysed) + 1, dtype=np.int64)
+    indices = np.empty(len(analysed.ids), dtype=np.int64)
+    values = np.empty(len(analysed.ids), dtype=np.float64)
+    nnz = 0
+    for lo in range(0, len(analysed), _BLOCK):
+        block = analysed[lo : lo + _BLOCK]
+        cols = column[block.ids]
+        known = cols >= 0
+        row, col = block.token_documents()[known], cols[known]
+        # one entry per (document, column), at its first token
+        tf = _first_counts(row * width + col)
+        first = tf > 0
+        row, col = row[first], col[first]
+        weight = tf[first] * model.idf[col]
+        # bincount adds each row's squares in entry order, starting from 0.0
+        norm = np.sqrt(np.bincount(row, weights=weight * weight, minlength=len(block)))
+        stop = nnz + len(col)
+        indptr[lo + 1 : lo + 1 + len(block)] = nnz + np.cumsum(
+            np.bincount(row, minlength=len(block))
+        )
+        indices[nnz:stop] = col
+        np.divide(weight, norm[row], out=values[nnz:stop])
+        nnz = stop
+    indices.resize(nnz, refcheck=False)
+    values.resize(nnz, refcheck=False)
+    return CsrRows(indptr=indptr, indices=indices, values=values)
 
 
 def featurize(
@@ -155,10 +248,10 @@ def featurize(
 ) -> tuple[TfidfModel, CsrRows, CsrRows]:
     """Analyse every document once, fit TF-IDF on ``train``, and weight
     both sets: (model, train rows, target rows)."""
-    analysed = analyse([document_text(inst) for inst in (*train, *targets)])
-    train_terms, target_terms = analysed[: len(train)], analysed[len(train) :]
-    tfidf = tfidf_fit(train_terms)
-    return tfidf, tfidf_rows(tfidf, train_terms), tfidf_rows(tfidf, target_terms)
+    analysed = analyse(document_text(inst) for inst in (*train, *targets))
+    train_docs, target_docs = analysed[: len(train)], analysed[len(train) :]
+    tfidf = tfidf_fit(train_docs)
+    return tfidf, tfidf_rows(tfidf, train_docs), tfidf_rows(tfidf, target_docs)
 
 
 @dataclass(frozen=True, eq=False)

@@ -306,7 +306,9 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
         except ConfigurationError as exc:  # C too large for the train set
             raise ConfigurationError(f"baseline.{key}: {exc}") from exc
     train_nnz = len(X.indices)
-    del X  # free the train rows before the model file is encoded
+    # free the train rows before the model file is encoded (featurize
+    # gives each split its own arrays, so nothing else holds them)
+    del X
     baseline_mod.save_baseline(
         run.path / "baseline-model.json", tfidf, {task: fit.model for task, fit in fits.items()}
     )

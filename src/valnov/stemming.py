@@ -15,6 +15,14 @@ tries only the suffixes that end in the word's last letter, kept in the
 step table's order.  Every suffix the word ends in is among them, so
 the first match is the one a scan of the whole table finds.  Every
 rewrite goes through ``_swap``; deleting a suffix is swapping it for "".
+
+``stem`` returns the lower-cased word at once when it ends in none of
+``_RULE_ENDINGS``: the suffixes of steps 1a to 4, ``y`` and ``e`` and
+``ll``.  No step can fire on such a word.  Steps 1a, 1b, 2, 3 and 4
+each need one of their suffixes, step 1c a final ``y`` and step 5 a
+final ``e`` or ``ll``, and marking a consonant ``y`` as ``Y`` can only
+take endings away, since every suffix that holds a ``y`` ends in one.
+So the full pipeline would give back the lower-cased word unchanged.
 """
 
 import re
@@ -95,6 +103,21 @@ def _by_last_letter(suffixes: tuple[str, ...]) -> dict[str, tuple[str, ...]]:
 _BY_LAST = {
     table: _by_last_letter(table) for table in (_STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4)
 }
+
+
+def _shortest_endings(endings: tuple[str, ...]) -> tuple[str, ...]:
+    """The endings that end in no other one: a word ends in one of
+    ``endings`` exactly when it ends in one of these."""
+    return tuple(
+        sorted(e for e in endings if not any(f != e and e.endswith(f) for f in endings))
+    )
+
+
+# every ending a rule tests: the suffixes of steps 1a to 4, the y of
+# step 1c, and the e and ll of step 5
+_RULE_ENDINGS = _shortest_endings(
+    _STEP1A + _STEP1B + _STEP2 + _STEP3 + _STEP4 + ("y", "e", "ll")
+)
 
 # irregular forms and words that must not be touched at all
 _SPECIAL = {
@@ -220,6 +243,8 @@ def stem(token: str) -> str:
         return word
     if word in _SPECIAL:
         return _SPECIAL[word]
+    if not word.endswith(_RULE_ENDINGS):
+        return word
 
     word = _mark_consonant_y(word)
     r1, r2 = _regions(word)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,8 +29,10 @@ from valnov.baseline import (
 from valnov.cli import main
 from valnov.config import BaselineSettings, RunConfig
 from valnov.corpus import LabelValue, Split, Task, mapped_value, save_instances_jsonl
+from valnov.encoder import tokenize
 from valnov.errors import ConfigurationError, DataError, TrainingError
 from valnov.fsutil import unpack_params
+from valnov.stemming import stem
 from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
@@ -498,3 +501,98 @@ def test_zipf_novelty_objective_beats_the_subgradient_solver(monkeypatch):
     tight = svm_train(X, y, **kwargs)
     best = _regularised_primal(tight, X, y)
     assert best <= _regularised_primal(fit, X, y) <= best * (1 + 2e-3)
+
+
+def _reference_terms(text):
+    return [stem(token) for token in tokenize(text)]
+
+
+def _reference_tfidf(train_texts, target_texts):
+    """The per-document TF-IDF that the bulk passes replace: a ``Counter``
+    of each document's stem set for df, and a ``Counter`` of each
+    document's stems, in first-occurrence order, for its row."""
+    train_terms = [_reference_terms(text) for text in train_texts]
+    df = Counter()
+    for terms in train_terms:
+        df.update(set(terms))
+    vocabulary = {term: idx for idx, term in enumerate(sorted(df))}
+    idf = np.zeros(len(vocabulary))
+    for term, idx in vocabulary.items():
+        idf[idx] = math.log((1 + len(train_terms)) / (1 + df[term])) + 1.0
+
+    def rows(texts):
+        indptr, indices, values = [0], [], []
+        for text in texts:
+            row = [
+                (idx, tf * idf[idx])
+                for term, tf in Counter(_reference_terms(text)).items()
+                if (idx := vocabulary.get(term)) is not None
+            ]
+            # left to right from 0, as sum() of floats adds through Python 3.11
+            norm_sq = 0
+            for _, weight in row:
+                norm_sq += weight * weight
+            norm = math.sqrt(norm_sq)
+            indices += [idx for idx, _ in row]
+            values += [weight / norm for _, weight in row]
+            indptr.append(len(indices))
+        return (
+            np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64),
+            np.array(values, dtype=np.float64),
+        )
+
+    return vocabulary, idf, rows(train_texts), rows(target_texts)
+
+
+def _zipf_texts(seed, n, prefix):
+    return [document_text(inst) for inst in _zipf_corpus(seed, n, prefix)]
+
+
+def _oracle_case(name):
+    if name == "separable":
+        train, dev = make_separable_corpus(n_train=60, n_dev=20)
+        return [document_text(i) for i in train], [document_text(i) for i in dev]
+    if name == "zipf":
+        return _zipf_texts(11, 400, "tr"), _zipf_texts(12, 150, "te")
+    if name == "edges":
+        # an empty document on each side; targets made only of unseen
+        # stems, opening with unseen stems, and repeating a stem
+        train = ["Cats run, cats sleep.", "", "dogs dogs bark", "running cats (again)"]
+        targets = ["", "zebra quokka", "zebras quokka cats run", "cats cats CATS dog"]
+        return train, targets
+    if name == "single":
+        return ["walks walk walking walker"], ["walk talk", "walkers"]
+    if name.startswith("block"):
+        n = baseline._BLOCK + int(name[len("block") :])
+        return _zipf_texts(21, n, "tr"), _zipf_texts(22, n, "te")
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "case", ["separable", "zipf", "edges", "single", "block-1", "block+0", "block+1"]
+)
+def test_bulk_tfidf_is_byte_equal_to_the_counter_loop(case):
+    train, targets = _oracle_case(case)
+    vocabulary, idf, train_rows, target_rows = _reference_tfidf(train, targets)
+
+    analysed = analyse([*train, *targets])
+    stems = analysed.stems
+    offsets = analysed.offsets.tolist()
+    assert [
+        [stems[i] for i in analysed.ids[lo:hi].tolist()] for lo, hi in zip(offsets, offsets[1:])
+    ] == [_reference_terms(text) for text in [*train, *targets]]
+
+    model = tfidf_fit(analysed[: len(train)])
+    for fitted in (model, tfidf_fit(train)):
+        assert list(fitted.vocabulary.items()) == list(vocabulary.items())
+        assert fitted.idf.tobytes() == idf.tobytes()
+        assert fitted.document_count == len(train)
+    for docs, expected in (
+        (analysed[: len(train)], train_rows),
+        (analysed[len(train) :], target_rows),
+    ):
+        rows = tfidf_rows(model, docs)
+        for got, want in zip((rows.indptr, rows.indices, rows.values), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()

@@ -11,9 +11,10 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valnov import stemming
 from valnov.encoder import tokenize
 from valnov.stemming import _STEP1A, _STEP1B, _STEP2, _STEP3, _STEP4, _suffix, stem
 from valnov.synthetic import make_profile_splits
@@ -239,3 +240,31 @@ def test_stems_of_suffix_word_list_are_unchanged():
     assert len(words) > 40_000
     text = "\n".join(stem(word) for word in words)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_STEMS_SHA256
+
+
+# the endings of step 1c and step 5, and their near misses
+NEAR_RULE_ENDINGS = ["e", "l", "ll", "y", *(vowel + "y" for vowel in "aeiou")]
+
+
+@st.composite
+def mixed_case_words(draw):
+    """A random stem, or one rich in vowels so that its regions are long,
+    followed by no ending, a step suffix or an ending of steps 1c and 5,
+    with each letter upper-cased at random."""
+    word = draw(
+        st.text(alphabet=string.ascii_lowercase, max_size=8)
+        | st.text(alphabet="aeioulnrst", min_size=3, max_size=8)
+    )
+    word += draw(st.sampled_from(["", *ALL_SUFFIXES]) | st.sampled_from(NEAR_RULE_ENDINGS))
+    upper = draw(st.lists(st.booleans(), min_size=len(word), max_size=len(word)))
+    return "".join(ch.upper() if up else ch for ch, up in zip(word, upper))
+
+
+@settings(max_examples=1000)
+@given(mixed_case_words())
+def test_no_rule_ending_shortcut_matches_the_full_pipeline(word):
+    with pytest.MonkeyPatch.context() as patch:
+        # every word ends in "", so every word runs through all the steps
+        patch.setattr(stemming, "_RULE_ENDINGS", ("",))
+        full = stem(word)
+    assert stem(word) == full
