@@ -12,7 +12,10 @@ each document and stemming each distinct token once. ``tfidf_fit`` and
 ``tfidf_rows`` work on it ``_BLOCK`` documents at a time with numpy: a
 stable sort of (document, stem) keys finds each pair's first token and
 count, so a block costs a few array passes instead of a ``Counter`` per
-document, and the temporaries stay the size of one block.
+document, and the temporaries stay the size of one block. Given raw
+texts, ``tfidf_fit`` stems every token where it occurs, as the
+per-document fit did, and builds the same record from the stems with
+``AnalysedCorpus.from_terms``.
 
 The rows keep the bytes of the per-document loop they replace. Each row
 lists its terms in first-occurrence order, and its norm adds the
@@ -70,6 +73,18 @@ class AnalysedCorpus:
     def __len__(self) -> int:
         return len(self.offsets) - 1
 
+    @classmethod
+    def from_terms(cls, documents: Sequence[list[str]]) -> AnalysedCorpus:
+        """The record of documents given as their stems, ids numbered in
+        order of first occurrence as ``analyse`` numbers them."""
+        stem_ids: dict[str, int] = {}
+        ids = array(
+            "i", [stem_ids.setdefault(term, len(stem_ids)) for terms in documents for term in terms]
+        )
+        offsets = np.zeros(len(documents) + 1, dtype=np.int64)
+        np.cumsum([len(terms) for terms in documents], out=offsets[1:])
+        return cls(ids=np.frombuffer(ids, dtype=np.int32), offsets=offsets, stems=list(stem_ids))
+
     def __getitem__(self, docs: slice) -> AnalysedCorpus:
         """The documents of ``docs`` (a slice of step 1), over the same stems."""
         lo, hi, _ = docs.indices(len(self))
@@ -85,10 +100,9 @@ class AnalysedCorpus:
         return np.repeat(np.arange(len(self), dtype=np.int64), np.diff(self.offsets))
 
 
-def _analyse(documents: Iterable[str]) -> AnalysedCorpus:
-    # tfidf_fit analyses raw texts through this, not through the public
-    # analyse, so that a traced fit has its tokenize and stem calls
-    # directly under it
+def analyse(documents: Iterable[str]) -> AnalysedCorpus:
+    """Tokenize every document and stem each distinct token once; stem
+    ids are numbered in order of first occurrence."""
     memo: dict[str, int] = {}  # token -> stem id
     stem_ids: dict[str, int] = {}
     ids = array("i")
@@ -105,12 +119,6 @@ def _analyse(documents: Iterable[str]) -> AnalysedCorpus:
         offsets=np.frombuffer(offsets, dtype=np.int64),
         stems=list(stem_ids),
     )
-
-
-def analyse(documents: Iterable[str]) -> AnalysedCorpus:
-    """Tokenize every document and stem each distinct token once; stem
-    ids are numbered in order of first occurrence."""
-    return _analyse(documents)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +175,11 @@ def tfidf_fit(documents: Sequence[str] | AnalysedCorpus) -> TfidfModel:
     if not documents:
         raise ConfigurationError("cannot fit TF-IDF on an empty corpus")
     if not isinstance(documents, AnalysedCorpus):
-        documents = _analyse(documents)
+        # raw texts: stem every token where it occurs, as the per-document
+        # fit always has (a traced fit counts one stem call per token)
+        documents = AnalysedCorpus.from_terms(
+            [[stem(token) for token in tokenize(document)] for document in documents]
+        )
     n_stems = len(documents.stems)
     df = np.zeros(n_stems, dtype=np.int64)
     for lo in range(0, len(documents), _BLOCK):

@@ -596,3 +596,21 @@ def test_bulk_tfidf_is_byte_equal_to_the_counter_loop(case):
         for got, want in zip((rows.indptr, rows.indices, rows.values), expected):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
+
+
+def test_raw_fit_stems_every_token_and_analyse_each_distinct_token(monkeypatch):
+    calls = []
+
+    def counting_stem(token):
+        calls.append(token)
+        return stem(token)
+
+    monkeypatch.setattr(baseline, "stem", counting_stem)
+    texts = ["Walking walkers walked", "walked home"]
+    model = tfidf_fit(texts)
+    assert len(calls) == 5
+    calls.clear()
+    analysed = analyse(texts)
+    assert sorted(calls) == ["home", "walked", "walkers", "walking"]
+    assert list(tfidf_fit(analysed).vocabulary.items()) == list(model.vocabulary.items())
+    assert tfidf_fit(analysed).idf.tobytes() == model.idf.tobytes()
