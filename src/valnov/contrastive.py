@@ -20,40 +20,30 @@ from .errors import ConfigurationError, DataError, TrainingError
 from .optim import AdamW
 
 
-def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise DataError("cosine distance undefined for a zero vector")
-    return float(1.0 - a @ b / (na * nb))
-
-
-def _euclidean_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(a - b))
-
-
-def _cosine_distance_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d = 1 - a.b/(|a||b|); returns (dd/da, dd/db)."""
+def _cosine(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """d = 1 - a.b/(|a||b|); returns (d, dd/da, dd/db)."""
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         raise DataError("cosine distance undefined for a zero vector")
     dot = a @ b
     grad_a = -(b / (na * nb) - dot * a / (na**3 * nb))
     grad_b = -(a / (na * nb) - dot * b / (na * nb**3))
-    return grad_a, grad_b
+    return float(1.0 - dot / (na * nb)), grad_a, grad_b
 
 
-def _euclidean_distance_grads(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _euclidean(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """d = |a - b|; returns (d, dd/da, dd/db), with zero gradients at d = 0."""
     diff = a - b
     norm = np.linalg.norm(diff)
     if norm == 0.0:
-        return np.zeros_like(a), np.zeros_like(b)
-    return diff / norm, -diff / norm
+        return float(norm), np.zeros_like(a), np.zeros_like(b)
+    return float(norm), diff / norm, -diff / norm
 
 
-# each distance kind by name: (distance, its gradients (dd/da, dd/db))
-DISTANCES: dict[str, tuple[Callable, Callable]] = {
-    "cosine": (_cosine_distance, _cosine_distance_grads),
-    "euclidean": (_euclidean_distance, _euclidean_distance_grads),
+# each distance kind by name: the function giving its (d, dd/da, dd/db)
+DISTANCES: dict[str, Callable] = {
+    "cosine": _cosine,
+    "euclidean": _euclidean,
 }
 
 
@@ -68,10 +58,16 @@ class ContrastiveConfig:
     __post_init__ = check_ranges
 
 
-def distance(a: np.ndarray, b: np.ndarray, kind: str = "cosine") -> float:
+def _distance_and_grads(
+    a: np.ndarray, b: np.ndarray, kind: str
+) -> tuple[float, np.ndarray, np.ndarray]:
     if kind not in DISTANCES:
         raise ConfigurationError(f"unknown distance {kind!r}")
-    return DISTANCES[kind][0](a, b)
+    return DISTANCES[kind](a, b)
+
+
+def distance(a: np.ndarray, b: np.ndarray, kind: str = "cosine") -> float:
+    return _distance_and_grads(a, b, kind)[0]
 
 
 def triplet_loss(
@@ -83,8 +79,7 @@ def triplet_loss(
 ) -> float:
     """max(0, d(anchor, positive) - d(anchor, negative) + margin); a NaN
     stays NaN, so the caller's non-finite check sees it."""
-    loss = distance(anchor, positive, dist) - distance(anchor, negative, dist) + margin
-    return 0.0 if loss <= 0.0 else loss
+    return triplet_loss_and_embedding_grads(anchor, positive, negative, margin, dist)[0]
 
 
 def triplet_loss_and_embedding_grads(
@@ -95,13 +90,12 @@ def triplet_loss_and_embedding_grads(
     dist: str,
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Loss plus dL/d(embedding) for each of the three inputs."""
-    loss = triplet_loss(anchor, positive, negative, margin, dist)
+    d_ap, dap_a, dap_p = _distance_and_grads(anchor, positive, dist)
+    d_an, dan_a, dan_n = _distance_and_grads(anchor, negative, dist)
+    loss = d_ap - d_an + margin
     if loss <= 0.0:
         z = np.zeros_like(anchor)
-        return loss, z, z.copy(), z.copy()
-    grads = DISTANCES[dist][1]
-    dap_a, dap_p = grads(anchor, positive)
-    dan_a, dan_n = grads(anchor, negative)
+        return 0.0, z, z.copy(), z.copy()
     return loss, dap_a - dan_a, dap_p, -dan_n
 
 

@@ -126,16 +126,17 @@ def load_corpus(
 ) -> list[ArgumentInstance]:
     """Load a delimited data file (comma or tab, sniffed from the header).
 
-    Confidence columns may be absent (-> unknown); an ``id`` column is used
-    when mapped, otherwise ids are row indices. Raises SchemaError for a
-    missing required column, DataError for bad cell values (message names
+    Confidence columns may be absent (-> unknown) unless ``column_map``
+    names them; an ``id`` column is used when mapped, otherwise ids are row
+    indices. Raises SchemaError for a missing required column or a column
+    that ``column_map`` names, DataError for bad cell values (message names
     the file and the data row index, 0-based), ParseError for a file that is not UTF-8.
     """
     path = Path(path)
-    columns = dict(DEFAULT_COLUMN_MAP)
-    if column_map:
-        columns.update(column_map)
-    return _checked(_read_corpus(path, columns, Split(split)))
+    column_map = column_map or {}
+    columns = {**DEFAULT_COLUMN_MAP, **column_map}
+    required = dict.fromkeys(["topic", "premise", "conclusion", "validity", "novelty", *column_map])
+    return _checked(_read_corpus(path, columns, required, Split(split)))
 
 
 def _checked(located: Iterable[tuple[str, ArgumentInstance]]) -> list[ArgumentInstance]:
@@ -156,7 +157,7 @@ def _checked(located: Iterable[tuple[str, ArgumentInstance]]) -> list[ArgumentIn
 
 
 def _read_corpus(
-    path: Path, columns: Mapping[str, str], split: Split
+    path: Path, columns: Mapping[str, str], required: Iterable[str], split: Split
 ) -> Iterator[tuple[str, ArgumentInstance]]:
     with open_text(path, newline="") as fh:
         header_line = fh.readline()
@@ -167,11 +168,10 @@ def _read_corpus(
         reader = csv.DictReader(fh, delimiter=delimiter)
         fieldnames = reader.fieldnames or []
 
-        required = ["topic", "premise", "conclusion", "validity", "novelty"]
         for field in required:
             if columns[field] not in fieldnames:
                 raise SchemaError(f"{path}: missing column {columns[field]!r}")
-        has_id = "id" in columns and columns["id"] in fieldnames
+        has_id = "id" in columns
         has_vconf = columns["validity_confidence"] in fieldnames
         has_nconf = columns["novelty_confidence"] in fieldnames
 

@@ -257,7 +257,7 @@ def evaluate(
 ) -> EvalReport:
     """Full report over whichever tasks the predictions cover. The combined
     score is only computed when both tasks are covered; an unknown metric
-    is an error either way."""
+    is an error either way, and so are predictions that cover neither task."""
     score = _combined_metric(metric)
     report = EvalReport(
         n_instances=len(golds),
@@ -281,6 +281,8 @@ def evaluate(
         setattr(report, task.value, task_report)  # report.validity or report.novelty
         report.confidence_buckets[task.value] = buckets
         report.topic_errors[task.value] = topics
+    if not pairs:
+        raise CoverageError("predictions cover neither validity nor novelty")
     if len(pairs) == 2:
         report.combined = score(pairs[Task.VALIDITY], pairs[Task.NOVELTY])
     return report

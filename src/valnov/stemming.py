@@ -3,18 +3,26 @@
 Pure-Python implementation used by the sparse lexical baseline.  Tokens
 that are not purely alphabetic pass through unchanged.  The regions R1
 and R2 are carried through every rewrite as suffix strings of the
-current word, so region membership tests stay cheap and replacements
-that eat into a region shrink it the same way the rewrite shrinks the
-word.  Both regions come from one scan, ``_after_vowel_consonant``: R1
-is what follows the first non-vowel after a vowel in the word (or a
-fixed prefix such as ``gener``), and R2 is the same scan of R1.
+current word, so region membership tests stay cheap and a rewrite that
+eats into a region shrinks it as it shrinks the word.  Snowball's fixed
+start positions would give other stems: a region that a rewrite eats
+past collapses here to ``_swap``'s fallback, where a fixed start still
+covers part of the replacement (``airization`` stems to ``airize`` here,
+to ``airiz`` there).  Both regions come from one scan,
+``_after_vowel_consonant``: R1 is what follows the first non-vowel after
+a vowel in the word (or a fixed prefix such as ``gener``), and R2 is the
+same scan of R1.
 
 ``_suffix`` is the one suffix lookup of steps 1a to 4.  It returns None
 at once when the word ends in none of a step's suffixes, and otherwise
 tries only the suffixes that end in the word's last letter, kept in the
-step table's order.  Every suffix the word ends in is among them, so
-the first match is the one a scan of the whole table finds.  Every
-rewrite goes through ``_swap``; deleting a suffix is swapping it for "".
+step table's order.  Every suffix the word ends in is among them, so the
+first match is the one a scan of the whole table finds.  Every rewrite
+goes through ``_swap``; deleting a suffix is swapping it for "".  Steps
+2 and 3 are one table each, longest suffix first, from a suffix to the
+rest of its ``_swap`` arguments: characters replaced, replacement, and
+R2's fallback where it is not "".  Only li (after a valid li-ending),
+ogi (after l) and ative (in R2) need a context test.
 
 ``stem`` returns the lower-cased word at once when it ends in none of
 ``_RULE_ENDINGS``: the suffixes of steps 1a to 4, ``y`` and ``e`` and
@@ -33,43 +41,45 @@ _LI_ENDINGS = "cdeghkmnrt"
 
 _STEP1A = ("sses", "ied", "ies", "us", "ss", "s")
 _STEP1B = ("eedly", "ingly", "edly", "eed", "ing", "ed")
-_STEP2 = (
-    "ization",
-    "ational",
-    "fulness",
-    "ousness",
-    "iveness",
-    "tional",
-    "biliti",
-    "lessli",
-    "entli",
-    "ation",
-    "alism",
-    "aliti",
-    "ousli",
-    "iviti",
-    "fulli",
-    "enci",
-    "anci",
-    "abli",
-    "izer",
-    "ator",
-    "alli",
-    "bli",
-    "ogi",
-    "li",
-)
-_STEP3 = (
-    "ational",
-    "tional",
-    "alize",
-    "icate",
-    "iciti",
-    "ative",
-    "ical",
-    "ness",
-    "ful",
-)
+_STEP2_SWAPS = {
+    "ization": (7, "ize"),
+    "ational": (7, "ate", "e"),
+    "fulness": (4, ""),
+    "ousness": (7, "ous"),
+    "iveness": (7, "ive", "e"),
+    "tional": (2, ""),
+    "biliti": (6, "ble"),
+    "lessli": (2, ""),
+    "entli": (2, ""),
+    "ation": (5, "ate", "e"),
+    "alism": (5, "al"),
+    "aliti": (5, "al"),
+    "ousli": (5, "ous"),
+    "iviti": (5, "ive", "e"),
+    "fulli": (2, ""),
+    "enci": (1, "e"),
+    "anci": (1, "e"),
+    "abli": (1, "e"),
+    "izer": (4, "ize"),
+    "ator": (4, "ate", "e"),
+    "alli": (4, "al"),
+    "bli": (3, "ble"),
+    "ogi": (1, ""),
+    "li": (2, ""),
+}
+_STEP3_SWAPS = {
+    "ational": (7, "ate"),
+    "tional": (2, ""),
+    "alize": (3, ""),
+    "icate": (5, "ic"),
+    "iciti": (5, "ic"),
+    "ative": (5, ""),
+    "ical": (4, "ic"),
+    "ness": (4, ""),
+    "ful": (3, ""),
+}
+_STEP2 = tuple(_STEP2_SWAPS)
+_STEP3 = tuple(_STEP3_SWAPS)
 _STEP4 = (
     "ement",
     "ance",
@@ -282,44 +292,13 @@ def stem(token: str) -> str:
     # step 2: derivational suffixes in R1
     suffix = _suffix(word, _STEP2)
     if suffix is not None and r1.endswith(suffix):
-        n = len(suffix)
-        if suffix in ("tional", "entli", "fulli", "lessli") or (
-            suffix == "li" and word[-3] in _LI_ENDINGS
-        ):
-            word, r1, r2 = _swap(word, r1, r2, 2, "")
-        elif suffix in ("enci", "anci", "abli"):
-            word, r1, r2 = _swap(word, r1, r2, 1, "e")
-        elif suffix in ("izer", "ization"):
-            word, r1, r2 = _swap(word, r1, r2, n, "ize")
-        elif suffix in ("ational", "ation", "ator"):
-            word, r1, r2 = _swap(word, r1, r2, n, "ate", "e")
-        elif suffix in ("alism", "aliti", "alli"):
-            word, r1, r2 = _swap(word, r1, r2, n, "al")
-        elif suffix == "fulness":
-            word, r1, r2 = _swap(word, r1, r2, 4, "")
-        elif suffix in ("ousli", "ousness"):
-            word, r1, r2 = _swap(word, r1, r2, n, "ous")
-        elif suffix in ("iveness", "iviti"):
-            word, r1, r2 = _swap(word, r1, r2, n, "ive", "e")
-        elif suffix in ("biliti", "bli"):
-            word, r1, r2 = _swap(word, r1, r2, n, "ble")
-        elif suffix == "ogi" and word[-4] == "l":
-            word, r1, r2 = _swap(word, r1, r2, 1, "")
+        if (suffix != "li" or word[-3] in _LI_ENDINGS) and (suffix != "ogi" or word[-4] == "l"):
+            word, r1, r2 = _swap(word, r1, r2, *_STEP2_SWAPS[suffix])
 
     # step 3: more derivational suffixes in R1
     suffix = _suffix(word, _STEP3)
-    if suffix is not None and r1.endswith(suffix):
-        n = len(suffix)
-        if suffix == "tional":
-            word, r1, r2 = _swap(word, r1, r2, 2, "")
-        elif suffix == "ational":
-            word, r1, r2 = _swap(word, r1, r2, n, "ate")
-        elif suffix == "alize":
-            word, r1, r2 = _swap(word, r1, r2, 3, "")
-        elif suffix in ("icate", "iciti", "ical"):
-            word, r1, r2 = _swap(word, r1, r2, n, "ic")
-        elif suffix in ("ful", "ness") or (suffix == "ative" and r2.endswith(suffix)):
-            word, r1, r2 = _swap(word, r1, r2, n, "")
+    if suffix is not None and r1.endswith(suffix) and (suffix != "ative" or r2.endswith(suffix)):
+        word, r1, r2 = _swap(word, r1, r2, *_STEP3_SWAPS[suffix])
 
     # step 4: suffixes deleted from R2
     suffix = _suffix(word, _STEP4)

@@ -40,7 +40,13 @@ from valnov.mtl import (
     load_encoder_checkpoint,
     save_encoder_checkpoint,
 )
-from valnov.prompting import PromptRequest, build_prompt, cache_key, select_few_shot
+from valnov.prompting import (
+    PromptRequest,
+    ReplayCache,
+    build_prompt,
+    cache_key,
+    select_few_shot,
+)
 from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
@@ -370,6 +376,44 @@ class TestPromptPredictCli:
         assert code == 0
         assert (warm_dir / "predictions.csv").read_bytes() == (
             replay_dir / "predictions.csv"
+        ).read_bytes()
+
+    def test_requests_per_second_paces_misses_and_never_replays(
+        self, workspace, capsys, monkeypatch
+    ):
+        root = workspace["root"]
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        configs = {}
+        for provider in ("mock", "replay-only"):
+            prompting = dict(config["prompting"], provider=provider, requests_per_second=1.0)
+            configs[provider] = root / f"config-paced-{provider}.json"
+            configs[provider].write_text(json.dumps(dict(config, prompting=prompting)), "utf-8")
+        # a clock that moves only when the limiter sleeps
+        clock, waits = [0.0], []
+
+        def sleep(seconds):
+            waits.append(seconds)
+            clock[0] += seconds
+
+        monkeypatch.setattr("valnov.prompting.time.monotonic", lambda: clock[0])
+        monkeypatch.setattr("valnov.prompting.time.sleep", sleep)
+        cache = root / "paced-cache"
+        for provider in configs:
+            code = main(
+                ["prompt-predict", "--config", str(configs[provider]), "--run-dir",
+                 str(root / f"paced-{provider}"), "--task", "validity", "--cache-dir", str(cache)]
+            )
+            assert code == 0
+            if provider == "mock":
+                # one request a second from a full bucket of one: the first
+                # miss goes at once, every later one waits a second
+                misses = len(ReplayCache(cache))
+                assert misses > 1
+                assert waits == [1.0] * (misses - 1)
+                waits.clear()
+        assert waits == []
+        assert (root / "paced-mock" / "predictions.csv").read_bytes() == (
+            root / "paced-replay-only" / "predictions.csv"
         ).read_bytes()
 
     def test_cold_replay_is_cache_miss(self, workspace, capsys):
@@ -1206,6 +1250,20 @@ class TestErrorContract:
              str(root / "e4"), "--predictions", str(partial)],
             "coverage",
         )
+
+    def test_predictions_without_rows_are_coverage(self, workspace, capsys):
+        root = workspace["root"]
+        empty = root / "no-rows.csv"
+        save_predictions([], empty)
+        run_dir = root / "e-no-rows"
+        err = self.run_expecting(
+            capsys,
+            ["evaluate", "--config", workspace["config"], "--run-dir",
+             str(run_dir), "--predictions", str(empty)],
+            "coverage",
+        )
+        assert "neither validity nor novelty" in err
+        assert not run_dir.exists()
 
     def test_single_class_training_set_is_data(self, workspace, capsys):
 

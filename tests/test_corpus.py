@@ -72,6 +72,22 @@ class TestLoadCorpus:
         with pytest.raises(SchemaError, match="Conclusion"):
             load_corpus(path)
 
+    @pytest.mark.parametrize(
+        "column_map,column",
+        [
+            ({"id": "ID", "validity_confidence": "VConf"}, "ID"),
+            ({"validity_confidence": "VConf"}, "VConf"),
+            ({"novelty_confidence": "Novelty-Confidence"}, "Novelty-Confidence"),
+        ],
+    )
+    def test_a_column_the_map_names_must_be_in_the_file(self, tmp_path, column_map, column):
+        # only the default map's confidence columns may be absent
+        path = tmp_path / "d.csv"
+        path.write_text("topic,Premise,Conclusion,Validity,Novelty\nguns,p,c,1,1\n", "utf-8")
+        with pytest.raises(SchemaError) as info:
+            load_corpus(path, column_map=column_map)
+        assert str(info.value) == f"{path}: missing column {column!r}"
+
     def test_out_of_range_label_cites_row(self, tmp_path):
         path = write_csv(
             tmp_path / "d.csv",

@@ -268,3 +268,82 @@ def test_no_rule_ending_shortcut_matches_the_full_pipeline(word):
         patch.setattr(stemming, "_RULE_ENDINGS", ("",))
         full = stem(word)
     assert stem(word) == full
+
+
+# steps 2 and 3 as the Porter2 definition states them: each suffix and
+# what the word's ending becomes when the rule fires
+PORTER2_RULES = {
+    "step 2": {
+        "tional": "tion",
+        "enci": "ence",
+        "anci": "ance",
+        "abli": "able",
+        "entli": "ent",
+        "izer": "ize",
+        "ization": "ize",
+        "ational": "ate",
+        "ation": "ate",
+        "ator": "ate",
+        "alism": "al",
+        "aliti": "al",
+        "alli": "al",
+        "fulness": "ful",
+        "ousli": "ous",
+        "ousness": "ous",
+        "iveness": "ive",
+        "iviti": "ive",
+        "biliti": "ble",
+        "bli": "ble",
+        "ogi": "og",
+        "fulli": "ful",
+        "lessli": "less",
+        "li": "",
+    },
+    "step 3": {
+        "tional": "tion",
+        "ational": "ate",
+        "alize": "al",
+        "icate": "ic",
+        "iciti": "ic",
+        "ical": "ic",
+        "ful": "",
+        "ness": "",
+        "ative": "",
+    },
+}
+SWAP_TABLES = {"step 2": stemming._STEP2_SWAPS, "step 3": stemming._STEP3_SWAPS}
+
+
+@pytest.mark.parametrize(
+    "step,suffix,result",
+    [(step, s, r) for step, rules in PORTER2_RULES.items() for s, r in rules.items()],
+    ids=[f"{step}-{s}" for step, rules in PORTER2_RULES.items() for s in rules],
+)
+def test_swap_row_gives_the_porter2_rewrite(step, suffix, result):
+    cut, replacement = SWAP_TABLES[step][suffix][:2]
+    assert 0 < cut <= len(suffix)
+    assert suffix[:-cut] + replacement == result
+
+
+@pytest.mark.parametrize("step", SWAP_TABLES)
+def test_swap_tables_hold_the_rule_list_longest_suffix_first(step):
+    table = SWAP_TABLES[step]
+    assert sorted(table) == sorted(PORTER2_RULES[step])
+    lengths = [len(suffix) for suffix in table]
+    assert lengths == sorted(lengths, reverse=True)
+
+
+# the three rows that hold only in context, with a word on each side
+@pytest.mark.parametrize(
+    "word,expected",
+    [
+        ("bravely", "brave"),  # li after the li-ending e
+        ("happily", "happili"),  # li after i, not an li-ending
+        ("geology", "geolog"),  # ogi after l
+        ("pedagogy", "pedagogi"),  # ogi after g
+        ("demonstrative", "demonstr"),  # ative in R2
+        ("talkative", "talkat"),  # ative in R1 only; step 4 then takes ive
+    ],
+)
+def test_context_rows_fire_only_in_their_context(word, expected):
+    assert stem(word) == expected
