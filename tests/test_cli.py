@@ -398,19 +398,21 @@ class TestPromptPredictCli:
         monkeypatch.setattr("valnov.prompting.time.monotonic", lambda: clock[0])
         monkeypatch.setattr("valnov.prompting.time.sleep", sleep)
         cache = root / "paced-cache"
-        for provider in configs:
-            code = main(
+
+        def prompt(provider):
+            return main(
                 ["prompt-predict", "--config", str(configs[provider]), "--run-dir",
                  str(root / f"paced-{provider}"), "--task", "validity", "--cache-dir", str(cache)]
             )
-            assert code == 0
-            if provider == "mock":
-                # one request a second from a full bucket of one: the first
-                # miss goes at once, every later one waits a second
-                misses = len(ReplayCache(cache))
-                assert misses > 1
-                assert waits == [1.0] * (misses - 1)
-                waits.clear()
+
+        assert prompt("mock") == 0
+        # one request a second from a full bucket of one: the first miss
+        # goes at once, every later one waits a second
+        misses = len(ReplayCache(cache))
+        assert misses > 1
+        assert waits == [1.0] * (misses - 1)
+        waits.clear()
+        assert prompt("replay-only") == 0
         assert waits == []
         assert (root / "paced-mock" / "predictions.csv").read_bytes() == (
             root / "paced-replay-only" / "predictions.csv"
