@@ -343,6 +343,15 @@ def _text(rec: Mapping[str, Any], name: str) -> str:
     value = rec[name]
     if not isinstance(value, str):
         raise TypeError(f"field {name!r} must be a string")
+    # a \ud800 escape is valid JSON, but no stage could hash, stem or
+    # write the text; ASCII, the common case, needs no check
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(
+                f"field {name!r} is not UTF-8 text (lone surrogate at character {exc.start})"
+            ) from None
     return value
 
 

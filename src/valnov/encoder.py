@@ -6,9 +6,10 @@ projection -> tanh. It is trainable (forward caches + hand-derived
 backward), deterministic given its seed, and cheap enough for CPU tests.
 
 Each encoder keeps a memo from text to its int64 bucket ids, so a text
-is tokenized and hashed once per encoder however often it is encoded;
-the ids depend only on the frozen ``vocab_buckets``, so new parameters
-never invalidate it.
+is tokenized once per encoder however often it is encoded, and a memo
+from token to bucket, so a token is hashed once per encoder however many
+texts hold it; both depend only on the frozen ``vocab_buckets``, so new
+parameters never invalidate them.
 
 Pooling works on blocks of at most ``_POOL_BLOCK`` (64) texts: one
 gather lays a block's embedding rows out token position first, padding
@@ -96,15 +97,21 @@ class ReferenceEncoder:
         )
         self.proj_b = np.zeros(config.projection_dim)
         self._ids: dict[str, np.ndarray] = {}
+        self._buckets: dict[str, int] = {}
         self._pool_buffer = np.empty(0)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "proj_w": self.proj_w, "proj_b": self.proj_b}
 
     def token_ids(self, text: str) -> np.ndarray:
-        """Bucket ids of ``text``'s tokens; ``forward`` memoises them per text."""
-        buckets = self.config.vocab_buckets
-        return np.array([_hash_token(tok, buckets) for tok in tokenize(text)], dtype=np.int64)
+        """Bucket ids of ``text``'s tokens, each token hashed once per
+        encoder; ``forward`` memoises the ids per text."""
+        memo = self._buckets
+        tokens = tokenize(text)
+        for token in tokens:
+            if token not in memo:
+                memo[token] = _hash_token(token, self.config.vocab_buckets)
+        return np.array([memo[token] for token in tokens], dtype=np.int64)
 
     def forward(self, texts: Sequence[str]) -> ForwardCache:
         rows = []

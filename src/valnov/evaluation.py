@@ -30,7 +30,7 @@ from .corpus import (
 from .decode import decode
 from .errors import ConfigurationError, CoverageError, SchemaError
 from .fsutil import read_json
-from .predictions import Prediction, task_index
+from .predictions import Prediction, require_same_ids, task_index
 
 # 2x2 confusion counts; rows = true label, columns = predicted label,
 # negative first on both axes.
@@ -83,9 +83,11 @@ def _pairs(
 ) -> Pairs:
     task = Task(task)
     by_id = task_index(predictions, task)
-    missing = [g.id for g in golds if g.id not in by_id]
-    if missing:
-        raise CoverageError(f"missing {task.value} predictions for ids: {sorted(missing)}")
+    require_same_ids(
+        [g.id for g in golds], by_id,
+        missing=f"missing {task.value} predictions for ids: ",
+        extra=f"{task.value} predictions for ids that are not golds: ",
+    )
     return [(g, by_id[g.id]) for g in golds]
 
 

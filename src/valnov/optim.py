@@ -4,43 +4,34 @@ Moment state and step counts are kept per parameter name, so a step may
 update any subset of parameters (the multi-task trainer only updates the
 head that was selected for the batch).
 
-The update is elementwise, so a parameter can be updated in pieces
-without changing a byte. When the process may run on more than one CPU,
-each parameter of at least ``_SPLIT_MIN`` (16,384) values has the upper
-half of its update done by one worker thread while the caller does the
-lower half and the other parameters; numpy releases the GIL inside
-these loops, so the halves run at once. The worker runs in a copy of the
-caller's context, so the caller's ``np.errstate`` covers it too. Output
-bytes are the same with or without the worker.
+A parameter with two or more axes is a table of rows, and a step updates
+only the rows whose gradient holds a nonzero value: their value, both
+moments and the decoupled decay go through the textbook update, and every
+other row keeps its value and moments bit for bit. This is the row-sparse
+("lazy") Adam that embedding tables are trained with, as in TensorFlow
+Addons' ``LazyAdam`` and PyTorch's ``SparseAdam``, on top of AdamW's
+decoupled decay (Loshchilov & Hutter, ICLR 2019). Dense AdamW would also
+decay every row a batch did not gather and move it by its stale
+momentum; here a batch that gathers 41 of the embedding's 2,048 rows
+updates those 41 alone. The step count stays per parameter, so a row's
+bias correction counts the steps of its table, not the steps that
+touched the row. A vector updates whole, so its decay applies on every
+step that names it, zero gradient or not.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
-
 import numpy as np
 
-_SPLIT_MIN = 16_384
-_worker = None  # the ThreadPoolExecutor, created on first use
 
+def _touched_rows(g: np.ndarray) -> np.ndarray:
+    """Indices of the rows of ``g`` that hold a nonzero (or NaN) value.
 
-def _may_use_several_cpus() -> bool:
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no sched_getaffinity on this platform
-        return (os.cpu_count() or 1) > 1
-
-
-def _submit(fn, *args):
-    global _worker
-    if _worker is None:
-        # imported here: imported with this module, ahead of valnov.prompting's
-        # own import of it, it raised prompt-replay's peak RSS by about 0.2 MB
-        from concurrent.futures import ThreadPoolExecutor
-
-        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="valnov-adamw")
-    return _worker.submit(contextvars.copy_context().run, fn, *args)
+    A row's sum of absolute values is zero only when every term is: adding
+    a non-negative float never rounds a sum below it.
+    """
+    table = g.reshape(len(g), -1)
+    return np.flatnonzero(np.abs(table) @ np.ones(table.shape[1]))
 
 
 class AdamW:
@@ -60,46 +51,34 @@ class AdamW:
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t: dict[str, int] = {}
-        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        """Update in place every parameter that has a gradient entry.
+        """Update in place every parameter that has a gradient entry: a
+        vector whole, a table only in the rows its gradient touches."""
+        for name in sorted(grads):
+            g = grads[name]
+            p = params[name]
+            if name not in self._m:
+                self._m[name] = np.zeros_like(p)
+                self._v[name] = np.zeros_like(p)
+                self._t[name] = 0
+            self._t[name] += 1
+            m, v, t = self._m[name], self._v[name], self._t[name]
+            rows = _touched_rows(g) if p.ndim > 1 else None
+            if rows is None or len(rows) == len(p):
+                self._update(p, g, m, v, t)
+            else:
+                # indexing by rows copies, so the updated rows are written back
+                p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
+                self._update(p_rows, g[rows], m_rows, v_rows, t)
+                p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
-        Large parameters are split with the worker thread (see the module
-        docstring); an error the worker hit is re-raised here.
-        """
-        split = _may_use_several_cpus()
-        pending = []
-        try:
-            for name in sorted(grads):
-                g = grads[name]
-                p = params[name]
-                if name not in self._m:
-                    self._m[name] = np.zeros_like(p)
-                    self._v[name] = np.zeros_like(p)
-                    self._t[name] = 0
-                    self._scratch[name] = (np.empty_like(p), np.empty_like(p))
-                self._t[name] += 1
-                t = self._t[name]
-                arrays = (p, g, self._m[name], self._v[name], *self._scratch[name])
-                # reshape(-1) must return views: of a non-contiguous array it copies
-                if split and p.size >= _SPLIT_MIN and all(x.flags.c_contiguous for x in arrays):
-                    flat = [x.reshape(-1) for x in arrays]
-                    half = p.size // 2
-                    pending.append(_submit(self._update, *(x[half:] for x in flat), t))
-                    self._update(*(x[:half] for x in flat), t)
-                else:
-                    self._update(*arrays, t)
-        finally:
-            # no worker is left writing once step returns or raises
-            for future in pending:
-                future.result()
-
-    def _update(self, p, g, m, v, a, b, t: int) -> None:
-        """One AdamW update of ``p`` in place, through the scratch buffers
-        ``a`` and ``b``; the operations and their order are those of the
+    def _update(self, p, g, m, v, t: int) -> None:
+        """One AdamW update of ``p``, ``m`` and ``v`` in place, through two
+        scratch buffers; the operations and their order are those of the
         textbook update m̂ / (√v̂ + ε), so the result does not depend on
         the buffering."""
+        a, b = np.empty_like(p), np.empty_like(p)
         m *= self.beta1
         m += np.multiply(g, 1.0 - self.beta1, out=a)
         v *= self.beta2

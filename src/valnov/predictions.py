@@ -11,7 +11,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .corpus import LabelValue, Task
 from .errors import CoverageError, ParseError
@@ -55,6 +55,22 @@ def task_index(predictions: Sequence[Prediction], task: Task) -> dict[str, Predi
     return by_id
 
 
+def require_same_ids(
+    expected: Collection[str], given: Collection[str], missing: str, extra: str
+) -> None:
+    """One CoverageError unless ``given`` holds exactly the ids of
+    ``expected``: ``missing`` heads the sorted ids only ``expected`` holds,
+    ``extra`` those only ``given`` holds, the two parts joined by "; "."""
+    expected, given = set(expected), set(given)
+    parts = [
+        f"{label}{sorted(ids)}"
+        for label, ids in ((missing, expected - given), (extra, given - expected))
+        if ids
+    ]
+    if parts:
+        raise CoverageError("; ".join(parts))
+
+
 def source_label(predictions: Sequence[Prediction], task: Task) -> str:
     sources = sorted({p.source for p in predictions if p.task is Task(task)})
     return "+".join(sources)
@@ -68,16 +84,11 @@ def mix(
     the same instance-id universe for their respective task."""
     validity = task_index(validity_set, Task.VALIDITY)
     novelty = task_index(novelty_set, Task.NOVELTY)
-    missing_nov = sorted(set(validity) - set(novelty))
-    missing_val = sorted(set(novelty) - set(validity))
-    if missing_nov or missing_val:
-        parts = []
-        if missing_val:
-            parts.append(f"ids missing validity predictions: {missing_val}")
-        if missing_nov:
-            parts.append(f"ids missing novelty predictions: {missing_nov}")
-        raise CoverageError("; ".join(parts))
-
+    require_same_ids(
+        novelty, validity,
+        missing="ids missing validity predictions: ",
+        extra="ids missing novelty predictions: ",
+    )
     return [validity[i] for i in sorted(validity)] + [novelty[i] for i in sorted(novelty)]
 
 

@@ -988,9 +988,8 @@ class TestStageDriver:
     def test_diverging_training_with_the_default_encoder_prints_only_the_error_line(
         self, diverging_config, tmp_path
     ):
-        # the default 2048x32 embedding is large enough for AdamW to hand
-        # half of its update to the worker thread, which must run under
-        # the trainer's np.errstate too
+        # the default 2048x32 embedding takes AdamW's row-sparse path, whose
+        # gathered rows must be updated under the trainer's np.errstate too
         config = json.loads(Path(diverging_config).read_text(encoding="utf-8"))
         del config["encoder"]
         path = tmp_path / "diverging-default-encoder.json"
@@ -1218,6 +1217,36 @@ class TestErrorContract:
         assert err == f"error: data: {dev}: row 1: empty premise\n"
         assert not run_dir.exists()
 
+    def _prepare_train_csv(self, workspace, capsys, name, text, category):
+        root = workspace["root"]
+        path = root / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        config_path = root / f"{name}.json"
+        config_path.write_text(json.dumps({"data": {"train_path": str(path)}}), encoding="utf-8")
+        run_dir = root / f"e-{name}"
+        err = self.run_expecting(
+            capsys,
+            ["prepare-data", "--config", str(config_path), "--run-dir", str(run_dir),
+             "--splits", "train"],
+            category,
+        )
+        assert not run_dir.exists()
+        return path, err
+
+    def test_empty_instance_csv_is_schema(self, workspace, capsys):
+        path, err = self._prepare_train_csv(workspace, capsys, "empty", "", "schema")
+        assert err == f"error: schema: {path}: empty file\n"
+
+    def test_unknown_confidence_cell_is_data(self, workspace, capsys):
+        path, err = self._prepare_train_csv(
+            workspace, capsys, "unsure",
+            "topic,Premise,Conclusion,Validity,Validity-Confidence,Novelty\n"
+            "t,p0,c0,1,majority,1\n"
+            "t,p1,c1,-1,Unsure ,0\n",
+            "data",
+        )
+        assert err == f"error: data: {path}: row 1: unknown confidence value 'Unsure'\n"
+
     def test_unknown_config_key_is_configuration(self, workspace, capsys):
         root = workspace["root"]
         bad = root / "bad-config.json"
@@ -1252,6 +1281,27 @@ class TestErrorContract:
              str(root / "e4"), "--predictions", str(partial)],
             "coverage",
         )
+
+    def test_predictions_for_ids_that_are_not_golds_are_coverage(self, workspace, capsys):
+        # every gold covered, plus one validity row for another target
+        root = workspace["root"]
+        golds = load_instances_jsonl(root / "dev.jsonl")
+        extra = root / "extra-id.csv"
+        save_predictions(
+            [Prediction(g.id, task, LabelValue.POSITIVE, "svm")
+             for g in golds for task in (Task.VALIDITY, Task.NOVELTY)]
+            + [Prediction("not-a-gold-id", Task.VALIDITY, LabelValue.NEGATIVE, "svm")],
+            extra,
+        )
+        run_dir = root / "e-extra-id"
+        err = self.run_expecting(
+            capsys,
+            ["evaluate", "--config", workspace["config"], "--run-dir",
+             str(run_dir), "--predictions", str(extra)],
+            "coverage",
+        )
+        assert "validity predictions for ids that are not golds: ['not-a-gold-id']" in err
+        assert not run_dir.exists()
 
     def test_predictions_without_rows_are_coverage(self, workspace, capsys):
         root = workspace["root"]
@@ -1397,6 +1447,30 @@ class TestErrorContract:
         assert f"{path}:3: " in err
         assert detail in err
         assert not (run_dir / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--train"], ["baseline", "--task", "both", "--train"],
+         ["prompt-predict", "--task", "validity", "--on"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_lone_surrogate_in_jsonl_text_is_schema(self, workspace, capsys, argv):
+        # "\ud800" is valid JSON in valid UTF-8 bytes, yet no string of UTF-8
+        root = workspace["root"]
+        first, second = (root / "train.jsonl").read_text(encoding="utf-8").splitlines()[:2]
+        damaged = json.dumps(dict(json.loads(second), premise="p\ud800"))
+        assert "\\ud800" in damaged
+        path = root / f"surrogate-{argv[0]}.jsonl"
+        path.write_text(f"{first}\n{damaged}\n", encoding="utf-8")
+        run_dir = root / f"surrogate-{argv[0]}"
+        err = self.run_expecting(
+            capsys,
+            [argv[0], "--config", workspace["config"], "--run-dir", str(run_dir),
+             *argv[1:], str(path)],
+            "schema",
+        )
+        assert f"{path}:2: field 'premise' is not UTF-8 text" in err
+        assert not run_dir.exists()
 
     @pytest.mark.parametrize(
         "case, category, detail",

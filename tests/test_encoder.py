@@ -269,6 +269,41 @@ class TestTokenIdMemo:
         assert counted.count("alpha beta") == 2  # once per encoder
 
 
+class TestTokenBucketMemo:
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+
+        def counting_hash(token, buckets):
+            calls.append(token)
+            return _hash_token(token, buckets)
+
+        monkeypatch.setattr(encoder_mod, "_hash_token", counting_hash)
+        return calls
+
+    def test_each_distinct_token_is_hashed_once(self, hashed):
+        enc = small_encoder()
+        enc.encode(["a b a", "b c", "c, a!"])
+        enc.encode(["d a"])
+        assert sorted(hashed) == ["a", "b", "c", "d"]
+
+    def test_memo_is_per_encoder(self, hashed):
+        small_encoder().encode(["a b"])
+        small_encoder().encode(["b a"])
+        assert hashed == ["a", "b", "b", "a"]
+
+    def test_ids_equal_the_hash_of_each_token(self):
+        texts = _word_salad(3, 200, 40) + ["Zürich, ΣΊΣΥΦΟΣ naïve", "a a a"]
+        enc = ReferenceEncoder(EncoderConfig(vocab_buckets=97, embed_dim=4))
+        cache = enc.forward(texts)
+        expected = [_hash_token(tok, 97) for text in texts for tok in tokenize(text)]
+        assert cache.token_ids.dtype == np.int64
+        assert cache.token_ids.tolist() == expected
+        assert [enc.token_ids(t).tolist() for t in texts] == [
+            [_hash_token(tok, 97) for tok in tokenize(t)] for t in texts
+        ]
+
+
 def position_loop_pooled(enc, texts):
     """Pooling one token position at a time, each text's rows added in
     text order from +0.0: the oracle the blocked pooling must reproduce

@@ -92,6 +92,24 @@ class TestConfusion:
         with pytest.raises(CoverageError, match=r"\['b'\]"):
             confusion([pred("a", Task.VALIDITY, True)], golds, Task.VALIDITY)
 
+    def test_prediction_for_an_id_that_is_not_a_gold_is_listed(self):
+        golds = [make_instance(id="a")]
+        preds = [pred("z", Task.VALIDITY, True), pred("a", Task.VALIDITY, True),
+                 pred("y", Task.VALIDITY, False)]
+        with pytest.raises(CoverageError) as raised:
+            confusion(preds, golds, Task.VALIDITY)
+        assert str(raised.value) == "validity predictions for ids that are not golds: ['y', 'z']"
+
+    def test_missing_and_extra_ids_in_one_error(self):
+        golds = [make_instance(id="a"), make_instance(id="b")]
+        with pytest.raises(CoverageError) as raised:
+            confusion([pred("a", Task.NOVELTY, True), pred("c", Task.NOVELTY, True)],
+                      golds, Task.NOVELTY)
+        assert str(raised.value) == (
+            "missing novelty predictions for ids: ['b']; "
+            "novelty predictions for ids that are not golds: ['c']"
+        )
+
     def test_duplicate_prediction_rejected(self):
         golds = [make_instance(id="a")]
         doubled = [pred("a", Task.VALIDITY, True), pred("a", Task.VALIDITY, False)]

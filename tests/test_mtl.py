@@ -259,6 +259,40 @@ class TestTrain:
         train(MtlModel(SMALL, seed=0), train_set, dev_set, config)
         assert len(steps) == 10
 
+    def test_an_accumulated_step_moves_the_union_of_its_micro_batches_rows(self, monkeypatch):
+        # AdamW updates the embedding rows the summed gradient touches: with
+        # accumulation 3, exactly the rows one of the step's micro-batches
+        # gathered, and none other
+        import valnov.mtl
+
+        batches, steps = [], []
+        real_grads, real_step = valnov.mtl.batch_loss_and_grads, AdamW.step
+
+        def grads_spy(*args, **kwargs):
+            loss, grads = real_grads(*args, **kwargs)
+            batches.append(set(np.flatnonzero(grads["encoder.embedding"].any(axis=1))))
+            return loss, grads
+
+        def step_spy(self, params, grads):
+            before = params["encoder.embedding"].copy()
+            real_step(self, params, grads)
+            moved = (params["encoder.embedding"] != before).any(axis=1)
+            steps.append((batches[:], set(np.flatnonzero(moved))))
+            batches.clear()
+
+        monkeypatch.setattr(valnov.mtl, "batch_loss_and_grads", grads_spy)
+        monkeypatch.setattr(AdamW, "step", step_spy)
+        train_set, dev_set = make_separable_corpus(n_train=200, n_dev=20)
+        config = self.desk_config(epochs=2, grad_accumulation=3, batch_size=16)
+        train(MtlModel(SMALL, seed=0), train_set, dev_set, config)
+        assert len(steps) == 10
+        for micro_batches, moved in steps:
+            assert moved == set().union(*micro_batches)
+            assert len(moved) < SMALL.vocab_buckets
+        # the union is wider than any one micro-batch's rows
+        assert all(len(moved) > max(map(len, micro_batches))
+                   for micro_batches, moved in steps if len(micro_batches) > 1)
+
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):
             train(MtlModel(SMALL), [], [make_instance()], self.desk_config())
@@ -366,22 +400,23 @@ class TestCheckpoints:
 # sha256 of the files written by `contrastive-train`, then `train
 # --init-encoder`, then `predict --task both` on the corpus of
 # test_cli_mtl_chain_is_byte_stable, recorded with the per-row encoder
-# loops and the allocating AdamW step; the checkpoint digests are of the
-# version-2 (base64 float64) format, whose parameters are bit-equal to the
-# version-1 decimal text they replaced
+# loops; the checkpoint digests are of the version-2 (base64 float64)
+# format, whose parameters are bit-equal to the version-1 decimal text
+# they replaced. All three were re-recorded when AdamW began to update
+# only the embedding rows a batch touches
 GOLDEN_ENCODER_CHECKPOINT_SHA256 = (
-    "00649d1bba6ed987a0a2bef56f2fdc502066dd2202d3c9ae907557e277b6519e"
+    "bb60ea764ba8ac1a68a523d01c640f1f8689a86444cf81a1f3ac3c2e94a749fe"
 )
 GOLDEN_MTL_CHAIN_SHA256 = {
     "desk": (
-        "2fd066f81f480f2b25b6e1d9a7b9f500e94a1963135ae1b8eb33a495cb16825b",
-        "300eea478c5a7747c4c0073c206f8fe66f2028514ca06f5f2e1feeb0e30893e7",
+        "a06c0df0b58893a464ec3afe2feb664344f55ef6f0a38b31e0baa027d035d648",
+        "3bc5aa0a75c1b8fb94630d46ebeb04277e6519525144ff12c461a61dd23a93d1",
     ),
     # re-recorded when each epoch's last partial accumulation began to be
     # applied before its dev evaluation (25 micro-batches an epoch here)
     "accumulate": (
-        "f739d090288db8c065b8eaebfd2a7cce87f02b6c4a8fbca5372cf8e86df1819f",
-        "a6d5b8898e8b981a1f35776333302afb40b481a35b6553a66752044674ed9372",
+        "4e7aa2760c6b86b9eb6de3a4030b6967f5868c1f45e58011b2e57ad5cb26bdeb",
+        "82b911969645b495e8df0b2769ae4113ca5d7346bbffc1f7e52d632f63f7c983",
     ),
 }
 

@@ -1,11 +1,8 @@
 """Adam with decoupled weight decay."""
 
-import warnings
-
 import numpy as np
 import pytest
 
-from valnov import optim
 from valnov.optim import AdamW
 
 
@@ -75,9 +72,23 @@ def test_updates_in_place():
     assert params["w"] is p
 
 
+def textbook_update(opt, p, g, m, v, t):
+    """The textbook AdamW update of ``p``, ``m`` and ``v`` in place, one
+    temporary per operation."""
+    m *= opt.beta1
+    m += (1.0 - opt.beta1) * g
+    v *= opt.beta2
+    v += (1.0 - opt.beta2) * g * g
+    m_hat = m / (1.0 - opt.beta1**t)
+    v_hat = v / (1.0 - opt.beta2**t)
+    p -= opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
+    if opt.weight_decay:
+        p -= opt.learning_rate * opt.weight_decay * p
+
+
 class AllocatingAdamW:
-    """The textbook update, one temporary per operation: the oracle the
-    in-place step must reproduce bit for bit."""
+    """The textbook update of every value, one temporary per operation: the
+    oracle of a step whose gradients touch every row."""
 
     def __init__(self, learning_rate, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.learning_rate = learning_rate
@@ -89,25 +100,31 @@ class AllocatingAdamW:
 
     def step(self, params, grads):
         for name in sorted(grads):
-            g = grads[name]
             p = params[name]
             if name not in self.m:
                 self.m[name] = np.zeros_like(p)
                 self.v[name] = np.zeros_like(p)
                 self.t[name] = 0
             self.t[name] += 1
-            t = self.t[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
-            if self.weight_decay:
-                p -= self.learning_rate * self.weight_decay * p
+            self.update(name, p, grads[name])
+
+    def update(self, name, p, g):
+        textbook_update(self, p, g, self.m[name], self.v[name], self.t[name])
+
+
+class RowwiseAllocatingAdamW(AllocatingAdamW):
+    """The row rule, spelled out: of a table, the textbook update of the rows
+    whose gradient holds a nonzero value, gathered into fresh arrays and
+    written back; a vector updates whole."""
+
+    def update(self, name, p, g):
+        if p.ndim == 1:
+            return super().update(name, p, g)
+        rows = [i for i in range(len(p)) if np.any(g[i] != 0)]
+        m, v = self.m[name], self.v[name]
+        p_rows, m_rows, v_rows = p[rows], m[rows], v[rows]
+        textbook_update(self, p_rows, g[rows], m_rows, v_rows, self.t[name])
+        p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
 
 SHAPES = {"embedding": (50, 8), "proj_w": (4, 8), "proj_b": (4,)}
@@ -118,21 +135,120 @@ def _params(seed):
     return {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
 
 
+def _sparse_grads(rng, names=SHAPES):
+    """Gradients of ``names``; the embedding's rows mostly zero, as one
+    batch leaves them, and one proj_w row zero."""
+    grads = {name: rng.normal(size=SHAPES[name]) for name in names}
+    if "embedding" in grads:
+        grads["embedding"][rng.random(50) < 0.8] = 0.0
+    if "proj_w" in grads:
+        grads["proj_w"][rng.integers(4)] = 0.0
+    return grads
+
+
+def _state(opt, name):
+    return opt._m[name].tobytes(), opt._v[name].tobytes(), opt._t[name]
+
+
 @pytest.mark.parametrize("weight_decay", [0.0, 0.01, 0.3])
 def test_steps_bit_identical_to_allocating_update(weight_decay):
-    fused, oracle = AdamW(0.05, weight_decay=weight_decay), AllocatingAdamW(
-        0.05, weight_decay=weight_decay
-    )
+    fused = AdamW(0.05, weight_decay=weight_decay)
+    oracle = RowwiseAllocatingAdamW(0.05, weight_decay=weight_decay)
     params, expected = _params(0), _params(0)
     rng = np.random.default_rng(1)
     for _ in range(25):
-        grads = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
-        # mostly-zero rows, as the embedding gradient of one batch is
-        grads["embedding"][rng.random(50) < 0.8] = 0.0
+        grads = _sparse_grads(rng)
         fused.step(params, grads)
         oracle.step(expected, grads)
         for name in SHAPES:
-            assert np.array_equal(params[name], expected[name]), name
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert _state(fused, name) == (
+                oracle.m[name].tobytes(), oracle.v[name].tobytes(), oracle.t[name]
+            ), name
+
+
+def test_a_non_contiguous_table_follows_the_row_rule():
+    fused = AdamW(0.05, weight_decay=0.01)
+    oracle = RowwiseAllocatingAdamW(0.05, weight_decay=0.01)
+    params = {name: np.asfortranarray(p) for name, p in _params(8).items()}
+    expected = {name: p.copy() for name, p in params.items()}
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        grads = _sparse_grads(rng)
+        fused.step(params, grads)
+        oracle.step(expected, grads)
+        for name in SHAPES:
+            assert params[name].tobytes() == expected[name].tobytes(), name
+    assert params["embedding"].flags.f_contiguous  # updated in place
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+def test_untouched_rows_keep_value_and_moments_bit_for_bit(weight_decay):
+    opt = AdamW(0.05, weight_decay=weight_decay)
+    params = _params(4)
+    rng = np.random.default_rng(5)
+    opt.step(params, {name: rng.normal(size=shape) for name, shape in SHAPES.items()})
+    for _ in range(10):
+        grads = _sparse_grads(rng)
+        before = {name: (params[name].copy(), opt._m[name].copy(), opt._v[name].copy())
+                  for name in SHAPES}
+        opt.step(params, grads)
+        for name in ("embedding", "proj_w"):
+            untouched = ~grads[name].any(axis=1)
+            assert untouched.any()
+            now = (params[name], opt._m[name], opt._v[name])
+            for new, old in zip(now, before[name]):
+                assert new[untouched].tobytes() == old[untouched].tobytes(), name
+                # and every touched row moved
+                assert (new[~untouched] != old[~untouched]).any(axis=1).all(), name
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+def test_touched_rows_equal_the_allocating_update_of_those_rows(weight_decay):
+    # from the state of a trained table, the touched rows alone, given to
+    # the dense oracle with their own moments, come out byte for byte
+    opt = AdamW(0.05, weight_decay=weight_decay)
+    params = _params(6)
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        opt.step(params, _sparse_grads(rng))
+    for _ in range(6):
+        grads = _sparse_grads(rng)
+        rows = np.flatnonzero(grads["embedding"].any(axis=1))
+        oracle = AllocatingAdamW(0.05, weight_decay=weight_decay)
+        sub = {"embedding": params["embedding"][rows]}
+        oracle.m["embedding"] = opt._m["embedding"][rows]
+        oracle.v["embedding"] = opt._v["embedding"][rows]
+        oracle.t["embedding"] = opt._t["embedding"]
+        oracle.step(sub, {"embedding": grads["embedding"][rows]})
+        opt.step(params, grads)
+        assert params["embedding"][rows].tobytes() == sub["embedding"].tobytes()
+        assert opt._m["embedding"][rows].tobytes() == oracle.m["embedding"].tobytes()
+        assert opt._v["embedding"][rows].tobytes() == oracle.v["embedding"].tobytes()
+        assert opt._t["embedding"] == oracle.t["embedding"]
+
+
+def test_a_vector_updates_whole():
+    # zero entries of a vector's gradient still decay, as dense AdamW does
+    opt, oracle = AdamW(0.1, weight_decay=0.5), AllocatingAdamW(0.1, weight_decay=0.5)
+    p, expected = np.array([1.0, 2.0, -3.0]), np.array([1.0, 2.0, -3.0])
+    for g in (np.array([0.5, 0.0, 0.0]), np.array([0.0, 0.0, 0.0])):
+        opt.step({"b": p}, {"b": g})
+        oracle.step({"b": expected}, {"b": g})
+        assert p.tobytes() == expected.tobytes()
+    assert (p != np.array([1.0, 2.0, -3.0])).all()
+
+
+def test_a_row_with_a_nan_gradient_is_touched():
+    # a diverging gradient must reach the parameters, not be skipped as zero
+    opt = AdamW(0.1)
+    p = np.ones((3, 2))
+    g = np.zeros((3, 2))
+    g[1, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        opt.step({"w": p}, {"w": g})
+    assert np.isnan(p[1, 0]) and np.isnan(opt._m["w"][1, 0])
+    assert (p[[0, 2]] == 1.0).all()
 
 
 def test_subset_steps_bit_identical_and_absent_names_untouched():
@@ -152,110 +268,3 @@ def test_subset_steps_bit_identical_and_absent_names_untouched():
                 assert np.array_equal(params[name], before[name]), name
     # per-name step counts: each advanced only on the steps that named it
     assert fused._t == oracle.t == {"embedding": 9, "proj_w": 9, "proj_b": 12}
-
-
-# the default encoder's embedding: at least optim._SPLIT_MIN values, so
-# its update is split with the worker thread when several CPUs may run
-SPLIT_SHAPES = {"embedding": (2048, 32), "proj_w": (32, 32), "proj_b": (32,)}
-
-
-@pytest.fixture
-def submitted(monkeypatch):
-    """Forces the split path and counts the halves handed to the worker."""
-    calls = []
-    real_submit = optim._submit
-
-    def counting_submit(*args):
-        calls.append(args[1].shape)
-        return real_submit(*args)
-
-    monkeypatch.setattr(optim, "_may_use_several_cpus", lambda: True)
-    monkeypatch.setattr(optim, "_submit", counting_submit)
-    return calls
-
-
-def _split_run(optimizer):
-    """Steps on subsets of names with mostly-zero embedding rows; returns
-    the parameters after each step."""
-    rng = np.random.default_rng(5)
-    params = {name: rng.normal(size=shape) for name, shape in SPLIT_SHAPES.items()}
-    subsets = [("embedding", "proj_w", "proj_b"), ("embedding",), ("proj_w",),
-               ("embedding", "proj_b")]
-    trajectory = []
-    for subset in subsets * 3:
-        grads = {name: rng.normal(size=SPLIT_SHAPES[name]) for name in subset}
-        if "embedding" in grads:
-            grads["embedding"][rng.random(2048) < 0.9] = 0.0
-        optimizer.step(params, grads)
-        trajectory.append({name: p.tobytes() for name, p in params.items()})
-    return trajectory
-
-
-@pytest.mark.parametrize("weight_decay", [0.0, 0.01, 0.3])
-def test_split_steps_byte_equal_to_allocating_and_serial_updates(
-    weight_decay, submitted, monkeypatch
-):
-    split = AdamW(0.05, weight_decay=weight_decay)
-    split_run = _split_run(split)
-    assert submitted == [(2048 * 32 // 2,)] * 9  # the upper half, on every embedding step
-
-    oracle = AllocatingAdamW(0.05, weight_decay=weight_decay)
-    assert _split_run(oracle) == split_run
-
-    monkeypatch.setattr(optim, "_may_use_several_cpus", lambda: False)
-    serial = AdamW(0.05, weight_decay=weight_decay)
-    assert _split_run(serial) == split_run
-    assert len(submitted) == 9  # the serial run submitted nothing
-
-    assert split._t == serial._t == oracle.t == {"embedding": 9, "proj_w": 6, "proj_b": 6}
-
-
-def test_a_non_contiguous_parameter_is_updated_serially(submitted):
-    rng = np.random.default_rng(6)
-    params = {"w": np.asfortranarray(rng.normal(size=(2048, 32)))}
-    expected = {"w": params["w"].copy()}
-    opt, oracle = AdamW(0.05, weight_decay=0.01), AllocatingAdamW(0.05, weight_decay=0.01)
-    for _ in range(3):
-        grads = {"w": rng.normal(size=(2048, 32))}
-        opt.step(params, grads)
-        oracle.step(expected, grads)
-    assert submitted == []
-    assert params["w"].tobytes() == expected["w"].tobytes()
-
-
-def test_worker_half_runs_under_the_callers_errstate(submitted):
-    opt = AdamW(1e300)
-    p = np.ones(2 * optim._SPLIT_MIN)
-    g = np.zeros_like(p)
-    g[optim._SPLIT_MIN:] = 1e300  # g*g overflows, in the worker's half only
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            opt.step({"w": p}, {"w": g})
-    assert submitted == [(optim._SPLIT_MIN,)]
-    assert np.all(p[: optim._SPLIT_MIN] == 1.0)
-    assert not np.isfinite(p[optim._SPLIT_MIN :]).any()
-
-
-def test_an_error_in_the_worker_half_is_raised_by_step(submitted):
-    opt = AdamW(0.1)
-    p = np.ones(2 * optim._SPLIT_MIN)
-    g = np.zeros_like(p)
-    g[-1] = 1e300
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            opt.step({"w": p}, {"w": g})
-
-
-def test_the_cpu_decision_reads_the_affinity_mask(monkeypatch):
-    monkeypatch.setattr(optim.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert optim._may_use_several_cpus() is False
-    monkeypatch.setattr(optim.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-    assert optim._may_use_several_cpus() is True
-    monkeypatch.delattr(optim.os, "sched_getaffinity")
-    monkeypatch.setattr(optim.os, "cpu_count", lambda: 1)
-    assert optim._may_use_several_cpus() is False
-    monkeypatch.setattr(optim.os, "cpu_count", lambda: None)
-    assert optim._may_use_several_cpus() is False
-    monkeypatch.setattr(optim.os, "cpu_count", lambda: 4)
-    assert optim._may_use_several_cpus() is True

@@ -80,6 +80,15 @@ class TestMix:
         with pytest.raises(CoverageError, match=r"missing validity.*\['a', 'b'\]"):
             mix(validity[2:], novelty)
 
+    def test_both_directions_in_one_error(self):
+        validity, novelty = both_task_sets()
+        with pytest.raises(CoverageError) as raised:
+            mix(validity[:1], novelty[1:])
+        assert str(raised.value) == (
+            "ids missing validity predictions: ['b', 'c']; "
+            "ids missing novelty predictions: ['a']"
+        )
+
     def test_duplicate_ids_rejected(self):
         validity, novelty = both_task_sets()
         with pytest.raises(CoverageError, match="multiple validity"):
