@@ -99,9 +99,6 @@ def prepare(out: Path, seed: int) -> None:
         "profile": "desk",
         "seed": seed,
         "encoder": {"vocab_buckets": 256, "embed_dim": 12, "projection_dim": 8},
-        # default contrastive LR targets full-scale encoders; the tiny
-        # desk encoder needs a larger step to move at all
-        "contrastive": {"learning_rate": 1e-3},
         "data": {"train_path": str(sep / "instances-train.jsonl"),
                  "dev_path": str(sep / "instances-dev.jsonl"),
                  "test_path": str(sep / "instances-dev.jsonl")},

@@ -391,16 +391,7 @@ def cmd_seed_sweep(args: argparse.Namespace, run: _RunDir) -> None:
     summary = seed_summary(runs)
     run.write(
         "seed-summary.json",
-        json.dumps(
-            {
-                "seeds": seeds,
-                "n_runs": summary.n_runs,
-                "mean_combined_f1": summary.mean_combined_f1,
-                "std_combined_f1": summary.std_combined_f1,
-                "loss_envelope": summary.loss_envelope,
-            },
-            indent=2,
-        ),
+        json.dumps({"seeds": seeds, **dataclasses.asdict(summary)}, indent=2),
     )
     for idx, label in ((0, "min"), (1, "mean"), (2, "max")):
         run.write(

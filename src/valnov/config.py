@@ -64,7 +64,7 @@ class SweepSettings:
 class RunConfig:
     data: DataSettings = field(default_factory=DataSettings)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    profile: str = field(default="clteaml-2", metadata={"one_of": TRAIN_PROFILES})
+    profile: str = field(default="desk", metadata={"one_of": TRAIN_PROFILES})
     train_overrides: dict[str, Any] = field(default_factory=dict)
     contrastive: ContrastiveConfig = field(default_factory=ContrastiveConfig)
     prompting: PromptSettings = field(default_factory=PromptSettings)

@@ -50,7 +50,7 @@ DISTANCES: dict[str, Callable] = {
 @dataclass(frozen=True)
 class ContrastiveConfig:
     margin: float = field(default=1.0, metadata={"min": 0})
-    learning_rate: float = field(default=1e-5, metadata={"min": 0})
+    learning_rate: float = field(default=1e-3, metadata={"min": 0})
     epochs: int = field(default=3, metadata={"min": 1})
     batch_size: int = field(default=16, metadata={"min": 1})
     distance: str = field(default="cosine", metadata={"one_of": DISTANCES})

@@ -11,15 +11,14 @@ from token to bucket, so a token is hashed once per encoder however many
 texts hold it; both depend only on the frozen ``vocab_buckets``, so new
 parameters never invalidate them.
 
-Pooling works on blocks of at most ``_POOL_BLOCK`` (64) texts: one
-gather lays a block's embedding rows out token position first, padding
-positions are set to +0.0, and one reduction over that axis adds each
-text's rows in text order. That is the order of adding the rows one
-token position at a time from +0.0, so pooling is byte-equal to that
-loop for every ``embed_dim``. Each encoder keeps one gather buffer of
-64 × (longest text of any batch so far) × ``embed_dim`` floats. Backward
-accumulates into the embedding gradient token by token in the same
-order, so outputs and gradients are bit-identical to the per-row loops.
+Pooling gathers a batch's embedding rows in one step, laid out token
+position first, sets the padding positions to +0.0, and reduces over
+that axis, which adds each text's rows in text order. That is the order
+of adding the rows one token position at a time from +0.0, so pooling is
+byte-equal to that loop for every ``embed_dim``, and no buffer outlives
+a call. Backward accumulates into the embedding gradient token by token
+in the same order, so outputs and gradients are bit-identical to the
+per-row loops.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .decode import check_ranges
-
-_POOL_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,6 @@ class ReferenceEncoder:
         self.proj_b = np.zeros(config.projection_dim)
         self._ids: dict[str, np.ndarray] = {}
         self._buckets: dict[str, int] = {}
-        self._pool_buffer = np.empty(0)
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "proj_w": self.proj_w, "proj_b": self.proj_b}
@@ -124,32 +120,17 @@ class ReferenceEncoder:
         flat = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
         width = int(lengths.max(initial=0))
         present = np.arange(width) < lengths[:, None]  # (n, width)
-        padded = np.zeros((len(rows), width), dtype=np.int64)
-        padded[present] = flat
-        dim = self.config.embed_dim
-        pooled = np.zeros((len(rows), dim))
-        # one gather buffer, kept and grown: a fresh one per block or per call
-        # (large enough to come from mmap) made batches of 202 and 520 texts
-        # slower than the position loop
-        need = min(len(rows), _POOL_BLOCK) * width * dim
-        if self._pool_buffer.size < need:
-            self._pool_buffer = np.empty(need)
-        buffer = self._pool_buffer
-        for lo in range(0, len(rows), _POOL_BLOCK):
-            hi = min(lo + _POOL_BLOCK, len(rows))
-            cols = int(lengths[lo:hi].max())
-            # (position, text, dim): the reduction runs over the outer axis,
-            # so each text's rows are added in text order (reduceat is not).
-            # Every id is below vocab_buckets, so "clip" moves none; unlike
-            # the default mode it lets take write into out without a copy
-            block = buffer[: cols * (hi - lo) * dim].reshape(cols, hi - lo, dim)
-            np.take(self.embedding, padded[lo:hi, :cols].T, axis=0, out=block, mode="clip")
-            block[~present[lo:hi, :cols].T] = 0.0
-            out = pooled[lo:hi]
-            if out.size > 1:
-                np.add.reduce(block, axis=0, out=out)
-            else:  # numpy would sum a lone column pairwise
-                out[...] = np.add.accumulate(np.append(0.0, block.ravel()))[-1]
+        # (position, text): the reduction runs over the outer axis, so each
+        # text's rows are added in text order (reduceat is not)
+        padded = np.zeros((width, len(rows)), dtype=np.int64)
+        padded.T[present] = flat
+        gathered = self.embedding[padded]  # (position, text, dim)
+        gathered[~present.T] = 0.0
+        pooled = np.zeros((len(rows), self.config.embed_dim))
+        if pooled.size == 1:  # numpy would sum a lone column pairwise
+            pooled[...] = np.add.accumulate(np.append(0.0, gathered.ravel()))[-1]
+        else:
+            np.add.reduce(gathered, axis=0, out=pooled)
         pooled /= np.maximum(lengths, 1)[:, None]  # an empty text pools to zeros
         outputs = np.tanh(pooled @ self.proj_w.T + self.proj_b)
         return ForwardCache(token_ids=flat, lengths=lengths, pooled=pooled, outputs=outputs)

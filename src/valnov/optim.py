@@ -74,21 +74,14 @@ class AdamW:
                 p[rows], m[rows], v[rows] = p_rows, m_rows, v_rows
 
     def _update(self, p, g, m, v, t: int) -> None:
-        """One AdamW update of ``p``, ``m`` and ``v`` in place, through two
-        scratch buffers; the operations and their order are those of the
-        textbook update m̂ / (√v̂ + ε), so the result does not depend on
-        the buffering."""
-        a, b = np.empty_like(p), np.empty_like(p)
+        """The textbook AdamW update of ``p``, ``m`` and ``v`` in place:
+        m̂ / (√v̂ + ε), then the decoupled decay."""
         m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        m += (1.0 - self.beta1) * g
         v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - self.beta1**t, out=a)  # m_hat
-        a *= self.learning_rate
-        np.divide(v, 1.0 - self.beta2**t, out=b)  # v_hat
-        np.sqrt(b, out=b)
-        b += self.eps
-        p -= np.divide(a, b, out=a)
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1**t)
+        v_hat = v / (1.0 - self.beta2**t)
+        p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
         if self.weight_decay:
-            p -= np.multiply(p, self.learning_rate * self.weight_decay, out=a)
+            p -= self.learning_rate * self.weight_decay * p

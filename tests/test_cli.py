@@ -1048,6 +1048,21 @@ class TestStageDriver:
         assert not (run_dir / "encoder-checkpoint.json").exists()
         assert not run_dir.exists()
 
+    def test_diverging_contrastive_run_is_a_training_error(self, workspace, capsys, tmp_path):
+        # the run above in process, so the message is pinned: it is the
+        # activation check that fires, not the loss check
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["contrastive"] = {"learning_rate": 1e300}
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = tmp_path / "contrastive"
+        argv = ["contrastive-train", "--config", str(path), "--run-dir", str(run_dir)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: training: non-finite encoder activation in epoch 0 at triplet offset 16\n"
+        )
+        assert not run_dir.exists()
+
 
 def _b64(values: np.ndarray) -> str:
     return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")

@@ -20,7 +20,7 @@ class TestDefaults:
     def test_empty_config_is_valid(self):
         config = load_config(None)
         assert config == RunConfig()
-        assert config.profile == "clteaml-2"
+        assert config.profile == "desk"
         assert config.encoder == EncoderConfig()
         assert config.contrastive == ContrastiveConfig()
         assert config.prompting.provider == "replay-only"
@@ -181,7 +181,7 @@ class TestResolvedEcho:
         a = resolved_config_json(RunConfig())
         b = resolved_config_json(RunConfig())
         assert a == b
-        assert json.loads(a)["profile"] == "clteaml-2"
+        assert json.loads(a)["profile"] == "desk"
 
     def test_echo_sorted_keys(self):
         data = json.loads(resolved_config_json(RunConfig()))

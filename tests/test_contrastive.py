@@ -5,6 +5,7 @@ import pytest
 
 from valnov.contrastive import (
     ContrastiveConfig,
+    _euclidean,
     constraint_satisfaction,
     contrastive_train,
     distance,
@@ -35,6 +36,13 @@ class TestDistance:
 
     def test_euclidean(self):
         assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0]), "euclidean") == 5.0
+
+    def test_euclidean_identical_points_have_zero_gradients(self):
+        a = np.array([0.5, -2.0, 3.0])
+        d, grad_a, grad_b = _euclidean(a, a)
+        assert d == 0.0
+        assert grad_a.tolist() == [0.0, 0.0, 0.0]
+        assert grad_b.tolist() == [0.0, 0.0, 0.0]
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
