@@ -317,15 +317,8 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
     counters = {}
     for task, fit in fits.items():
         objectives[task.value] = fit.objective
-        counters[task.value] = {
-            "vocab": len(tfidf.vocabulary),
-            "train_nnz": train_nnz,
-            "steps": fit.steps,
-            "passes": fit.passes,
-            "spread": fit.spread,
-            "converged": fit.converged,
-            "violations": fit.violations,
-        }
+        solve = {k: v for k, v in vars(fit).items() if k not in ("model", "objective")}
+        counters[task.value] = {"vocab": len(tfidf.vocabulary), "train_nnz": train_nnz, **solve}
         if not fit.converged:
             print(
                 f"svm {task.value}: not converged (steps cap): passes {fit.passes},"

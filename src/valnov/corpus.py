@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import DataError, ParseError, SchemaError
-from .fsutil import atomic_write_text, open_text
+from .errors import DataError, SchemaError
+from .fsutil import atomic_write_text, open_text, read_jsonl
 
 
 class Task(str, Enum):
@@ -316,42 +316,24 @@ def save_instances_jsonl(instances: Iterable[ArgumentInstance], path: str | Path
 
 
 def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tuple[str, Any]]:
-    """``path:line`` and ``build`` applied to that line's JSON object, for
-    each non-blank line. Undecodable lines raise ParseError, records with a
-    missing or ill-typed field SchemaError; both messages carry ``path:line``."""
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(rec, dict):
-                raise SchemaError(f"{where}: expected a JSON object")
-            try:
-                built = build(rec)
-            except KeyError as exc:
-                raise SchemaError(f"{where}: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise SchemaError(f"{where}: {exc}") from exc
-            yield where, built
+    """``path:line`` and ``build`` of each ``read_jsonl`` record; one that is not
+    an object, or a missing or ill-typed field, is a SchemaError at ``path:line``."""
+    for where, rec in read_jsonl(path):
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{where}: expected a JSON object")
+        try:
+            built = build(rec)
+        except KeyError as exc:
+            raise SchemaError(f"{where}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+        yield where, built
 
 
 def _text(rec: Mapping[str, Any], name: str) -> str:
     value = rec[name]
     if not isinstance(value, str):
         raise TypeError(f"field {name!r} must be a string")
-    # a \ud800 escape is valid JSON, but no stage could hash, stem or
-    # write the text; ASCII, the common case, needs no check
-    if not value.isascii():
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(
-                f"field {name!r} is not UTF-8 text (lone surrogate at character {exc.start})"
-            ) from None
     return value
 
 

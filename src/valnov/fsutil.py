@@ -6,9 +6,9 @@ by ``load_model`` against the same class. Each parameter in it is a record
 ``{"shape": [...], "data": "<base64>"}``, where ``data`` holds the
 little-endian float64 values in C order.
 
-Every input is read as UTF-8 through ``read_json`` or ``open_text``, so a
-file that cannot be decoded is one ``ParseError`` naming it, whatever
-stage reads it.
+Every input is read as UTF-8 through ``read_json``, ``read_jsonl`` or
+``open_text``, and all JSON is parsed by ``parse_json``, so input that
+cannot be decoded is one ``ParseError`` naming it, whatever reads it.
 """
 
 from __future__ import annotations
@@ -34,17 +34,41 @@ _TMP_SERIAL = itertools.count()
 MANIFEST = "manifest.json"  # marks a directory as a run: see atomic_dir
 
 
+def parse_json(text: str, where: str | Path) -> Any:
+    """The value of the JSON ``text`` read from ``where``. Text that is not
+    JSON, or a ``\\u`` escape spelling a lone surrogate (valid JSON that no
+    UTF-8 text can hold, RFC 8259 section 8.2), is a ParseError naming ``where``."""
+    try:
+        value = json.loads(text)
+        if "\\u" in text:  # only an escape can spell a surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text ({exc.reason})") from exc
+    except ValueError as exc:  # json.JSONDecodeError
+        raise ParseError(f"{where}: invalid JSON ({exc})") from exc
+    return value
+
+
 def read_json(path: str | Path) -> Any:
-    """The JSON document in ``path``. Bytes that are not UTF-8, or text that
-    is not JSON, are a ParseError; a missing file stays FileNotFoundError."""
+    """The JSON document in ``path``, by ``parse_json``. Bytes that are not
+    UTF-8 are a ParseError too; a missing file stays FileNotFoundError."""
     # not through open_text: its generator would cost each of the replay cache's reads
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except ValueError as exc:  # json.JSONDecodeError
-            raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    return parse_json(text, path)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[str, Any]]:
+    """``path:line`` and the ``parse_json`` value of each non-blank line of
+    ``path``; bytes that are not UTF-8 are a ParseError naming ``path``."""
+    with open_text(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                where = f"{path}:{line_no}"
+                yield where, parse_json(line, where)
 
 
 @contextlib.contextmanager

@@ -27,7 +27,7 @@ from .predictions import Prediction
 
 # Profile name -> (learning rate, epochs, gradient accumulation). The two
 # submission profiles come from the published hyperparameter table; "desk"
-# is scaled for the from-scratch reference encoder.
+# is scaled for the from-scratch reference encoder and gives TrainConfig its defaults.
 TRAIN_PROFILES: dict[str, tuple[float, int, int]] = {
     "clteaml-2": (1e-5, 9, 1),
     "clteaml-4": (5e-6, 6, 4),
@@ -37,9 +37,9 @@ TRAIN_PROFILES: dict[str, tuple[float, int, int]] = {
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = field(default=1e-5, metadata={"min": 0})
-    epochs: int = field(default=9, metadata={"min": 1})
-    grad_accumulation: int = field(default=1, metadata={"min": 1})
+    learning_rate: float = field(default=TRAIN_PROFILES["desk"][0], metadata={"min": 0})
+    epochs: int = field(default=TRAIN_PROFILES["desk"][1], metadata={"min": 1})
+    grad_accumulation: int = field(default=TRAIN_PROFILES["desk"][2], metadata={"min": 1})
     batch_size: int = field(default=16, metadata={"min": 1})
     weight_decay: float = field(default=0.01, metadata={"min": 0})
     seed: int = field(default=0, metadata={"min": 0})

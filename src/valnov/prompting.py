@@ -34,7 +34,7 @@ from .corpus import (
 )
 from .decode import check_ranges
 from .errors import CacheMissError, ConfigurationError, DataError, ParseError, ProviderError
-from .fsutil import atomic_write_text, read_json
+from .fsutil import atomic_write_text, parse_json, read_json
 from .predictions import Prediction
 
 _TASK_WORDS = {Task.VALIDITY: "valid", Task.NOVELTY: "novel"}
@@ -309,7 +309,8 @@ class HttpProvider:
         try:
             # an HTTP error status, a refused connection and a timeout are all OSErrors
             with urllib.request.urlopen(post, timeout=self.timeout) as response:
-                text = json.load(response)["choices"][0]["text"]
+                reply = parse_json(response.read().decode("utf-8"), "completion body")
+            text = reply["choices"][0]["text"]
             if not isinstance(text, str):
                 raise TypeError(f"choice text is {text!r}")
         except (OSError, http.client.HTTPException, LookupError, TypeError, ValueError) as exc:

@@ -1469,7 +1469,7 @@ class TestErrorContract:
          ["prompt-predict", "--task", "validity", "--on"]],
         ids=lambda argv: argv[0],
     )
-    def test_lone_surrogate_in_jsonl_text_is_schema(self, workspace, capsys, argv):
+    def test_lone_surrogate_in_jsonl_text_is_parse(self, workspace, capsys, argv):
         # "\ud800" is valid JSON in valid UTF-8 bytes, yet no string of UTF-8
         root = workspace["root"]
         first, second = (root / "train.jsonl").read_text(encoding="utf-8").splitlines()[:2]
@@ -1482,10 +1482,90 @@ class TestErrorContract:
             capsys,
             [argv[0], "--config", workspace["config"], "--run-dir", str(run_dir),
              *argv[1:], str(path)],
-            "schema",
+            "parse",
         )
-        assert f"{path}:2: field 'premise' is not UTF-8 text" in err
+        assert f"{path}:2: not UTF-8 text" in err
         assert not run_dir.exists()
+
+    @pytest.mark.parametrize("key, value", [("model_id", "\ud800x"), ("cache_dir", "\ud800")])
+    def test_lone_surrogate_in_config_is_parse(self, workspace, capsys, key, value):
+        root = workspace["root"]
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["prompting"][key] = value
+        path = root / f"config-surrogate-{key}.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = root / f"prompt-surrogate-{key}"
+        err = self.run_expecting(
+            capsys,
+            ["prompt-predict", "--config", str(path), "--run-dir", str(run_dir),
+             "--task", "validity"],
+            "parse",
+        )
+        assert err.startswith(f"error: parse: {path}: not UTF-8 text")
+        assert not run_dir.exists()
+
+    def test_lone_surrogate_in_checkpoint_name_is_parse(self, workspace, trained, capsys):
+        root = workspace["root"]
+        blob = json.loads(trained.read_text(encoding="utf-8"))
+        broken = root / "checkpoint-surrogate-name.json"
+        broken.write_text(json.dumps(dict(blob, name="mtl\ud800")), encoding="utf-8")
+        run_dir = root / "pred-surrogate-name"
+        err = self.run_expecting(
+            capsys,
+            ["predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--checkpoint", str(broken)],
+            "parse",
+        )
+        assert err.startswith(f"error: parse: {broken}: not UTF-8 text")
+        assert not run_dir.exists()
+
+    def test_lone_surrogate_in_completion_body_is_provider(
+        self, workspace, completion_server, capsys
+    ):
+        root = workspace["root"]
+        completion_server.reply = (200, b'{"choices": [{"text": "yes\\ud800"}]}')
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["prompting"] = dict(
+            config["prompting"], provider="http-openai-compatible",
+            endpoint=completion_server.endpoint,
+        )
+        path = root / "config-http-surrogate.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir, cache_dir = root / "prompt-http-surrogate", root / "cache-http-surrogate"
+        err = self.run_expecting(
+            capsys,
+            ["prompt-predict", "--config", str(path), "--run-dir", str(run_dir),
+             "--task", "validity", "--cache-dir", str(cache_dir)],
+            "provider",
+        )
+        assert "completion body: not UTF-8 text" in err
+        assert completion_server.seen  # the body came from the server
+        assert not run_dir.exists()
+        assert not cache_dir.exists()  # no record was written
+
+    def test_escapes_of_real_characters_load(self, workspace):
+        # "\u00e9" and the pair "\ud83d\ude00" spell characters UTF-8 holds
+        root = workspace["root"]
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["prompting"]["model_id"] = "caf\u00e9"
+        config_path = root / "config-escaped.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert "caf\\u00e9" in config_path.read_text(encoding="utf-8")
+        first = (root / "dev.jsonl").read_text(encoding="utf-8").splitlines()[0]
+        line = json.dumps(dict(json.loads(first), premise="p \U0001F600"))
+        assert "\\ud83d\\ude00" in line
+        targets = root / "targets-escaped.jsonl"
+        targets.write_text(f"{line}\n", encoding="utf-8")
+        run_dir, cache_dir = root / "prompt-escaped", root / "cache-escaped"
+        assert main(["prompt-predict", "--config", str(config_path), "--run-dir", str(run_dir),
+                     "--task", "validity", "--on", str(targets),
+                     "--cache-dir", str(cache_dir)]) == 0
+        echo = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+        assert echo["prompting"]["model_id"] == "caf\u00e9"
+        [record] = cache_dir.glob("*.json")
+        request = json.loads(record.read_text(encoding="utf-8"))["request"]
+        assert request["model_id"] == "caf\u00e9"
+        assert "premise: p \U0001F600\n" in request["prompt"]
 
     @pytest.mark.parametrize(
         "case, category, detail",

@@ -322,9 +322,9 @@ def position_loop_pooled(enc, texts):
 
 
 def _pooling_batch(n):
-    """``n`` texts across the 64-text block edge: the first and last are
-    longer than 128 tokens (so a lone text in the last block is summed
-    over many positions), and empty texts sit among the rest."""
+    """``n`` texts for one gather: the first and last are longer than 128
+    tokens (so a lone text is summed over many positions), and empty texts
+    sit among the rest, padded over most of the batch's positions."""
     texts = _word_salad(6, n, 40)
     texts[-1] = " ".join(f"w{k % 40}" for k in range(150))
     texts[0] = " ".join(f"w{k % 37}" for k in range(200))
@@ -335,10 +335,10 @@ def _pooling_batch(n):
 
 @pytest.mark.parametrize("n", [1, 64, 65, 202])
 @pytest.mark.parametrize("embed_dim", [1, 2, 32])
-def test_blocked_pooling_is_byte_equal_to_the_position_loop(n, embed_dim):
+def test_one_gather_pooling_is_byte_equal_to_the_position_loop(n, embed_dim):
     enc = ReferenceEncoder(EncoderConfig(vocab_buckets=512, embed_dim=embed_dim, seed=8))
     # two rows of -0.0: the loop starts from +0.0, so "w0 w1" pools to
-    # +0.0, also where no padding follows it in its block
+    # +0.0, also where no padding follows it
     for word in ("w0", "w1"):
         enc.embedding[_hash_token(word, 512)] = -0.0
     for texts in (_pooling_batch(n), ["w0 w1", "w1"][:n]):

@@ -7,7 +7,14 @@ import stat
 import pytest
 
 from valnov.errors import ParseError, UsageError
-from valnov.fsutil import atomic_dir, atomic_write_text, open_text, read_json
+from valnov.fsutil import (
+    atomic_dir,
+    atomic_write_text,
+    open_text,
+    parse_json,
+    read_json,
+    read_jsonl,
+)
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
@@ -68,6 +75,36 @@ def test_undecodable_json_is_one_parse_error_naming_the_file(tmp_path, data, det
     path.write_bytes(data)
     with pytest.raises(ParseError, match=f"^{path}: {detail}"):
         read_json(path)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [r'"\ud800"', r'{"a": {"b": [1, "x\udfff"]}}', r'{"\udc00": 1}', r'["\ude00\ud83d"]'],
+    ids=["top-level", "nested-string", "key", "reversed-pair"],
+)
+def test_escaped_lone_surrogate_is_a_parse_error_naming_where(text):
+    with pytest.raises(ParseError, match=r"^doc\.json:7: not UTF-8 text"):
+        parse_json(text, "doc.json:7")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [(r'"caf\u00e9"', "caf\u00e9"), (r'{"\ud83d\ude00": "\u2028"}', {"\U0001F600": "\u2028"}),
+     (r'"a\\ud800"', "a\\ud800"), ('{"a": [1.5, null]}', {"a": [1.5, None]})],
+    ids=["latin", "pair-and-separator", "escaped-backslash", "no-escape"],
+)
+def test_escapes_of_real_characters_parse(text, value):
+    assert parse_json(text, "doc.json") == value
+
+
+def test_read_jsonl_names_each_line(tmp_path):
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"a": 1}\n\n  \n"caf\\u00e9"\n[\n', encoding="utf-8")
+    located = read_jsonl(path)
+    assert next(located) == (f"{path}:1", {"a": 1})
+    assert next(located) == (f"{path}:4", "caf\u00e9")
+    with pytest.raises(ParseError, match=f"^{path}:5: invalid JSON"):
+        next(located)
 
 
 def test_missing_json_file_stays_file_not_found(tmp_path):

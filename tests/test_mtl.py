@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from valnov.cli import main
+from valnov.config import RunConfig
 from valnov.corpus import LabelValue, Split, Task, save_instances_jsonl
 from valnov.encoder import EncoderConfig
 from valnov.errors import ConfigurationError, SchemaError, TrainingError
@@ -41,6 +42,10 @@ class TestTrainConfig:
         assert TRAIN_PROFILES["clteaml-4"] == (5e-6, 6, 4)
         cfg = TrainConfig.from_profile("clteaml-4")
         assert (cfg.learning_rate, cfg.epochs, cfg.grad_accumulation) == (5e-6, 6, 4)
+
+    def test_defaults_are_the_desk_profile(self):
+        # an empty config's too, so a library caller trains as the CLI does
+        assert TrainConfig() == TrainConfig.from_profile("desk") == RunConfig().train_config()
 
     def test_profile_overrides(self):
         cfg = TrainConfig.from_profile("desk", epochs=3, seed=11)

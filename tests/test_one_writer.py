@@ -1,11 +1,13 @@
-"""One atomic writer, one reader, one model-file format and one range
-check: no module but fsutil.py creates, writes or opens a file, encodes
-parameters as base64, or spells out a model file's ``format``/``version``
-header, and no config check spells out a range by hand.
+"""One atomic writer, one reader, one JSON parser, one model-file format
+and one range check: no module but fsutil.py creates, writes or opens a
+file, parses JSON, encodes parameters as base64, or spells out a model
+file's ``format``/``version`` header, and no config check spells out a
+range by hand.
 
 Every artifact then gets the same write-then-rename and the same mode,
 every input the same UTF-8 decoding and the same error for a file that
-cannot be decoded, every model file the same header checks and the
+cannot be decoded, every JSON text the same refusal of an escape that no
+UTF-8 text can hold, every model file the same header checks and the
 same parameter records, and every setting's range is declared once, on
 its field, where ``decode.check_ranges`` reads it.
 """
@@ -23,6 +25,7 @@ FILE_WRITERS = {"write_text", "write_bytes", "tofile"}  # methods, whatever the 
 NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # np.<name>
 FILE_READERS = {"open", "read_text", "read_bytes"}  # Path.open, io.open, os.open, ...
 NUMPY_READERS = {"load", "loadtxt", "genfromtxt", "fromfile"}  # np.<name>
+JSON_PARSERS = {"load", "loads"}  # json.<name>: fsutil.parse_json is the one caller
 HEADER_KEYS = {"format", "version"}  # a model file's header, written and checked by fsutil
 CONFIG_CHECKS = {"__post_init__", "_check_settings"}  # the functions that check a config
 RANGE_WORDS = ("must be >", "must be null or")  # a bound spelled out in a message
@@ -131,6 +134,48 @@ def test_checker_sees_each_kind_of_read(source):
 )
 def test_checker_passes_reads_through_the_reader(source):
     assert _reads(ast.parse(source)) == []
+
+
+def _json_parses(tree: ast.AST) -> list[str]:
+    """``line: what`` for each call of, or import from ``json`` of, a JSON parser in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in JSON_PARSERS]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in JSON_PARSERS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ):
+            found.append(f"{node.lineno}: json.{node.func.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fsutil_parses_json(path):
+    parses = _json_parses(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "fsutil.py":
+        assert parses, "the checker no longer sees the parser"
+    else:
+        assert parses == []
+
+
+@pytest.mark.parametrize(
+    "source", ["json.load(fh)", "json.loads(text)", "from json import loads",
+               "from json import dumps, load"]
+)
+def test_checker_sees_each_kind_of_json_parse(source):
+    assert _json_parses(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source", ["json.dumps(value)", "parse_json(text, where)", "read_json(p)", "read_jsonl(p)",
+               "pickle.loads(b)", "from json import dumps"]
+)
+def test_checker_passes_json_writes_and_the_parser(source):
+    assert _json_parses(ast.parse(source)) == []
 
 
 def _imports(tree: ast.AST) -> set[str]:

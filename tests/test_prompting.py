@@ -1,12 +1,10 @@
 """Prompt construction, completion providers, replay cache, parsing."""
 
 import hashlib
-import http.server
 import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -348,47 +346,6 @@ class TestMakeProvider:
         provider.timeout = 0.2
         with pytest.raises(ProviderError, match="retry"):
             complete(provider, PromptRequest(prompt="p"), ReplayCache(tmp_path))
-
-
-@pytest.fixture
-def completion_server():
-    """A completions endpoint on 127.0.0.1 that answers every POST with
-    ``server.reply`` (status, body bytes) after ``server.release`` is set,
-    and keeps each request's headers and JSON body in ``server.seen``."""
-
-    class Handler(http.server.BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = self.rfile.read(int(self.headers["Content-Length"]))
-            server.seen.append((dict(self.headers), json.loads(body)))
-            server.release.wait(5)
-            status, payload = server.reply
-            try:
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-            except ConnectionError:  # the client has already given up
-                pass
-
-        def log_message(self, *args):
-            pass
-
-    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    server.daemon_threads = True
-    server.seen, server.release = [], threading.Event()
-    server.release.set()
-    server.reply = (200, b"{}")
-    server.endpoint = f"http://127.0.0.1:{server.server_port}/v1/completions"
-    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
-    thread.start()
-    try:
-        yield server
-    finally:
-        server.release.set()
-        server.shutdown()
-        server.server_close()
-        thread.join(5)
-        assert not thread.is_alive()
 
 
 class TestHttpProvider:
