@@ -496,9 +496,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     earlier run there whole; a stage that fails leaves nothing.
     A ``--run-dir`` that is a file, a non-empty directory that is not a
     run, or the working directory or one of its parents, is refused before
-    any stage work."""
+    any stage work, and so is an argument that is not UTF-8 text, which
+    no config echo could hold."""
     args = build_parser().parse_args(argv)
     try:
+        for arg in sys.argv[1:] if argv is None else argv:
+            try:
+                arg.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise UsageError(f"argument {arg!r} is not UTF-8 text ({exc.reason})") from exc
         with atomic_dir(args.run_dir) as staging:
             run = _RunDir(staging, args.command, load_config(args.config))
             args.func(args, run)

@@ -10,15 +10,13 @@ readers and writers, all operations are pure.
 from __future__ import annotations
 
 import csv
-import io
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, SchemaError
-from .fsutil import atomic_write_text, open_text, read_jsonl
+from .fsutil import open_text, read_jsonl, write_csv, write_jsonl
 
 
 class Task(str, Enum):
@@ -215,22 +213,11 @@ def write_instances_csv(instances: Sequence[ArgumentInstance], path: str | Path)
     """Write instances under the ``DEFAULT_COLUMN_MAP`` header, which
     ``load_corpus`` reads back."""
     path = Path(path)
-    buffer = io.StringIO()  # keeps the writer's \r\n line ends
-    writer = csv.writer(buffer)
-    writer.writerow(DEFAULT_COLUMN_MAP.values())
-    for inst in instances:
-        writer.writerow(
-            [
-                inst.topic,
-                inst.premise,
-                inst.conclusion,
-                inst.validity_raw,
-                inst.validity_confidence.value,
-                inst.novelty_raw,
-                inst.novelty_confidence.value,
-            ]
-        )
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(path, DEFAULT_COLUMN_MAP.values(), (
+        [inst.topic, inst.premise, inst.conclusion, inst.validity_raw,
+         inst.validity_confidence.value, inst.novelty_raw, inst.novelty_confidence.value]
+        for inst in instances
+    ))
     return path
 
 
@@ -310,9 +297,7 @@ def extract_triplets(instances: Sequence[ArgumentInstance]) -> list[TripletExamp
 
 def save_instances_jsonl(instances: Iterable[ArgumentInstance], path: str | Path) -> None:
     # the enum fields are str subclasses, which json writes as their values
-    atomic_write_text(
-        path, "".join(json.dumps(vars(inst), ensure_ascii=False) + "\n" for inst in instances)
-    )
+    write_jsonl(path, (vars(inst) for inst in instances))
 
 
 def _load_jsonl(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tuple[str, Any]]:
@@ -364,9 +349,7 @@ def load_instances_jsonl(path: str | Path) -> list[ArgumentInstance]:
 
 
 def save_triplets_jsonl(triplets: Iterable[TripletExample], path: str | Path) -> None:
-    atomic_write_text(
-        path, "".join(json.dumps(vars(t), ensure_ascii=False) + "\n" for t in triplets)
-    )
+    write_jsonl(path, (vars(t) for t in triplets))
 
 
 def load_triplets_jsonl(path: str | Path) -> list[TripletExample]:

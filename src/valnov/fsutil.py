@@ -6,24 +6,29 @@ by ``load_model`` against the same class. Each parameter in it is a record
 ``{"shape": [...], "data": "<base64>"}``, where ``data`` holds the
 little-endian float64 values in C order.
 
-Every input is read as UTF-8 through ``read_json``, ``read_jsonl`` or
-``open_text``, and all JSON is parsed by ``parse_json``, so input that
-cannot be decoded is one ``ParseError`` naming it, whatever reads it.
+Every input is decoded as UTF-8 by ``open_text`` alone, directly or
+through ``read_json`` and ``read_jsonl``, and all JSON is parsed by
+``parse_json``, so input that cannot be decoded is one ``ParseError``
+naming it, whatever reads it. Line formats are framed here too, each
+through the atomic writer: JSONL by ``write_jsonl``, one line of raw
+UTF-8 JSON per record, and CSV by ``write_csv``, with ``\\r\\n`` line ends.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -52,12 +57,8 @@ def parse_json(text: str, where: str | Path) -> Any:
 def read_json(path: str | Path) -> Any:
     """The JSON document in ``path``, by ``parse_json``. Bytes that are not
     UTF-8 are a ParseError too; a missing file stays FileNotFoundError."""
-    # not through open_text: its generator would cost each of the replay cache's reads
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with open_text(path) as fh:
+        text = fh.read()
     return parse_json(text, path)
 
 
@@ -80,6 +81,22 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
+    """Write each record as one line of JSON, raw UTF-8 rather than ``\\u``
+    escapes; ``read_jsonl`` reads it back."""
+    atomic_write_text(path, "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records))
+
+
+def write_csv(path: str | Path, header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> None:
+    """Write ``header`` and then each row as CSV, every line ended by the
+    ``csv`` module's ``\\r\\n`` (RFC 4180)."""
+    buffer = io.StringIO()  # keeps the writer's \r\n line ends
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buffer.getvalue())
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

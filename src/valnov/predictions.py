@@ -8,14 +8,13 @@ best combined submissions.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
 from .corpus import LabelValue, Task
 from .errors import CoverageError, ParseError
-from .fsutil import atomic_write_text, open_text
+from .fsutil import open_text, write_csv
 
 FILE_HEADER = ["instance_id", "task", "value", "source", "flagged"]
 
@@ -96,50 +95,39 @@ def save_predictions(predictions: Sequence[Prediction], path: str | Path) -> Non
     """Write the delimited prediction file, rows ordered by (id, task)."""
     _check_unique(predictions)
     rows = sorted(predictions, key=lambda p: (p.instance_id, p.task.value))
-    buffer = io.StringIO()  # keeps the writer's \r\n line ends
-    writer = csv.writer(buffer)
-    writer.writerow(FILE_HEADER)
-    for p in rows:
-        writer.writerow(
-            [p.instance_id, p.task.value, p.value.value, p.source,
-             "true" if p.flagged else "false"]
-        )
-    atomic_write_text(path, buffer.getvalue())
+    write_csv(path, FILE_HEADER, (
+        [p.instance_id, p.task.value, p.value.value, p.source, "true" if p.flagged else "false"]
+        for p in rows
+    ))
 
 
 def load_predictions(path: str | Path) -> list[Prediction]:
     path = Path(path)
-    with open_text(path, newline="") as fh:
-        text = fh.read()
     predictions: list[Prediction] = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != FILE_HEADER:
-        raise ParseError(f"{path}:1: bad header {header!r}")
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(FILE_HEADER):
-            raise ParseError(f"{path}:{line_no}: expected {len(FILE_HEADER)} fields")
-        inst_id, task_s, value_s, source, flagged_s = row
-        try:
-            task = Task(task_s)
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: unknown task {task_s!r}")
-        try:
-            value = LabelValue(value_s)
-        except ValueError:
-            raise ParseError(f"{path}:{line_no}: unknown value {value_s!r}")
-        if flagged_s not in ("true", "false"):
-            raise ParseError(f"{path}:{line_no}: bad flagged value {flagged_s!r}")
-        predictions.append(
-            Prediction(
-                instance_id=inst_id,
-                task=task,
-                value=value,
-                source=source,
+    with open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != FILE_HEADER:
+            raise ParseError(f"{path}:1: bad header {header!r}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(FILE_HEADER):
+                raise ParseError(f"{path}:{line_no}: expected {len(FILE_HEADER)} fields")
+            inst_id, task_s, value_s, source, flagged_s = row
+            try:
+                task = Task(task_s)
+            except ValueError:
+                raise ParseError(f"{path}:{line_no}: unknown task {task_s!r}")
+            try:
+                value = LabelValue(value_s)
+            except ValueError:
+                raise ParseError(f"{path}:{line_no}: unknown value {value_s!r}")
+            if flagged_s not in ("true", "false"):
+                raise ParseError(f"{path}:{line_no}: bad flagged value {flagged_s!r}")
+            predictions.append(Prediction(
+                instance_id=inst_id, task=task, value=value, source=source,
                 flagged=flagged_s == "true",
-            )
-        )
+            ))
     _check_unique(predictions, context=str(path))
     return predictions

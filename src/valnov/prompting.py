@@ -124,7 +124,7 @@ class FewShotSet:
         parts = []
         for example in self.examples:
             positive = mapped_value(example, self.task) is LabelValue.POSITIVE
-            parts.append(_block(example, self.task, "yes" if positive else "no"))
+            parts.append(_block(example, self.task) + (" yes\n\n" if positive else " no\n\n"))
         return "".join(parts)
 
 
@@ -166,13 +166,13 @@ def select_few_shot(train: Sequence[ArgumentInstance], task: Task) -> FewShotSet
     return FewShotSet(task=task, examples=tuple(chosen))
 
 
-def _block(instance: ArgumentInstance, task: Task, answer: str) -> str:
-    word = _TASK_WORDS[task]
+def _block(instance: ArgumentInstance, task: Task) -> str:
+    """The block of ``instance``, open after the task word for an answer."""
     return (
         f"topic: {instance.topic}\n"
         f"premise: {instance.premise}\n"
         f"conclusion: {instance.conclusion}\n"
-        f"{word}: {answer}\n\n"
+        f"{_TASK_WORDS[task]}:"
     )
 
 
@@ -183,13 +183,7 @@ def build_prompt(few_shot: FewShotSet, target: ArgumentInstance, task: Task) -> 
         raise ConfigurationError(
             f"few-shot set is for task {few_shot.task.value}, not {task.value}"
         )
-    return (
-        f"{few_shot.prefix}"
-        f"topic: {target.topic}\n"
-        f"premise: {target.premise}\n"
-        f"conclusion: {target.conclusion}\n"
-        f"{_TASK_WORDS[task]}:"
-    )
+    return few_shot.prefix + _block(target, task)
 
 
 def request_json(request: PromptRequest) -> str:

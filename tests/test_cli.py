@@ -1519,6 +1519,22 @@ class TestErrorContract:
         assert err.startswith(f"error: parse: {broken}: not UTF-8 text")
         assert not run_dir.exists()
 
+    def test_argument_that_is_not_utf8_is_usage(
+        self, workspace, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache_dir = os.fsdecode(b"cache\xff")  # the shell's bytes, as Python decodes argv
+        run_dir = workspace["root"] / "prompt-non-utf8-arg"
+        err = self.run_expecting(
+            capsys,
+            ["prompt-predict", "--config", workspace["config"], "--run-dir", str(run_dir),
+             "--task", "validity", "--cache-dir", cache_dir],
+            "usage",
+        )
+        assert err.startswith(f"error: usage: argument {cache_dir!r} is not UTF-8 text")
+        assert not run_dir.exists()
+        assert os.listdir(tmp_path) == []  # no cache directory either
+
     def test_lone_surrogate_in_completion_body_is_provider(
         self, workspace, completion_server, capsys
     ):

@@ -1,6 +1,8 @@
 """The atomic writer every artifact goes through, its counterpart for
-run directories, and the reader every input goes through."""
+run directories, the JSONL and CSV framings written through it, and the
+reader every input goes through."""
 
+import csv
 import os
 import stat
 
@@ -14,6 +16,8 @@ from valnov.fsutil import (
     parse_json,
     read_json,
     read_jsonl,
+    write_csv,
+    write_jsonl,
 )
 
 
@@ -105,6 +109,30 @@ def test_read_jsonl_names_each_line(tmp_path):
     assert next(located) == (f"{path}:4", "caf\u00e9")
     with pytest.raises(ParseError, match=f"^{path}:5: invalid JSON"):
         next(located)
+
+
+def test_write_jsonl_round_trips_line_breaking_characters(tmp_path):
+    path = tmp_path / "records.jsonl"
+    records = [{"text": "a\u0085b", "n": 1}, {"text": "c\u2028d\u2029e"}, ["café", "\n"]]
+    write_jsonl(path, records)
+    data = path.read_bytes()
+    assert data.count(b"\n") == len(records)  # one line each: json escapes only \n itself
+    assert "a\u0085b".encode("utf-8") in data and "café".encode("utf-8") in data
+    assert b"\\u" not in data  # raw UTF-8, not escapes
+    assert list(read_jsonl(path)) == [
+        (f"{path}:{line}", record) for line, record in enumerate(records, start=1)
+    ]
+
+
+def test_write_csv_frames_rows_with_crlf_and_quotes_fields(tmp_path):
+    path = tmp_path / "rows.csv"
+    rows = [["plain", 1], ["a, b", 'say "hi"'], ["two\nlines", "cr\r\nlf"]]
+    write_csv(path, ["text", "n"], rows)
+    assert path.read_bytes() == (
+        b'text,n\r\nplain,1\r\n"a, b","say ""hi"""\r\n"two\nlines","cr\r\nlf"\r\n'
+    )
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh)) == [["text", "n"], *([str(c) for c in r] for r in rows)]
 
 
 def test_missing_json_file_stays_file_not_found(tmp_path):

@@ -1,15 +1,17 @@
-"""One atomic writer, one reader, one JSON parser, one model-file format
-and one range check: no module but fsutil.py creates, writes or opens a
-file, parses JSON, encodes parameters as base64, or spells out a model
-file's ``format``/``version`` header, and no config check spells out a
-range by hand.
+"""One atomic writer, one reader, one decoder, one JSON parser, one CSV
+framing, one model-file format and one range check: no module but
+fsutil.py creates, writes or opens a file, parses JSON, builds a CSV
+writer, encodes parameters as base64, or spells out a model file's
+``format``/``version`` header; only ``fsutil.open_text`` catches a
+``UnicodeDecodeError``; and no config check spells out a range by hand.
 
 Every artifact then gets the same write-then-rename and the same mode,
-every input the same UTF-8 decoding and the same error for a file that
-cannot be decoded, every JSON text the same refusal of an escape that no
-UTF-8 text can hold, every model file the same header checks and the
-same parameter records, and every setting's range is declared once, on
-its field, where ``decode.check_ranges`` reads it.
+every CSV file the same quoting and CRLF line ends, every input the
+same UTF-8 decoding and the same error for a file that cannot be
+decoded, every JSON text the same refusal of an escape that no UTF-8
+text can hold, every model file the same header checks and the same
+parameter records, and every setting's range is declared once, on its
+field, where ``decode.check_ranges`` reads it.
 """
 
 import ast
@@ -26,6 +28,8 @@ NUMPY_WRITERS = {"save", "savez", "savez_compressed", "savetxt"}  # np.<name>
 FILE_READERS = {"open", "read_text", "read_bytes"}  # Path.open, io.open, os.open, ...
 NUMPY_READERS = {"load", "loadtxt", "genfromtxt", "fromfile"}  # np.<name>
 JSON_PARSERS = {"load", "loads"}  # json.<name>: fsutil.parse_json is the one caller
+CSV_WRITERS = {"writer", "DictWriter"}  # csv.<name>: fsutil.write_csv is the one caller
+DECODE_ERRORS = {"UnicodeDecodeError", "UnicodeError"}  # caught by fsutil.open_text alone
 HEADER_KEYS = {"format", "version"}  # a model file's header, written and checked by fsutil
 CONFIG_CHECKS = {"__post_init__", "_check_settings"}  # the functions that check a config
 RANGE_WORDS = ("must be >", "must be null or")  # a bound spelled out in a message
@@ -176,6 +180,95 @@ def test_checker_sees_each_kind_of_json_parse(source):
 )
 def test_checker_passes_json_writes_and_the_parser(source):
     assert _json_parses(ast.parse(source)) == []
+
+
+def _csv_writers(tree: ast.AST) -> list[str]:
+    """``line: what`` for each call of, or import from ``csv`` of, a CSV writer in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found += [f"{node.lineno}: {a.name}" for a in node.names if a.name in CSV_WRITERS]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in CSV_WRITERS
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "csv"
+        ):
+            found.append(f"{node.lineno}: csv.{node.func.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_fsutil_writes_csv(path):
+    writers = _csv_writers(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "fsutil.py":
+        assert writers, "the checker no longer sees the CSV writer"
+    else:
+        assert writers == []
+
+
+@pytest.mark.parametrize(
+    "source", ["csv.writer(buffer)", "csv.DictWriter(buffer, fields)", "from csv import writer"]
+)
+def test_checker_sees_each_kind_of_csv_writer(source):
+    assert _csv_writers(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source", ["csv.reader(fh)", "csv.DictReader(fh)", "write_csv(p, header, rows)",
+               "from csv import reader", "writer.writerow(row)"]
+)
+def test_checker_passes_csv_readers_and_the_writer(source):
+    assert _csv_writers(ast.parse(source)) == []
+
+
+def _decode_handlers(tree: ast.AST) -> list[str]:
+    """The innermost function around each handler in ``tree`` that catches a
+    decode error, ``<module>`` when there is none."""
+    functions = [
+        node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
+    ]
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        if not DECODE_ERRORS & {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}:
+            continue
+        around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+        found.append(max(around, key=lambda f: f.lineno).name if around else "<module>")
+    return found
+
+
+def test_only_open_text_catches_decode_errors():
+    found = [
+        f"{path.name}: {where}"
+        for path in sorted(SRC.glob("*.py"))
+        for where in _decode_handlers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == ["fsutil.py: open_text"]
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [("try:\n    f()\nexcept UnicodeDecodeError:\n    pass", ["<module>"]),
+     ("def g():\n    try:\n        f()\n    except (OSError, UnicodeError) as e:\n        raise",
+      ["g"]),
+     ("def g():\n    def h():\n        try:\n            f()\n"
+      "        except UnicodeDecodeError:\n            pass", ["h"])],
+    ids=["module", "tuple", "nested-function"],
+)
+def test_checker_sees_each_decode_handler(source, found):
+    assert _decode_handlers(ast.parse(source)) == found
+
+
+@pytest.mark.parametrize(
+    "source", ["try:\n    f()\nexcept UnicodeEncodeError:\n    pass",
+               "try:\n    f()\nexcept ValueError:\n    pass",
+               "try:\n    f()\nexcept:\n    pass"]
+)
+def test_checker_passes_other_handlers(source):
+    assert _decode_handlers(ast.parse(source)) == []
 
 
 def _imports(tree: ast.AST) -> set[str]:
