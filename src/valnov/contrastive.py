@@ -159,7 +159,7 @@ def contrastive_train(
                         f"non-finite contrastive loss in epoch {epoch} at triplet offset {start}"
                     )
                 losses.append(batch_loss)
-                optimizer.step(params, encoder.backward(cache, d_outputs))
+                optimizer.step(params, encoder.backward(cache, d_outputs, compact=True))
             epoch_losses.append(float(np.mean(losses)))
     return ContrastiveResult(encoder=encoder, epoch_losses=epoch_losses)
 

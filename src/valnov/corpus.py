@@ -232,10 +232,20 @@ def map_label(raw: int) -> LabelValue:
     return LabelValue.POSITIVE if raw == 1 else LabelValue.NEGATIVE
 
 
+def _raw_field(task: Task) -> str:
+    return "validity_raw" if Task(task) is Task.VALIDITY else "novelty_raw"
+
+
 def mapped_value(instance: ArgumentInstance, task: Task) -> LabelValue:
     """Binary label of ``instance`` for ``task``."""
-    raw = instance.validity_raw if Task(task) is Task.VALIDITY else instance.novelty_raw
-    return map_label(raw)
+    return map_label(getattr(instance, _raw_field(task)))
+
+
+def mapped_values(instances: Sequence[ArgumentInstance], task: Task) -> list[LabelValue]:
+    """Binary labels of ``instances`` for ``task``, in order, with one
+    lookup of ``task`` for the whole list."""
+    field = _raw_field(task)
+    return [map_label(getattr(instance, field)) for instance in instances]
 
 
 def confidence_for(instance: ArgumentInstance, task: Task) -> Confidence:

@@ -19,6 +19,13 @@ byte-equal to that loop for every ``embed_dim``, and no buffer outlives
 a call. Backward accumulates into the embedding gradient token by token
 in the same order, so outputs and gradients are bit-identical to the
 per-row loops.
+
+Backward builds the embedding gradient compact, as a ``RowGradient`` of
+the batch's distinct bucket ids and their summed values, so its cost
+follows the batch's tokens and not ``vocab_buckets``. The trainers ask
+for it that way with ``compact=True`` and hand it to ``AdamW``; a plain
+call scatters it into a dense table-shaped array, which is what a
+finite-difference check or a sum of gradients wants.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .decode import check_ranges
+from .optim import RowGradient
 
 
 @dataclass(frozen=True)
@@ -138,21 +146,26 @@ class ReferenceEncoder:
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         return self.forward(texts).outputs
 
-    def backward(self, cache: ForwardCache, d_outputs: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients of a scalar loss w.r.t. parameters, given dL/d(outputs)."""
+    def backward(
+        self, cache: ForwardCache, d_outputs: np.ndarray, *, compact: bool = False
+    ) -> dict[str, np.ndarray | RowGradient]:
+        """Gradients of a scalar loss w.r.t. parameters, given dL/d(outputs).
+
+        The embedding's is summed over the rows the batch gathered alone;
+        ``compact`` returns it as that ``RowGradient``, and otherwise it is
+        scattered into a dense array of the table's shape."""
         d_pre = d_outputs * (1.0 - cache.outputs**2)  # tanh'
         d_pooled = d_pre @ self.proj_w
         lengths = cache.lengths
         contrib = d_pooled / np.maximum(lengths, 1)[:, None]
-        # ufunc.at adds in index order, text by text and token by token; on
-        # the flat array it takes numpy's fast one-dimensional path
-        dim = self.config.embed_dim
-        cells = (cache.token_ids[:, None] * dim + np.arange(dim)).ravel()
-        d_embedding = np.zeros(self.embedding.size)
-        np.add.at(d_embedding, cells, np.repeat(contrib, lengths, axis=0).ravel())
+        # text by text and token by token, as the per-row loops add
+        d_embedding = RowGradient.sum_rows(cache.token_ids, np.repeat(contrib, lengths, axis=0))
+        if not compact:
+            dense = np.zeros(self.embedding.shape)
+            dense[d_embedding.rows] = d_embedding.values
+            d_embedding = dense
         return {
             "proj_w": d_pre.T @ cache.pooled,
             "proj_b": d_pre.sum(axis=0),
-            "embedding": d_embedding.reshape(self.embedding.shape),
+            "embedding": d_embedding,
         }
-

@@ -5,9 +5,13 @@ configurable combined two-task score, confidence-bucket accuracy,
 per-topic error rates, seed-variance aggregation, and report emission
 (JSON for machines, an aligned table for humans).
 
-``evaluate`` pairs each covered task's predictions with the golds once,
-and every score in its report comes from those pairs; precision, recall
-and F1 are computed from (tp, fp, fn) in one place.
+``evaluate`` matches each covered task's predictions to the golds once,
+as two label lists in gold order (the golds' mapped labels and the
+predicted ones), and every score in its report comes from those lists;
+precision, recall and F1 are computed from (tp, fp, fn) in one place.
+``combined_score``, which training calls once per epoch, builds the same
+lists and counts confusions from them alone, without the confidence and
+topic breakdowns that only a report shows.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .corpus import (
     LabelValue,
     Task,
     confidence_for,
-    mapped_value,
+    mapped_values,
 )
 from .decode import decode
 from .errors import ConfigurationError, CoverageError, SchemaError
@@ -73,14 +77,16 @@ class EvalReport:
     source_tag: str = ""
 
 
-Pairs = list[tuple[ArgumentInstance, Prediction]]
+# A task's labels in gold order: the golds' mapped labels, then the
+# predicted ones.
+Labels = tuple[list[LabelValue], list[LabelValue]]
 
 
-def _pairs(
+def _labels(
     predictions: Sequence[Prediction],
     golds: Sequence[ArgumentInstance],
     task: Task,
-) -> Pairs:
+) -> Labels:
     task = Task(task)
     by_id = task_index(predictions, task)
     require_same_ids(
@@ -88,27 +94,29 @@ def _pairs(
         missing=f"missing {task.value} predictions for ids: ",
         extra=f"{task.value} predictions for ids that are not golds: ",
     )
-    return [(g, by_id[g.id]) for g in golds]
+    return mapped_values(golds, task), [by_id[g.id].value for g in golds]
 
 
-def _tally(
-    pairs: Pairs, task: Task
-) -> tuple[Matrix, dict[str, BucketStats], list[tuple[str, float, int]]]:
-    """The one pass over a task's pairs: its confusion matrix, accuracy per
-    gold-confidence tag (``Confidence`` order, empty ones left out) and
-    error rate per topic (highest first, ties broken on the topic)."""
-    counts = [[0, 0], [0, 0]]
+def _matrix(labels: Labels) -> Matrix:
+    counts = Counter(zip(*labels))
+    neg, pos = LabelValue.NEGATIVE, LabelValue.POSITIVE
+    return (counts[neg, neg], counts[neg, pos]), (counts[pos, neg], counts[pos, pos])
+
+
+def _breakdown(
+    golds: Sequence[ArgumentInstance], labels: Labels, task: Task
+) -> tuple[dict[str, BucketStats], list[tuple[str, float, int]]]:
+    """Accuracy per gold-confidence tag (``Confidence`` order, empty ones
+    left out) and error rate per topic (highest first, ties broken on the
+    topic)."""
     by_confidence: dict[str, list[int]] = {}
     by_topic: dict[str, list[int]] = {}
-    for gold, pred in pairs:
-        t = int(mapped_value(gold, task) is LabelValue.POSITIVE)
-        p = int(pred.value is LabelValue.POSITIVE)
-        counts[t][p] += 1
+    for gold, true, predicted in zip(golds, *labels):
         for tally in (
             by_confidence.setdefault(confidence_for(gold, task).value, [0, 0]),
             by_topic.setdefault(gold.topic, [0, 0]),
         ):
-            tally[0] += t != p
+            tally[0] += true is not predicted
             tally[1] += 1
     buckets = {}
     for bucket in [c.value for c in Confidence]:
@@ -123,7 +131,7 @@ def _tally(
         ((topic, wrong / count, count) for topic, (wrong, count) in by_topic.items()),
         key=lambda item: (-item[1], item[0]),
     )
-    return (tuple(counts[0]), tuple(counts[1])), buckets, topics
+    return buckets, topics
 
 
 def confusion(
@@ -131,7 +139,7 @@ def confusion(
     golds: Sequence[ArgumentInstance],
     task: Task,
 ) -> Matrix:
-    return _tally(_pairs(predictions, golds, task), task)[0]
+    return _matrix(_labels(predictions, golds, task))
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -160,16 +168,10 @@ def macro_f1(matrix: Matrix) -> float:
     return (per_class["negative"].f1 + per_class["positive"].f1) / 2.0
 
 
-def _joint_macro_f1(validity: Pairs, novelty: Pairs) -> float:
+def _joint_macro_f1(validity: Labels, novelty: Labels) -> float:
     """Macro F1 over the four joint (validity, novelty) classes present in
     the golds or the predictions."""
-    joint = Counter(
-        (
-            (mapped_value(g, Task.VALIDITY), mapped_value(g, Task.NOVELTY)),
-            (v.value, n.value),
-        )
-        for (g, v), (_, n) in zip(validity, novelty)
-    )
+    joint = Counter(zip(zip(validity[0], novelty[0]), zip(validity[1], novelty[1])))
     true_count, pred_count = Counter(), Counter()
     for (t, p), k in joint.items():
         true_count[t] += k
@@ -182,18 +184,15 @@ def _joint_macro_f1(validity: Pairs, novelty: Pairs) -> float:
     return sum(f1s) / len(f1s) if f1s else 0.0
 
 
-def _task_mean_macro_f1(validity: Pairs, novelty: Pairs) -> float:
-    return (
-        macro_f1(_tally(validity, Task.VALIDITY)[0])
-        + macro_f1(_tally(novelty, Task.NOVELTY)[0])
-    ) / 2.0
+def _task_mean_macro_f1(validity: Labels, novelty: Labels) -> float:
+    return (macro_f1(_matrix(validity)) + macro_f1(_matrix(novelty))) / 2.0
 
 
 # The shared-task organizer's exact combined metric is not public; the
 # default joint four-class macro F1 is recorded in every report, and other
 # definitions can be registered here. Each takes the validity and the
-# novelty pairs, both in gold order.
-COMBINED_METRICS: dict[str, Callable[[Pairs, Pairs], float]] = {
+# novelty labels, both in gold order.
+COMBINED_METRICS: dict[str, Callable[[Labels, Labels], float]] = {
     "joint-macro-f1": _joint_macro_f1,
     "task-mean-macro-f1": _task_mean_macro_f1,
 }
@@ -201,7 +200,7 @@ COMBINED_METRICS: dict[str, Callable[[Pairs, Pairs], float]] = {
 DEFAULT_COMBINED_METRIC = "joint-macro-f1"
 
 
-def _combined_metric(metric: str) -> Callable[[Pairs, Pairs], float]:
+def _combined_metric(metric: str) -> Callable[[Labels, Labels], float]:
     if metric not in COMBINED_METRICS:
         raise ConfigurationError(
             f"unknown combined metric {metric!r}; known: {sorted(COMBINED_METRICS)}"
@@ -216,7 +215,7 @@ def combined_score(
 ) -> float:
     score = _combined_metric(metric)
     return score(
-        _pairs(predictions, golds, Task.VALIDITY), _pairs(predictions, golds, Task.NOVELTY)
+        _labels(predictions, golds, Task.VALIDITY), _labels(predictions, golds, Task.NOVELTY)
     )
 
 
@@ -267,12 +266,13 @@ def evaluate(
         flagged_count=sum(1 for p in predictions if p.flagged),
         source_tag=source_tag,
     )
-    pairs = {}
+    labels = {}
     for task in (Task.VALIDITY, Task.NOVELTY):
         if not any(p.task is task for p in predictions):
             continue
-        pairs[task] = _pairs(predictions, golds, task)
-        matrix, buckets, topics = _tally(pairs[task], task)
+        labels[task] = _labels(predictions, golds, task)
+        matrix = _matrix(labels[task])
+        buckets, topics = _breakdown(golds, labels[task], task)
         per_class = prf(matrix)
         task_report = TaskReport(
             negative=per_class["negative"],
@@ -283,10 +283,10 @@ def evaluate(
         setattr(report, task.value, task_report)  # report.validity or report.novelty
         report.confidence_buckets[task.value] = buckets
         report.topic_errors[task.value] = topics
-    if not pairs:
+    if not labels:
         raise CoverageError("predictions cover neither validity nor novelty")
-    if len(pairs) == 2:
-        report.combined = score(pairs[Task.VALIDITY], pairs[Task.NOVELTY])
+    if len(labels) == 2:
+        report.combined = score(labels[Task.VALIDITY], labels[Task.NOVELTY])
     return report
 
 

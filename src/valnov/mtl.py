@@ -22,7 +22,7 @@ from .encoder import EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
 from .fsutil import atomic_write_text, load_model, model_json, pack_params, unpack_params
-from .optim import AdamW
+from .optim import AdamW, RowGradient
 from .predictions import Prediction
 
 # Profile name -> (learning rate, epochs, gradient accumulation). The two
@@ -130,11 +130,17 @@ class MtlModel:
         out = []
         for task in (Task.VALIDITY, Task.NOVELTY):
             head = self.heads[task]
-            for inst, pair in zip(instances, embeddings @ head["w"].T + head["b"]):
-                value = LabelValue.POSITIVE if pair[1] > pair[0] else LabelValue.NEGATIVE
-                out.append(
-                    Prediction(instance_id=inst.id, task=task, value=value, source=self.name)
+            logits = embeddings @ head["w"].T + head["b"]
+            positive = (logits[:, 1] > logits[:, 0]).tolist()
+            out.extend(
+                Prediction(
+                    instance_id=inst.id,
+                    task=task,
+                    value=LabelValue.POSITIVE if pos else LabelValue.NEGATIVE,
+                    source=self.name,
                 )
+                for inst, pos in zip(instances, positive)
+            )
         return out
 
 
@@ -166,10 +172,13 @@ def batch_loss_and_grads(
     task: Task,
     texts: Sequence[str] | None = None,
     targets: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+    *,
+    compact: bool = False,
+) -> tuple[float, dict[str, np.ndarray | RowGradient]]:
     """Cross-entropy on the selected head plus gradients for the encoder
     and that head. ``texts`` and ``targets``, when given, are the batch's
-    encoder inputs and 0/1 targets, built once by the caller."""
+    encoder inputs and 0/1 targets, built once by the caller; ``compact``
+    is passed to ``ReferenceEncoder.backward``."""
     task = Task(task)
     if texts is None:
         texts = [instance_text(i) for i in batch]
@@ -184,7 +193,7 @@ def batch_loss_and_grads(
         f"head.{task.value}.b": d_logits.sum(axis=0),
     }
     d_embeddings = d_logits @ head["w"]
-    for name, grad in model.encoder.backward(cache, d_embeddings).items():
+    for name, grad in model.encoder.backward(cache, d_embeddings, compact=compact).items():
         grads[f"encoder.{name}"] = grad
     return loss, grads
 
@@ -279,10 +288,12 @@ def train(
                     task,
                     texts=[texts[i] for i in batch],
                     targets=targets[task][batch],
+                    compact=True,
                 )
                 if not np.isfinite(loss):
                     raise TrainingError(f"non-finite loss at step {step} (task {task.value})")
                 losses.append(loss)
+                # a RowGradient's + and / build a new one, an array's act in place
                 for name, grad in grads.items():
                     if name in accumulated:
                         accumulated[name] += grad

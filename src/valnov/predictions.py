@@ -109,7 +109,9 @@ def load_predictions(path: str | Path) -> list[Prediction]:
         header = next(reader, None)
         if header != FILE_HEADER:
             raise ParseError(f"{path}:1: bad header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # the physical line the row ends on: a quoted field may span lines
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != len(FILE_HEADER):

@@ -15,6 +15,7 @@ from valnov.contrastive import (
 from valnov.corpus import TripletExample, extract_triplets
 from valnov.encoder import EncoderConfig, ReferenceEncoder
 from valnov.errors import ConfigurationError, DataError
+from valnov.optim import AdamW, RowGradient
 from valnov.synthetic import make_separable_corpus
 
 
@@ -151,6 +152,24 @@ class TestContrastiveTrain:
         after = constraint_satisfaction(result.encoder, triplets)
         assert after > before
         assert after >= 0.9
+
+    def test_the_embedding_reaches_adamw_compact(self, monkeypatch):
+        entries = []
+        real_step = AdamW.step
+
+        def spy(self, params, grads):
+            entries.append(grads["embedding"])
+            real_step(self, params, grads)
+
+        monkeypatch.setattr(AdamW, "step", spy)
+        contrastive_train(
+            ReferenceEncoder(SMALL), separable_triplets(), ContrastiveConfig(epochs=1)
+        )
+        assert entries
+        for g in entries:
+            assert isinstance(g, RowGradient)
+            assert 0 < len(g.rows) < SMALL.vocab_buckets
+            assert g.size == len(g.rows) * SMALL.embed_dim
 
     def test_losses_decrease(self):
         triplets = separable_triplets()

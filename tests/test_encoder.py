@@ -16,6 +16,7 @@ from valnov.encoder import (
     tokenize,
 )
 from valnov.errors import ConfigurationError
+from valnov.optim import RowGradient
 
 
 class TestTokenize:
@@ -220,6 +221,23 @@ class TestMatchesPerRowLoops:
         for name in expected:
             assert grads[name].shape == expected[name].shape
             assert np.array_equal(grads[name], expected[name]), name
+
+    @pytest.mark.parametrize("batch", list(ORACLE_BATCHES), ids=list(ORACLE_BATCHES))
+    def test_compact_backward_holds_the_gathered_rows_of_the_loop_gradient(self, batch):
+        texts = ORACLE_BATCHES[batch]
+        enc = ReferenceEncoder(EncoderConfig(vocab_buckets=64, embed_dim=6, projection_dim=4))
+        ids, pooled, outputs = loop_forward(enc, texts)
+        cache = enc.forward(texts)
+        d_outputs = np.random.default_rng(6).normal(size=outputs.shape)
+        expected = loop_backward(enc, ids, pooled, outputs, d_outputs)
+        grads = enc.backward(cache, d_outputs, compact=True)
+        g = grads["embedding"]
+        assert isinstance(g, RowGradient)
+        assert g.rows.tolist() == sorted({b for row in ids for b in row})
+        assert g.values.shape == (len(g.rows), 6)
+        assert g.values.tobytes() == expected["embedding"][g.rows].tobytes()
+        for name in ("proj_w", "proj_b"):
+            assert grads[name].tobytes() == expected[name].tobytes(), name
 
     def test_many_rows_and_long_texts(self):
         enc = ReferenceEncoder(EncoderConfig(vocab_buckets=128, embed_dim=16, seed=5))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valnov.corpus import Confidence, LabelValue, Split, Task
+from valnov.corpus import Confidence, LabelValue, Split, Task, mapped_value
 from valnov.errors import ConfigurationError, CoverageError, ValnovError
 from valnov import evaluation
 from valnov.evaluation import (
@@ -229,6 +230,112 @@ class TestCombinedScore:
             f1s.append(2 * p * r / (p + r) if p + r else 0.0)
         oracle = sum(f1s) / len(f1s)
         assert combined_score(preds, golds, "joint-macro-f1") == pytest.approx(oracle)
+
+
+# The combined metrics as they were written over (gold, prediction) pairs,
+# kept as oracles of the label-list metrics: every score must come out
+# equal, not approximately equal, since training selects its best epoch by it.
+def _oracle_pairs(predictions, golds, task):
+    by_id = {p.instance_id: p for p in predictions if p.task is task}
+    return [(g, by_id[g.id]) for g in golds]
+
+
+def _oracle_prf(tp, fp, fn):
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
+def _oracle_matrix(pairs, task):
+    counts = [[0, 0], [0, 0]]
+    for gold, p in pairs:
+        t = int(mapped_value(gold, task) is LabelValue.POSITIVE)
+        counts[t][int(p.value is LabelValue.POSITIVE)] += 1
+    return (tuple(counts[0]), tuple(counts[1]))
+
+
+def _oracle_joint_macro_f1(validity, novelty):
+    joint = Counter(
+        (
+            (mapped_value(g, Task.VALIDITY), mapped_value(g, Task.NOVELTY)),
+            (v.value, n.value),
+        )
+        for (g, v), (_, n) in zip(validity, novelty)
+    )
+    true_count, pred_count = Counter(), Counter()
+    for (t, p), k in joint.items():
+        true_count[t] += k
+        pred_count[p] += k
+    classes = sorted(true_count | pred_count, key=lambda c: (c[0].value, c[1].value))
+    f1s = [
+        _oracle_prf(joint[c, c], pred_count[c] - joint[c, c], true_count[c] - joint[c, c])[2]
+        for c in classes
+    ]
+    return sum(f1s) / len(f1s) if f1s else 0.0
+
+
+def _oracle_task_mean_macro_f1(validity, novelty):
+    return (
+        macro_f1(_oracle_matrix(validity, Task.VALIDITY))
+        + macro_f1(_oracle_matrix(novelty, Task.NOVELTY))
+    ) / 2.0
+
+
+PAIR_ORACLES = {
+    "joint-macro-f1": _oracle_joint_macro_f1,
+    "task-mean-macro-f1": _oracle_task_mean_macro_f1,
+}
+
+
+def _random_labels(rng, n, pred_positive, raw_choices=(-1, 0, 1)):
+    golds = [
+        make_instance(id=f"g{k}", validity=int(v), novelty=int(m))
+        for k, (v, m) in enumerate(rng.choice(raw_choices, size=(n, 2)))
+    ]
+    preds = []
+    for task in (Task.VALIDITY, Task.NOVELTY):
+        positive = pred_positive(rng, n, task)
+        preds.extend(pred(g.id, task, bool(p)) for g, p in zip(golds, positive))
+    return golds, preds
+
+
+LABEL_CASES = {
+    "random": lambda rng, n, task: rng.random(n) < 0.5,
+    "all-positive": lambda rng, n, task: np.ones(n, dtype=bool),
+    "all-negative": lambda rng, n, task: np.zeros(n, dtype=bool),
+    "one-task-one-class": lambda rng, n, task: (
+        np.ones(n, dtype=bool) if task is Task.VALIDITY else rng.random(n) < 0.3
+    ),
+}
+
+
+class TestMetricsEqualThePairOracles:
+    @pytest.mark.parametrize("metric", sorted(PAIR_ORACLES))
+    @pytest.mark.parametrize("case", sorted(LABEL_CASES))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_label_sets(self, metric, case, seed):
+        rng = np.random.default_rng(seed)
+        golds, preds = _random_labels(rng, int(rng.integers(1, 60)), LABEL_CASES[case])
+        oracle = PAIR_ORACLES[metric](
+            _oracle_pairs(preds, golds, Task.VALIDITY), _oracle_pairs(preds, golds, Task.NOVELTY)
+        )
+        assert combined_score(preds, golds, metric) == oracle
+        assert evaluate(preds, golds, metric=metric).combined == oracle
+
+    @pytest.mark.parametrize("metric", sorted(PAIR_ORACLES))
+    def test_an_absent_joint_class(self, metric):
+        # no gold and no prediction is valid but not novel
+        rng = np.random.default_rng(7)
+        joint = [(-1, -1), (-1, 1), (1, 1)]
+        golds, preds = [], []
+        for k in range(40):
+            v, n = joint[rng.integers(3)]
+            golds.append(make_instance(id=f"g{k}", validity=v, novelty=n))
+            v, n = joint[rng.integers(3)]
+            preds += [pred(f"g{k}", Task.VALIDITY, v == 1), pred(f"g{k}", Task.NOVELTY, n == 1)]
+        pairs = [_oracle_pairs(preds, golds, task) for task in (Task.VALIDITY, Task.NOVELTY)]
+        assert combined_score(preds, golds, metric) == PAIR_ORACLES[metric](*pairs)
 
 
 class TestConfidenceBuckets:

@@ -28,7 +28,7 @@ from valnov.mtl import (
     select_best,
     train,
 )
-from valnov.optim import AdamW
+from valnov.optim import AdamW, RowGradient
 from valnov.synthetic import make_profile_splits, make_separable_corpus
 
 from conftest import make_instance
@@ -275,7 +275,8 @@ class TestTrain:
 
         def grads_spy(*args, **kwargs):
             loss, grads = real_grads(*args, **kwargs)
-            batches.append(set(np.flatnonzero(grads["encoder.embedding"].any(axis=1))))
+            g = grads["encoder.embedding"]  # compact: the rows the batch gathered
+            batches.append(set(g.rows[g.values.any(axis=1)].tolist()))
             return loss, grads
 
         def step_spy(self, params, grads):
@@ -297,6 +298,28 @@ class TestTrain:
         # the union is wider than any one micro-batch's rows
         assert all(len(moved) > max(map(len, micro_batches))
                    for micro_batches, moved in steps if len(micro_batches) > 1)
+
+    def test_the_embedding_reaches_adamw_compact(self, monkeypatch):
+        # every step's embedding gradient holds the rows its batch gathered,
+        # not the table: a return to dense gradients fails here
+        entries = []
+        real_step = AdamW.step
+
+        def spy(self, params, grads):
+            entries.append(grads["encoder.embedding"])
+            real_step(self, params, grads)
+
+        monkeypatch.setattr(AdamW, "step", spy)
+        train_set, dev_set = make_separable_corpus(n_train=60, n_dev=20)
+        for accumulation in (1, 3):
+            entries.clear()
+            config = self.desk_config(epochs=2, grad_accumulation=accumulation)
+            train(MtlModel(SMALL, seed=0), train_set, dev_set, config)
+            assert entries
+            for g in entries:
+                assert isinstance(g, RowGradient)
+                assert 0 < len(g.rows) < SMALL.vocab_buckets
+                assert g.size == len(g.rows) * SMALL.embed_dim
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from valnov.optim import AdamW
+from valnov.optim import AdamW, RowGradient
 
 
 def test_first_step_matches_hand_computation():
@@ -268,3 +268,70 @@ def test_subset_steps_bit_identical_and_absent_names_untouched():
                 assert np.array_equal(params[name], before[name]), name
     # per-name step counts: each advanced only on the steps that named it
     assert fused._t == oracle.t == {"embedding": 9, "proj_w": 9, "proj_b": 12}
+
+
+def _compact(table, gathered=()):
+    """``table``'s nonzero rows plus the ``gathered`` rows, as a RowGradient."""
+    rows = np.array(sorted(set(np.flatnonzero(table.any(axis=1))) | set(gathered)), dtype=np.int64)
+    return RowGradient(rows, table[rows])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01, 0.3])
+def test_a_compact_gradient_steps_as_the_dense_one_with_the_same_cells(weight_decay):
+    dense, compact = AdamW(0.05, weight_decay=weight_decay), AdamW(0.05, weight_decay=weight_decay)
+    dense_params, compact_params = _params(10), _params(10)
+    rng = np.random.default_rng(11)
+    for step in range(25):
+        grads = _sparse_grads(rng)
+        table = grads["embedding"]
+        if step == 17:
+            table[rng.integers(50), 3] = np.nan
+        # two all-zero rows that the batch gathered: not updated either way
+        zero_rows = np.flatnonzero(~table.any(axis=1))[:2]
+        compact_grads = dict(grads, embedding=_compact(table, zero_rows))
+        assert compact_grads["embedding"].size == (table.any(axis=1).sum() + 2) * 8
+        before = [a[zero_rows].tobytes() for a in (
+            compact_params["embedding"], compact._m.get("embedding", np.zeros((50, 8))),
+            compact._v.get("embedding", np.zeros((50, 8))))]
+        with np.errstate(invalid="ignore"):
+            dense.step(dense_params, grads)
+            compact.step(compact_params, compact_grads)
+        after = [a[zero_rows].tobytes() for a in (
+            compact_params["embedding"], compact._m["embedding"], compact._v["embedding"])]
+        assert after == before
+        for name in SHAPES:
+            assert compact_params[name].tobytes() == dense_params[name].tobytes(), name
+            assert _state(compact, name) == _state(dense, name), name
+    assert np.isnan(compact_params["embedding"]).any()
+
+
+def test_merged_micro_batch_gradients_equal_the_dense_sum():
+    rng = np.random.default_rng(12)
+    tables = [_sparse_grads(rng, ["embedding"])["embedding"] for _ in range(3)]
+    total = tables[0].copy()
+    total += tables[1]
+    total += tables[2]
+    total /= 3
+    merged = _compact(tables[0])
+    merged += _compact(tables[1])
+    merged += _compact(tables[2])
+    merged /= 3
+    union = set().union(*(np.flatnonzero(t.any(axis=1)) for t in tables))
+    assert merged.rows.tolist() == sorted(union)
+    assert merged.values.tobytes() == total[merged.rows].tobytes()
+    assert not np.delete(total, merged.rows, axis=0).any()
+    assert merged.size == len(union) * 8
+
+
+def test_sum_rows_adds_each_row_in_index_order():
+    # repeated rows in an order whose float sums depend on it
+    rng = np.random.default_rng(13)
+    indices = rng.integers(0, 20, size=300)
+    values = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-8, 8, size=(300, 1))
+    expected = np.zeros((20, 3))
+    np.add.at(expected, indices, values)
+    summed = RowGradient.sum_rows(indices, values)
+    assert summed.rows.tolist() == sorted(set(indices.tolist()))
+    assert summed.values.tobytes() == expected[summed.rows].tobytes()
+    empty = RowGradient.sum_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 3)))
+    assert empty.rows.shape == (0,) and empty.values.shape == (0, 3) and empty.size == 0

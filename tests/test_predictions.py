@@ -185,6 +185,17 @@ class TestSaveLoad:
             load_predictions(path)
         assert ":2:" in str(err.value)
 
+    def test_bad_rows_cite_the_physical_line_after_a_multiline_field(self, tmp_path):
+        # the quoted id "a\nb" spans lines 2 and 3, so the bad row is line 4
+        path = tmp_path / "preds.csv"
+        save_predictions([pred("a\nb", Task.VALIDITY, 1)], path)
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("\r\nc,validity,maybe,x,false\r\n")
+        assert path.read_bytes().count(b"\n") == 5  # header, 2-line row, blank, bad row
+        with pytest.raises(ParseError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}:5: unknown value 'maybe'"
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text("id,task\n", encoding="utf-8")
