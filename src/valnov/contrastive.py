@@ -121,7 +121,7 @@ def contrastive_train(
         )
     rng = np.random.default_rng(seed)
     optimizer = AdamW(config.learning_rate)
-    params = encoder.parameters()
+    groups = encoder.groups()
     epoch_losses: list[float] = []
 
     # a diverging run overflows before its loss turns non-finite; the checks
@@ -138,7 +138,7 @@ def contrastive_train(
                 cache = encoder.forward(texts)
                 # tanh saturates, so an overflowed pre-activation still
                 # gives finite outputs and a finite loss
-                if not np.isfinite(cache.pooled @ encoder.proj_w.T + encoder.proj_b).all():
+                if not np.isfinite(cache.projected).all():
                     raise TrainingError(
                         f"non-finite encoder activation in epoch {epoch} at triplet offset {start}"
                     )
@@ -159,7 +159,7 @@ def contrastive_train(
                         f"non-finite contrastive loss in epoch {epoch} at triplet offset {start}"
                     )
                 losses.append(batch_loss)
-                optimizer.step(params, encoder.backward(cache, d_outputs, compact=True))
+                optimizer.step(groups, encoder.backward(cache, d_outputs, compact=True))
             epoch_losses.append(float(np.mean(losses)))
     return ContrastiveResult(encoder=encoder, epoch_losses=epoch_losses)
 

@@ -20,12 +20,13 @@ a call. Backward accumulates into the embedding gradient token by token
 in the same order, so outputs and gradients are bit-identical to the
 per-row loops.
 
-Backward builds the embedding gradient compact, as a ``RowGradient`` of
-the batch's distinct bucket ids and their summed values, so its cost
-follows the batch's tokens and not ``vocab_buckets``. The trainers ask
-for it that way with ``compact=True`` and hand it to ``AdamW``; a plain
-call scatters it into a dense table-shaped array, which is what a
-finite-difference check or a sum of gradients wants.
+The projection is an ``Affine`` layer, its weight and bias views of one
+buffer. With ``compact=True``, backward gives the optimizer's form: the
+embedding gradient as a ``RowGradient`` of the batch's distinct bucket
+ids and their summed values, so its cost follows the batch's tokens and
+not ``vocab_buckets``, and the projection's as one flat array. A plain
+call scatters the former into a dense table and splits the latter into
+per-parameter views, which is what a finite-difference check wants.
 """
 
 from __future__ import annotations
@@ -80,6 +81,32 @@ def _hash_token(token: str, buckets: int) -> int:
     return int.from_bytes(digest, "little") % buckets
 
 
+class Affine:
+    """``x @ w.T + b``, with ``w`` (out × in) and then ``b`` (out), which
+    starts at zero, as views of one float64 buffer that steps as one array."""
+
+    def __init__(self, w: np.ndarray):
+        self.shape = w.shape
+        self.buffer = np.concatenate((w.ravel(), np.zeros(len(w))))
+        self.w, self.b = self.split(self.buffer)
+
+    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``w`` and ``b`` parts of a buffer-shaped array, as views."""
+        cut = self.buffer.size - self.shape[0]
+        return flat[:cut].reshape(self.shape), flat[cut:]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.w.T + self.b
+
+    def gradient(self, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+        """dL/d(buffer) of the layer given its input ``x`` and dL/d(output)."""
+        grad = np.empty_like(self.buffer)
+        d_w, d_b = self.split(grad)
+        np.matmul(d_out.T, x, out=d_w)
+        np.sum(d_out, axis=0, out=d_b)
+        return grad
+
+
 @dataclass
 class ForwardCache:
     """Per-batch intermediates needed by ReferenceEncoder.backward."""
@@ -87,6 +114,7 @@ class ForwardCache:
     token_ids: np.ndarray  # every text's bucket ids, concatenated in batch order
     lengths: np.ndarray  # (n,) token count per text
     pooled: np.ndarray  # (n, embed_dim)
+    projected: np.ndarray  # (n, projection_dim), before the tanh
     outputs: np.ndarray  # (n, projection_dim)
 
 
@@ -97,15 +125,18 @@ class ReferenceEncoder:
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.embedding = rng.normal(0.0, 0.5, (config.vocab_buckets, config.embed_dim))
-        self.proj_w = rng.normal(
-            0.0, 1.0 / np.sqrt(config.embed_dim), (config.projection_dim, config.embed_dim)
-        )
-        self.proj_b = np.zeros(config.projection_dim)
+        scale = 1.0 / np.sqrt(config.embed_dim)
+        self.proj = Affine(rng.normal(0.0, scale, (config.projection_dim, config.embed_dim)))
+        self.proj_w, self.proj_b = self.proj.w, self.proj.b
         self._ids: dict[str, np.ndarray] = {}
         self._buckets: dict[str, int] = {}
 
     def parameters(self) -> dict[str, np.ndarray]:
         return {"embedding": self.embedding, "proj_w": self.proj_w, "proj_b": self.proj_b}
+
+    def groups(self) -> dict[str, np.ndarray]:
+        """The arrays an optimizer steps, one per step count."""
+        return {"embedding": self.embedding, "proj": self.proj.buffer}
 
     def token_ids(self, text: str) -> np.ndarray:
         """Bucket ids of ``text``'s tokens, each token hashed once per
@@ -140,8 +171,8 @@ class ReferenceEncoder:
         else:
             np.add.reduce(gathered, axis=0, out=pooled)
         pooled /= np.maximum(lengths, 1)[:, None]  # an empty text pools to zeros
-        outputs = np.tanh(pooled @ self.proj_w.T + self.proj_b)
-        return ForwardCache(token_ids=flat, lengths=lengths, pooled=pooled, outputs=outputs)
+        projected = self.proj(pooled)
+        return ForwardCache(flat, lengths, pooled, projected, np.tanh(projected))
 
     def encode(self, texts: Sequence[str]) -> np.ndarray:
         return self.forward(texts).outputs
@@ -152,20 +183,19 @@ class ReferenceEncoder:
         """Gradients of a scalar loss w.r.t. parameters, given dL/d(outputs).
 
         The embedding's is summed over the rows the batch gathered alone;
-        ``compact`` returns it as that ``RowGradient``, and otherwise it is
-        scattered into a dense array of the table's shape."""
+        ``compact`` returns them keyed as ``groups()``, that ``RowGradient``
+        and the projection's flat array, and otherwise keyed as
+        ``parameters()``, a dense table and views of the flat array."""
         d_pre = d_outputs * (1.0 - cache.outputs**2)  # tanh'
+        d_proj = self.proj.gradient(cache.pooled, d_pre)
         d_pooled = d_pre @ self.proj_w
         lengths = cache.lengths
         contrib = d_pooled / np.maximum(lengths, 1)[:, None]
         # text by text and token by token, as the per-row loops add
         d_embedding = RowGradient.sum_rows(cache.token_ids, np.repeat(contrib, lengths, axis=0))
-        if not compact:
-            dense = np.zeros(self.embedding.shape)
-            dense[d_embedding.rows] = d_embedding.values
-            d_embedding = dense
-        return {
-            "proj_w": d_pre.T @ cache.pooled,
-            "proj_b": d_pre.sum(axis=0),
-            "embedding": d_embedding,
-        }
+        if compact:
+            return {"proj": d_proj, "embedding": d_embedding}
+        dense = np.zeros(self.embedding.shape)
+        dense[d_embedding.rows] = d_embedding.values
+        d_proj_w, d_proj_b = self.proj.split(d_proj)
+        return {"proj_w": d_proj_w, "proj_b": d_proj_b, "embedding": dense}

@@ -1,11 +1,12 @@
 """Shared-encoder multi-task classifier and its training loop.
 
-One encoder feeds two binary heads (validity, novelty). Training
-alternates tasks at random per batch, accumulates gradients, applies
-decoupled-weight-decay Adam, and keeps the checkpoint with the best
-dev-set combined F1. No parameters are frozen: either task's gradients
-flow through the whole encoder; the head that was not selected for a
-step is left untouched by that step's update.
+One encoder feeds two binary ``Affine`` heads (validity, novelty).
+Training alternates tasks at random per batch, accumulates gradients,
+applies decoupled-weight-decay Adam to the arrays of ``MtlModel.groups()``
+(the embedding, the projection, each head), and keeps the checkpoint with
+the best dev-set combined F1. No parameters are frozen: either task's
+gradients flow through the whole encoder; the head that was not selected
+for a step is left untouched by that step's update.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
 from .decode import check_ranges
-from .encoder import EncoderConfig, ReferenceEncoder
+from .encoder import Affine, EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
 from .fsutil import atomic_write_text, load_model, model_json, pack_params, unpack_params
@@ -103,17 +104,24 @@ class MtlModel:
         self.name = name
         rng = np.random.default_rng(seed)
         dim = encoder_config.projection_dim
-        self.heads: dict[Task, dict[str, np.ndarray]] = {
-            Task.VALIDITY: {"w": rng.normal(0.0, 0.1, (2, dim)), "b": np.zeros(2)},
-            Task.NOVELTY: {"w": rng.normal(0.0, 0.1, (2, dim)), "b": np.zeros(2)},
+        self.heads: dict[Task, Affine] = {
+            task: Affine(rng.normal(0.0, 0.1, (2, dim)))
+            for task in (Task.VALIDITY, Task.NOVELTY)
         }
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {f"encoder.{k}": v for k, v in self.encoder.parameters().items()}
-        for task in (Task.VALIDITY, Task.NOVELTY):
-            params[f"head.{task.value}.w"] = self.heads[task]["w"]
-            params[f"head.{task.value}.b"] = self.heads[task]["b"]
+        for task, head in self.heads.items():
+            params[f"head.{task.value}.w"] = head.w
+            params[f"head.{task.value}.b"] = head.b
         return params
+
+    def groups(self) -> dict[str, np.ndarray]:
+        """The arrays an optimizer steps, one per step count."""
+        groups = {f"encoder.{k}": v for k, v in self.encoder.groups().items()}
+        for task, head in self.heads.items():
+            groups[f"head.{task.value}"] = head.buffer
+        return groups
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.parameters().items()}
@@ -128,9 +136,8 @@ class MtlModel:
         exact logit tie resolves to negative."""
         embeddings = self.encoder.encode([instance_text(i) for i in instances])
         out = []
-        for task in (Task.VALIDITY, Task.NOVELTY):
-            head = self.heads[task]
-            logits = embeddings @ head["w"].T + head["b"]
+        for task, head in self.heads.items():
+            logits = head(embeddings)
             positive = (logits[:, 1] > logits[:, 0]).tolist()
             out.extend(
                 Prediction(
@@ -168,7 +175,7 @@ def task_targets(instances: Sequence[ArgumentInstance], task: Task) -> np.ndarra
 
 def batch_loss_and_grads(
     model: MtlModel,
-    batch: Sequence[ArgumentInstance],
+    batch: Sequence[ArgumentInstance] | None,
     task: Task,
     texts: Sequence[str] | None = None,
     targets: np.ndarray | None = None,
@@ -177,8 +184,8 @@ def batch_loss_and_grads(
 ) -> tuple[float, dict[str, np.ndarray | RowGradient]]:
     """Cross-entropy on the selected head plus gradients for the encoder
     and that head. ``texts`` and ``targets``, when given, are the batch's
-    encoder inputs and 0/1 targets, built once by the caller; ``compact``
-    is passed to ``ReferenceEncoder.backward``."""
+    encoder inputs and 0/1 targets, built once by the caller, who may then
+    pass no ``batch``; ``compact`` is as in ``ReferenceEncoder.backward``."""
     task = Task(task)
     if texts is None:
         texts = [instance_text(i) for i in batch]
@@ -186,13 +193,14 @@ def batch_loss_and_grads(
         targets = task_targets(batch, task)
     cache = model.encoder.forward(texts)
     head = model.heads[task]
-    logits = cache.outputs @ head["w"].T + head["b"]
-    loss, d_logits = cross_entropy_and_grad(logits, targets)
-    grads = {
-        f"head.{task.value}.w": d_logits.T @ cache.outputs,
-        f"head.{task.value}.b": d_logits.sum(axis=0),
-    }
-    d_embeddings = d_logits @ head["w"]
+    loss, d_logits = cross_entropy_and_grad(head(cache.outputs), targets)
+    d_head = head.gradient(cache.outputs, d_logits)
+    if compact:
+        grads = {f"head.{task.value}": d_head}
+    else:
+        d_w, d_b = head.split(d_head)
+        grads = {f"head.{task.value}.w": d_w, f"head.{task.value}.b": d_b}
+    d_embeddings = d_logits @ head.w
     for name, grad in model.encoder.backward(cache, d_embeddings, compact=compact).items():
         grads[f"encoder.{name}"] = grad
     return loss, grads
@@ -265,7 +273,7 @@ def train(
     texts = [instance_text(i) for i in train_set]
     targets = {task: task_targets(train_set, task) for task in tasks}
     optimizer = AdamW(config.learning_rate, weight_decay=config.weight_decay)
-    params = model.parameters()
+    groups = model.groups()
     steps_per_epoch = max(1, -(-len(train_set) // config.batch_size))
 
     history: list[EpochRecord] = []
@@ -284,7 +292,7 @@ def train(
                 batch = streams[task].next_batch(config.batch_size)
                 loss, grads = batch_loss_and_grads(
                     model,
-                    [train_set[i] for i in batch],
+                    None,
                     task,
                     texts=[texts[i] for i in batch],
                     targets=targets[task][batch],
@@ -305,7 +313,7 @@ def train(
                     if since_update > 1:
                         for name in accumulated:
                             accumulated[name] /= since_update
-                    optimizer.step(params, accumulated)
+                    optimizer.step(groups, accumulated)
                     accumulated = {}
                     since_update = 0
 

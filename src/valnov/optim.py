@@ -1,22 +1,25 @@
 """Adam with decoupled weight decay, shared by the training stages.
 
-Moment state and step counts are kept per parameter name, so a step may
-update any subset of parameters (the multi-task trainer only updates the
+Moment state and step counts are kept per name, one for each array the
+trainers pass: a group whose parameters always step together, the
+embedding table or an affine layer's weight and bias as one flat buffer.
+A step may update any subset (the multi-task trainer only updates the
 head that was selected for the batch).
 
-A parameter with two or more axes is a table of rows, and a step updates
-only the rows whose gradient holds a nonzero value: their value, both
-moments and the decoupled decay go through the textbook update, and every
-other row keeps its value and moments bit for bit. This is the row-sparse
-("lazy") Adam that embedding tables are trained with, as in TensorFlow
-Addons' ``LazyAdam`` and PyTorch's ``SparseAdam``, on top of AdamW's
-decoupled decay (Loshchilov & Hutter, ICLR 2019). Dense AdamW would also
-decay every row a batch did not gather and move it by its stale
-momentum; here a batch that gathers 41 of the embedding's 2,048 rows
-updates those 41 alone. The step count stays per parameter, so a row's
-bias correction counts the steps of its table, not the steps that
-touched the row. A vector updates whole, so its decay applies on every
-step that names it, zero gradient or not.
+An array with two or more axes is a table of rows (of the trainers'
+groups, the embedding alone), and a step updates only the rows whose
+gradient holds a nonzero value: their value, both moments and the
+decoupled decay go through the textbook update, and every other row
+keeps its value and moments bit for bit. This is the row-sparse ("lazy")
+Adam that embedding tables are trained with, as in TensorFlow Addons'
+``LazyAdam`` and PyTorch's ``SparseAdam``, on top of AdamW's decoupled
+decay (Loshchilov & Hutter, ICLR 2019). Dense AdamW would also decay
+every row a batch did not gather and move it by its stale momentum; here
+a batch that gathers 41 of the embedding's 2,048 rows updates those 41
+alone. The step count stays per array, so a row's bias correction counts
+the steps of its table, not the steps that touched the row. A flat
+buffer updates whole, so its decay and momentum apply on every step that
+names it, zero gradient or not.
 
 A table's gradient arrives either dense, an array of the table's shape,
 or compact, a ``RowGradient`` of the rows a batch gathered and their

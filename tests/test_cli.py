@@ -1063,6 +1063,21 @@ class TestStageDriver:
         )
         assert not run_dir.exists()
 
+    def test_overflowing_contrastive_loss_prints_only_the_error_line(
+        self, workspace, capsys, tmp_path
+    ):
+        config = json.loads(Path(workspace["config"]).read_text(encoding="utf-8"))
+        config["contrastive"] = {"margin": 1e308}
+        path = tmp_path / "overflowing.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        run_dir = tmp_path / "contrastive"
+        argv = ["contrastive-train", "--config", str(path), "--run-dir", str(run_dir)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: training: non-finite contrastive loss in epoch 0 at triplet offset 0\n"
+        )
+        assert not run_dir.exists()
+
 
 def _b64(values: np.ndarray) -> str:
     return base64.b64encode(values.astype("<f8").tobytes()).decode("ascii")

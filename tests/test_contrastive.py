@@ -14,7 +14,7 @@ from valnov.contrastive import (
 )
 from valnov.corpus import TripletExample, extract_triplets
 from valnov.encoder import EncoderConfig, ReferenceEncoder
-from valnov.errors import ConfigurationError, DataError
+from valnov.errors import ConfigurationError, DataError, TrainingError
 from valnov.optim import AdamW, RowGradient
 from valnov.synthetic import make_separable_corpus
 
@@ -170,6 +170,17 @@ class TestContrastiveTrain:
             assert isinstance(g, RowGradient)
             assert 0 < len(g.rows) < SMALL.vocab_buckets
             assert g.size == len(g.rows) * SMALL.embed_dim
+
+    def test_an_overflowing_batch_loss_is_a_training_error(self):
+        # each hinge is finite near 1e308, but four of them sum past the
+        # largest float: the loss check fires, not the activation check
+        with pytest.raises(TrainingError) as raised:
+            contrastive_train(
+                ReferenceEncoder(SMALL),
+                separable_triplets()[:20],
+                ContrastiveConfig(margin=1e308, batch_size=4),
+            )
+        assert str(raised.value) == "non-finite contrastive loss in epoch 0 at triplet offset 0"
 
     def test_losses_decrease(self):
         triplets = separable_triplets()

@@ -3,11 +3,13 @@ run directories, the JSONL and CSV framings written through it, and the
 reader every input goes through."""
 
 import csv
+import itertools
 import os
 import stat
 
 import pytest
 
+from valnov import fsutil
 from valnov.errors import ParseError, UsageError
 from valnov.fsutil import (
     atomic_dir,
@@ -66,6 +68,32 @@ def test_failed_write_removes_its_temporary(tmp_path):
     with pytest.raises(IsADirectoryError):
         atomic_write_text(tmp_path / "taken", "text")
     assert os.listdir(tmp_path) == ["taken"]
+
+
+def test_a_taken_temporary_name_is_skipped_and_left_alone(tmp_path, monkeypatch):
+    monkeypatch.setattr(fsutil, "_TMP_SERIAL", itertools.count())
+    path = tmp_path / "a.txt"
+    stale = tmp_path / f"a.txt.{os.getpid()}.0.tmp"
+    stale.write_text("stale")
+    atomic_write_text(path, "new")
+    assert path.read_text() == "new"
+    assert stale.read_text() == "stale"
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", stale.name]
+
+
+def test_a_failed_rename_whose_temporary_is_gone_still_raises(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    path.write_text("old")
+
+    def replace(src, dst):
+        os.unlink(src)
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write_text(path, "new")
+    assert os.listdir(tmp_path) == ["a.txt"]
+    assert path.read_text() == "old"
 
 
 @pytest.mark.parametrize(

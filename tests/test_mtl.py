@@ -9,7 +9,7 @@ import pytest
 from valnov.cli import main
 from valnov.config import RunConfig
 from valnov.corpus import LabelValue, Split, Task, save_instances_jsonl
-from valnov.encoder import EncoderConfig
+from valnov.encoder import EncoderConfig, ReferenceEncoder
 from valnov.errors import ConfigurationError, SchemaError, TrainingError
 from valnov.fsutil import pack_params, unpack_params
 from valnov.mtl import (
@@ -89,7 +89,7 @@ class TestMtlModel:
     def test_heads_differ(self, tiny_corpus):
         model = MtlModel(SMALL)
         for name in ("w", "b"):
-            model.heads[Task.NOVELTY][name][...] = -model.heads[Task.VALIDITY][name]
+            getattr(model.heads[Task.NOVELTY], name)[...] = -getattr(model.heads[Task.VALIDITY], name)
         preds = model.predict_both(tiny_corpus)
         validity = [p.value for p in preds if p.task is Task.VALIDITY]
         novelty = [p.value for p in preds if p.task is Task.NOVELTY]
@@ -101,8 +101,8 @@ class TestMtlModel:
     def test_tie_resolves_negative(self, tiny_corpus):
         model = MtlModel(SMALL)
         for task in Task:
-            model.heads[task]["w"][...] = 0.0
-            model.heads[task]["b"][...] = 0.0
+            model.heads[task].w[...] = 0.0
+            model.heads[task].b[...] = 0.0
         preds = model.predict_both(tiny_corpus)
         assert all(p.value is LabelValue.NEGATIVE for p in preds)
 
@@ -184,6 +184,71 @@ def test_unselected_head_gets_no_gradient(tiny_corpus):
     _, grads = batch_loss_and_grads(model, tiny_corpus, Task.VALIDITY)
     assert "head.validity.w" in grads
     assert "head.novelty.w" not in grads
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize(
+        "make", [lambda: ReferenceEncoder(SMALL), lambda: MtlModel(SMALL)], ids=["encoder", "model"]
+    )
+    def test_each_parameter_is_a_view_of_one_group_and_the_views_tile_it(self, make):
+        layer = make()
+        params, groups = layer.parameters(), layer.groups()
+        owners = {
+            name: [g for g, buffer in groups.items() if np.shares_memory(param, buffer)]
+            for name, param in params.items()
+        }
+        assert all(len(found) == 1 for found in owners.values()), owners
+        for group, buffer in groups.items():
+            buffer[...] = 0.0
+            for name, param in params.items():
+                if owners[name] == [group]:
+                    param += 1.0
+            assert (buffer == 1.0).all(), group  # every cell once, none twice
+
+    def test_the_row_rule_reaches_the_embedding_alone(self):
+        # a zero row of a projection or head weight gradient still steps
+        # with its layer, as dense AdamW steps it (momentum and decay); an
+        # embedding row its gradient lacks keeps value and moments
+        model = MtlModel(SMALL, seed=0)
+        groups = model.groups()
+        layers = {"encoder.proj": model.encoder.proj, "head.validity": model.heads[Task.VALIDITY]}
+        lr, decay = 0.05, 0.1
+        optimizer = AdamW(lr, weight_decay=decay)
+        rng = np.random.default_rng(0)
+
+        def grads(embedding_rows, zero_weight_row):
+            values = rng.normal(size=(len(embedding_rows), SMALL.embed_dim))
+            out = {"encoder.embedding": RowGradient(np.array(embedding_rows), values)}
+            for name, layer in layers.items():
+                out[name] = rng.normal(size=layer.buffer.shape)
+                if zero_weight_row:
+                    layer.split(out[name])[0][0] = 0.0
+            return out
+
+        optimizer.step(groups, grads([0, 1, 2], zero_weight_row=False))
+        before = {
+            name: (groups[name].copy(), optimizer._m[name].copy(), optimizer._v[name].copy())
+            for name in groups if name in optimizer._m
+        }
+        second = grads([2, 3], zero_weight_row=True)
+        optimizer.step(groups, second)
+
+        for name in layers:
+            p, m, v = (a.copy() for a in before[name])
+            g = second[name]
+            m = m * 0.9 + 0.1 * g
+            v = v * 0.999 + 0.001 * g * g
+            p -= lr * (m / (1 - 0.9**2)) / (np.sqrt(v / (1 - 0.999**2)) + 1e-8)
+            p -= lr * decay * p
+            assert np.allclose(groups[name], p, rtol=1e-12, atol=0.0), name
+            assert np.allclose(optimizer._m[name], m, rtol=1e-12, atol=0.0), name
+            assert (groups[name] != before[name][0]).all(), name  # the zero row moved too
+        embedding, m, v = before["encoder.embedding"]
+        for row in (0, 1):
+            assert groups["encoder.embedding"][row].tobytes() == embedding[row].tobytes()
+            assert optimizer._m["encoder.embedding"][row].tobytes() == m[row].tobytes()
+            assert optimizer._v["encoder.embedding"][row].tobytes() == v[row].tobytes()
+        assert (groups["encoder.embedding"][[2, 3]] != embedding[[2, 3]]).all()
 
 
 class TestSelectBest:
@@ -299,6 +364,28 @@ class TestTrain:
         assert all(len(moved) > max(map(len, micro_batches))
                    for micro_batches, moved in steps if len(micro_batches) > 1)
 
+    def test_each_step_updates_the_three_groups_of_its_task(self, monkeypatch):
+        seen = []
+        real_step = AdamW.step
+
+        def spy(self, params, grads):
+            seen.append((set(params), set(grads)))
+            real_step(self, params, grads)
+
+        monkeypatch.setattr(AdamW, "step", spy)
+        train_set, dev_set = make_separable_corpus(n_train=60, n_dev=20)
+        model = MtlModel(SMALL, seed=0)
+        train(model, train_set, dev_set, self.desk_config(epochs=2))
+        assert seen
+        heads = set()
+        for params, grads in seen:
+            assert params == set(model.groups())
+            head = (grads - {"encoder.embedding", "encoder.proj"}).pop()
+            assert grads == {"encoder.embedding", "encoder.proj", head}
+            assert head in {f"head.{task.value}" for task in Task}
+            heads.add(head)
+        assert len(heads) == 2
+
     def test_the_embedding_reaches_adamw_compact(self, monkeypatch):
         # every step's embedding gradient holds the rows its batch gathered,
         # not the table: a return to dense gradients fails here
@@ -328,8 +415,8 @@ class TestTrain:
     def test_nonfinite_loss_aborts(self):
         train_set, dev_set = make_separable_corpus(n_train=30, n_dev=10)
         model = MtlModel(SMALL)
-        model.heads[Task.VALIDITY]["b"][...] = np.nan
-        model.heads[Task.NOVELTY]["b"][...] = np.nan
+        model.heads[Task.VALIDITY].b[...] = np.nan
+        model.heads[Task.NOVELTY].b[...] = np.nan
         with pytest.raises(TrainingError, match="non-finite"):
             train(model, train_set, dev_set, self.desk_config())
 
