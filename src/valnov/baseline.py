@@ -40,11 +40,11 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
+from .corpus import ArgumentInstance, Task
 from .encoder import tokenize
 from .errors import ConfigurationError, DataError
 from .fsutil import atomic_write_text, model_json, pack_params
-from .predictions import Prediction
+from .predictions import Prediction, labelled
 from .stemming import stem
 
 SparseVector = dict[int, float]
@@ -395,33 +395,15 @@ def svm_train(
     )
 
 
-def task_labels(instances: Sequence[ArgumentInstance], task: Task) -> list[int]:
-    """+1 where the task's mapped label is positive, else -1."""
-    task = Task(task)
-    return [
-        1 if mapped_value(inst, task) is LabelValue.POSITIVE else -1
-        for inst in instances
-    ]
-
-
 def predict_corpus(
     model: LinearSvm,
     rows: CsrRows,
     instances: Sequence[ArgumentInstance],
     task: Task,
 ) -> list[Prediction]:
-    """Predict every instance from its TF-IDF row (``rows[i]`` is ``instances[i]``)."""
-    task = Task(task)
-    scores = rows.dots(model.weights) + model.bias
-    return [
-        Prediction(
-            instance_id=inst.id,
-            task=task,
-            value=LabelValue.POSITIVE if score > 0 else LabelValue.NEGATIVE,
-            source="svm",
-        )
-        for inst, score in zip(instances, scores.tolist())
-    ]
+    """Predict every instance from its TF-IDF row (``rows[i]`` is
+    ``instances[i]``); a zero score is negative."""
+    return labelled(instances, task, rows.dots(model.weights) + model.bias > 0, "svm")
 
 
 @dataclass(frozen=True)

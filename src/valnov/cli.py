@@ -17,6 +17,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import baseline as baseline_mod
 from . import mtl
 from .config import RunConfig, load_config, resolved_config_json
@@ -30,6 +32,7 @@ from .corpus import (
     load_corpus,
     load_instances_jsonl,
     load_triplets_jsonl,
+    positive,
     save_instances_jsonl,
     save_triplets_jsonl,
     topic_overlap,
@@ -298,9 +301,10 @@ def cmd_baseline(args: argparse.Namespace, run: _RunDir) -> None:
     fits = {}
     for task in _tasks_from_arg(args.task):
         key = f"c_{task.value}"
+        labels = np.where(positive(train_set, task), 1, -1).tolist()
         try:
             fits[task] = baseline_mod.svm_train(
-                X, baseline_mod.task_labels(train_set, task), dim=len(tfidf.vocabulary),
+                X, labels, dim=len(tfidf.vocabulary),
                 C=getattr(settings, key), steps=settings.steps, seed=run.config.seed,
             )
         except ConfigurationError as exc:  # C too large for the train set

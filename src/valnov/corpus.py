@@ -5,6 +5,11 @@ them back under one column map, maps the raw tri-valued labels onto
 binary task labels, computes dataset statistics (class distribution,
 topic overlap), and extracts contrastive triplets. Apart from the
 readers and writers, all operations are pure.
+
+``map_label`` is the one label rule. ``positive`` applies it to a list
+of instances and gives one bool array per task, the form that training
+targets, the SVM's labels, the class distribution and every score are
+built from; no other module reads the raw label fields.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import DataError, SchemaError
 from .fsutil import open_text, read_jsonl, write_csv, write_jsonl
@@ -241,11 +248,15 @@ def mapped_value(instance: ArgumentInstance, task: Task) -> LabelValue:
     return map_label(getattr(instance, _raw_field(task)))
 
 
-def mapped_values(instances: Sequence[ArgumentInstance], task: Task) -> list[LabelValue]:
-    """Binary labels of ``instances`` for ``task``, in order, with one
-    lookup of ``task`` for the whole list."""
+def positive(instances: Sequence[ArgumentInstance], task: Task) -> np.ndarray:
+    """The binary labels of ``instances`` for ``task`` as one bool array in
+    instance order, True where ``map_label`` gives positive. This is where
+    raw labels become binary for training, scoring and statistics."""
     field = _raw_field(task)
-    return [map_label(getattr(instance, field)) for instance in instances]
+    return np.array(
+        [map_label(getattr(inst, field)) is LabelValue.POSITIVE for inst in instances],
+        dtype=bool,
+    )
 
 
 def confidence_for(instance: ArgumentInstance, task: Task) -> Confidence:
@@ -257,13 +268,10 @@ def confidence_for(instance: ArgumentInstance, task: Task) -> Confidence:
 
 
 def class_distribution(instances: Sequence[ArgumentInstance]) -> ClassDistribution:
-    """Joint mapped-label counts in the fixed (VN) order."""
-    counts = [0, 0, 0, 0]
-    for inst in instances:
-        valid = mapped_value(inst, Task.VALIDITY) is LabelValue.POSITIVE
-        novel = mapped_value(inst, Task.NOVELTY) is LabelValue.POSITIVE
-        counts[2 * valid + novel] += 1
-    return ClassDistribution(counts=tuple(counts))
+    """Joint mapped-label counts in the fixed (VN) order: one count of the
+    joint code ``2 * valid + novel``."""
+    joint = 2 * positive(instances, Task.VALIDITY) + positive(instances, Task.NOVELTY)
+    return ClassDistribution(counts=tuple(np.bincount(joint, minlength=4).tolist()))
 
 
 def topic_overlap(

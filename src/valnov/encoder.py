@@ -98,13 +98,14 @@ class Affine:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w.T + self.b
 
-    def gradient(self, x: np.ndarray, d_out: np.ndarray) -> np.ndarray:
-        """dL/d(buffer) of the layer given its input ``x`` and dL/d(output)."""
+    def backward(self, x: np.ndarray, d_out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dL/d(buffer) and dL/d(x) of the layer given its input ``x`` and
+        dL/d(output)."""
         grad = np.empty_like(self.buffer)
         d_w, d_b = self.split(grad)
         np.matmul(d_out.T, x, out=d_w)
         np.sum(d_out, axis=0, out=d_b)
-        return grad
+        return grad, d_out @ self.w
 
 
 @dataclass
@@ -187,8 +188,7 @@ class ReferenceEncoder:
         and the projection's flat array, and otherwise keyed as
         ``parameters()``, a dense table and views of the flat array."""
         d_pre = d_outputs * (1.0 - cache.outputs**2)  # tanh'
-        d_proj = self.proj.gradient(cache.pooled, d_pre)
-        d_pooled = d_pre @ self.proj_w
+        d_proj, d_pooled = self.proj.backward(cache.pooled, d_pre)
         lengths = cache.lengths
         contrib = d_pooled / np.maximum(lengths, 1)[:, None]
         # text by text and token by token, as the per-row loops add

@@ -6,31 +6,28 @@ per-topic error rates, seed-variance aggregation, and report emission
 (JSON for machines, an aligned table for humans).
 
 ``evaluate`` matches each covered task's predictions to the golds once,
-as two label lists in gold order (the golds' mapped labels and the
-predicted ones), and every score in its report comes from those lists;
-precision, recall and F1 are computed from (tp, fp, fn) in one place.
-``combined_score``, which training calls once per epoch, builds the same
-lists and counts confusions from them alone, without the confidence and
-topic breakdowns that only a report shows.
+as two bool arrays in gold order (True where the gold, and where the
+prediction, is positive), and every score in its report comes from those
+arrays. A task's confusion is one ``np.bincount`` of ``2 * gold +
+predicted``, and the joint four-class table one ``np.bincount`` of the
+gold and predicted joint codes ``2 * validity + novelty``; every count
+is a Python int, and precision, recall and F1 are computed from (tp, fp,
+fn) in one place. ``combined_score``, which training calls once per
+epoch, builds the same arrays and counts confusions from them alone,
+without the confidence and topic breakdowns that only a report shows.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import (
-    ArgumentInstance,
-    Confidence,
-    LabelValue,
-    Task,
-    confidence_for,
-    mapped_values,
-)
+import numpy as np
+
+from .corpus import ArgumentInstance, Confidence, LabelValue, Task, confidence_for, positive
 from .decode import decode
 from .errors import ConfigurationError, CoverageError, SchemaError
 from .fsutil import read_json
@@ -77,9 +74,9 @@ class EvalReport:
     source_tag: str = ""
 
 
-# A task's labels in gold order: the golds' mapped labels, then the
+# A task's labels in gold order, True for positive: the golds', then the
 # predicted ones.
-Labels = tuple[list[LabelValue], list[LabelValue]]
+Labels = tuple[np.ndarray, np.ndarray]
 
 
 def _labels(
@@ -94,13 +91,14 @@ def _labels(
         missing=f"missing {task.value} predictions for ids: ",
         extra=f"{task.value} predictions for ids that are not golds: ",
     )
-    return mapped_values(golds, task), [by_id[g.id].value for g in golds]
+    predicted = [by_id[g.id].value is LabelValue.POSITIVE for g in golds]
+    return positive(golds, task), np.array(predicted, dtype=bool)
 
 
 def _matrix(labels: Labels) -> Matrix:
-    counts = Counter(zip(*labels))
-    neg, pos = LabelValue.NEGATIVE, LabelValue.POSITIVE
-    return (counts[neg, neg], counts[neg, pos]), (counts[pos, neg], counts[pos, pos])
+    gold, predicted = labels
+    tn, fp, fn, tp = np.bincount(2 * gold + predicted, minlength=4).tolist()
+    return (tn, fp), (fn, tp)
 
 
 def _breakdown(
@@ -111,12 +109,12 @@ def _breakdown(
     topic)."""
     by_confidence: dict[str, list[int]] = {}
     by_topic: dict[str, list[int]] = {}
-    for gold, true, predicted in zip(golds, *labels):
+    for gold, wrong in zip(golds, (labels[0] != labels[1]).tolist()):
         for tally in (
             by_confidence.setdefault(confidence_for(gold, task).value, [0, 0]),
             by_topic.setdefault(gold.topic, [0, 0]),
         ):
-            tally[0] += true is not predicted
+            tally[0] += wrong
             tally[1] += 1
     buckets = {}
     for bucket in [c.value for c in Confidence]:
@@ -170,16 +168,16 @@ def macro_f1(matrix: Matrix) -> float:
 
 def _joint_macro_f1(validity: Labels, novelty: Labels) -> float:
     """Macro F1 over the four joint (validity, novelty) classes present in
-    the golds or the predictions."""
-    joint = Counter(zip(zip(validity[0], novelty[0]), zip(validity[1], novelty[1])))
-    true_count, pred_count = Counter(), Counter()
-    for (t, p), k in joint.items():
-        true_count[t] += k
-        pred_count[p] += k
-    classes = sorted(true_count | pred_count, key=lambda c: (c[0].value, c[1].value))
+    the golds or the predictions, class ``2 * valid + novel`` (so negative
+    before positive, validity first)."""
+    true_code, pred_code = (2 * v + n for v, n in zip(validity, novelty))
+    joint = np.bincount(4 * true_code + pred_code, minlength=16).reshape(4, 4)
+    hits = np.diagonal(joint).tolist()
+    true_count, pred_count = joint.sum(axis=1).tolist(), joint.sum(axis=0).tolist()
     f1s = [
-        _prf(joint[c, c], pred_count[c] - joint[c, c], true_count[c] - joint[c, c])[2]
-        for c in classes
+        _prf(hits[c], pred_count[c] - hits[c], true_count[c] - hits[c])[2]
+        for c in range(4)
+        if true_count[c] or pred_count[c]
     ]
     return sum(f1s) / len(f1s) if f1s else 0.0
 

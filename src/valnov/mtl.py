@@ -17,14 +17,14 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .corpus import ArgumentInstance, LabelValue, Task, mapped_value
+from .corpus import ArgumentInstance, Task, positive
 from .decode import check_ranges
 from .encoder import Affine, EncoderConfig, ReferenceEncoder
 from .errors import ConfigurationError, TrainingError
 from .evaluation import COMBINED_METRICS, DEFAULT_COMBINED_METRIC, combined_score
 from .fsutil import atomic_write_text, load_model, model_json, pack_params, unpack_params
 from .optim import AdamW, RowGradient
-from .predictions import Prediction
+from .predictions import Prediction, labelled
 
 # Profile name -> (learning rate, epochs, gradient accumulation). The two
 # submission profiles come from the published hyperparameter table; "desk"
@@ -138,16 +138,7 @@ class MtlModel:
         out = []
         for task, head in self.heads.items():
             logits = head(embeddings)
-            positive = (logits[:, 1] > logits[:, 0]).tolist()
-            out.extend(
-                Prediction(
-                    instance_id=inst.id,
-                    task=task,
-                    value=LabelValue.POSITIVE if pos else LabelValue.NEGATIVE,
-                    source=self.name,
-                )
-                for inst, pos in zip(instances, positive)
-            )
+            out.extend(labelled(instances, task, logits[:, 1] > logits[:, 0], self.name))
         return out
 
 
@@ -164,13 +155,6 @@ def cross_entropy_and_grad(
     d_logits = probs
     d_logits[np.arange(n), targets] -= 1.0
     return float(loss), d_logits / n
-
-
-def task_targets(instances: Sequence[ArgumentInstance], task: Task) -> np.ndarray:
-    """1 where the mapped label of ``task`` is positive, else 0."""
-    return np.array(
-        [int(mapped_value(i, task) is LabelValue.POSITIVE) for i in instances]
-    )
 
 
 def batch_loss_and_grads(
@@ -190,17 +174,16 @@ def batch_loss_and_grads(
     if texts is None:
         texts = [instance_text(i) for i in batch]
     if targets is None:
-        targets = task_targets(batch, task)
+        targets = positive(batch, task).astype(np.int64)
     cache = model.encoder.forward(texts)
     head = model.heads[task]
     loss, d_logits = cross_entropy_and_grad(head(cache.outputs), targets)
-    d_head = head.gradient(cache.outputs, d_logits)
+    d_head, d_embeddings = head.backward(cache.outputs, d_logits)
     if compact:
         grads = {f"head.{task.value}": d_head}
     else:
         d_w, d_b = head.split(d_head)
         grads = {f"head.{task.value}.w": d_w, f"head.{task.value}.b": d_b}
-    d_embeddings = d_logits @ head.w
     for name, grad in model.encoder.backward(cache, d_embeddings, compact=compact).items():
         grads[f"encoder.{name}"] = grad
     return loss, grads
@@ -271,7 +254,7 @@ def train(
         for task in tasks
     }
     texts = [instance_text(i) for i in train_set]
-    targets = {task: task_targets(train_set, task) for task in tasks}
+    targets = {task: positive(train_set, task).astype(np.int64) for task in tasks}
     optimizer = AdamW(config.learning_rate, weight_decay=config.weight_decay)
     groups = model.groups()
     steps_per_epoch = max(1, -(-len(train_set) // config.batch_size))

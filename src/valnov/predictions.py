@@ -1,5 +1,9 @@
 """Prediction records, delimited-file serialization, and per-task mixing.
 
+``labelled`` is where a model's binary decisions, one bool per
+instance, become ``Prediction`` records; only it, the file loader and
+the prompting parser build them.
+
 Mixing takes each task's labels from a different source set: validity
 from one, novelty from the other. That is the whole mechanism behind the
 best combined submissions.
@@ -12,7 +16,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Collection, Iterable, Sequence
 
-from .corpus import LabelValue, Task
+import numpy as np
+
+from .corpus import ArgumentInstance, LabelValue, Task
 from .errors import CoverageError, ParseError
 from .fsutil import open_text, write_csv
 
@@ -26,6 +32,21 @@ class Prediction:
     value: LabelValue
     source: str
     flagged: bool = False  # set when the value came from a parse fallback
+
+
+def labelled(
+    instances: Sequence[ArgumentInstance],
+    task: Task,
+    positive: Sequence[bool] | np.ndarray,
+    source: str,
+) -> list[Prediction]:
+    """``source``'s ``task`` predictions for ``instances``, in order:
+    positive where ``positive`` (one bool per instance) holds, else negative."""
+    task = Task(task)
+    return [
+        Prediction(inst.id, task, LabelValue.POSITIVE if pos else LabelValue.NEGATIVE, source)
+        for inst, pos in zip(instances, np.asarray(positive, dtype=bool).tolist(), strict=True)
+    ]
 
 
 def _check_unique(predictions: Iterable[Prediction], context: str = "") -> None:

@@ -202,8 +202,10 @@ class ReplayCache:
 
     A record is one line of JSON with the fields ``key``, ``request`` (the
     request's ``request_json`` text, whose sha256 is the key), ``raw_text``
-    and ``timestamp``. Only ``raw_text`` is read back, so records written
-    in any other JSON layout replay too.
+    and ``timestamp``. Only ``key`` and ``raw_text`` are read back, so
+    records written in any other JSON layout replay too; a record whose
+    ``key`` is not the one it is filed under answers another request, and
+    is refused.
 
     Records are written atomically (temp file + rename), so concurrent
     readers only ever see complete records. The directory is created by
@@ -220,17 +222,19 @@ class ReplayCache:
 
     def get(self, key: str) -> str | None:
         """The recorded completion, or None when ``key`` has no record. A
-        record that cannot be read is an error, never a miss: replaying it
-        as a miss would silently re-query the provider."""
+        record that cannot be read, or that is filed under another key, is
+        an error, never a miss or a replay: either would silently answer
+        the request with something other than its own completion."""
         path = self._path(key)
         try:
             record = read_json(path)
         except FileNotFoundError:
             return None
-        raw_text = record.get("raw_text") if isinstance(record, dict) else None
-        if not isinstance(raw_text, str):
+        if not isinstance(record, dict) or not isinstance(record.get("raw_text"), str):
             raise ParseError(f"{path}: cache record has no string raw_text")
-        return raw_text
+        if record.get("key") != key:
+            raise ParseError(f"{path}: cache record has key {record.get('key')!r}, not {key!r}")
+        return record["raw_text"]
 
     def put(self, key: str, request_text: str, raw_text: str) -> None:
         """Record ``raw_text`` under ``key``, the sha256 of ``request_text``."""

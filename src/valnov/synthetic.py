@@ -13,8 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import ArgumentInstance, Confidence, LabelValue, Split, Task
-from .predictions import Prediction
+from .corpus import ArgumentInstance, Confidence, Split, Task
+from .predictions import Prediction, labelled
 
 # Per split: joint class counts in the order
 # (non-valid & non-novel, non-valid & novel, valid & non-novel, valid & novel)
@@ -144,7 +144,7 @@ def make_confusion_fixture(
     (rows = true label, columns = predicted, negative first)."""
     task = Task(task)
     instances = []
-    predictions = []
+    predicted = []
     for t in (0, 1):
         for p in (0, 1):
             for m in range(counts[t][p]):
@@ -160,15 +160,8 @@ def make_confusion_fixture(
                         novelty_raw=raw if task is Task.NOVELTY else -1,
                     )
                 )
-                predictions.append(
-                    Prediction(
-                        instance_id=inst_id,
-                        task=task,
-                        value=LabelValue.POSITIVE if p else LabelValue.NEGATIVE,
-                        source=source,
-                    )
-                )
-    return instances, predictions
+                predicted.append(bool(p))
+    return instances, labelled(instances, task, predicted, source)
 
 
 def make_random_eval_fixture(
@@ -179,7 +172,7 @@ def make_random_eval_fixture(
     """Random golds plus two full prediction sets over the same ids, for
     exercising the mixing operator."""
     golds = []
-    preds: dict[str, list[Prediction]] = {s: [] for s in sources}
+    drawn: dict[tuple[str, Task], list[bool]] = {(s, t): [] for s in sources for t in Task}
     for i in range(n):
         inst_id = f"rnd-{i:04d}"
         golds.append(
@@ -194,16 +187,8 @@ def make_random_eval_fixture(
         )
         for source in sources:
             for task in Task:
-                preds[source].append(
-                    Prediction(
-                        instance_id=inst_id,
-                        task=task,
-                        value=(
-                            LabelValue.POSITIVE
-                            if rng.random() < 0.5
-                            else LabelValue.NEGATIVE
-                        ),
-                        source=source,
-                    )
-                )
+                drawn[source, task].append(rng.random() < 0.5)
+    preds = {
+        s: [p for t in Task for p in labelled(golds, t, drawn[s, t], s)] for s in sources
+    }
     return golds, preds[sources[0]], preds[sources[1]]

@@ -22,13 +22,12 @@ from valnov.baseline import (
     save_baseline,
     svm_objective,
     svm_train,
-    task_labels,
     tfidf_fit,
     tfidf_rows,
 )
 from valnov.cli import main
 from valnov.config import BaselineSettings, RunConfig
-from valnov.corpus import LabelValue, Split, Task, mapped_value, save_instances_jsonl
+from valnov.corpus import LabelValue, Split, Task, mapped_value, positive, save_instances_jsonl
 from valnov.encoder import tokenize
 from valnov.errors import ConfigurationError, DataError, TrainingError
 from valnov.fsutil import unpack_params
@@ -220,7 +219,7 @@ class TestFitBaseline:
     def test_separates_marker_corpus(self, task):
         train, _ = make_separable_corpus(n_train=60, n_dev=0)
         tfidf, X, _ = featurize(train)
-        y = task_labels(train, task)
+        y = np.where(positive(train, task), 1, -1).tolist()
         fit = svm_train(X, y, dim=len(tfidf.vocabulary), C=1.0, seed=0)
         preds = predict_corpus(fit.model, X, train, task)
         gold_positive = {
@@ -261,7 +260,7 @@ def test_saved_model_decodes_bit_equal_to_the_fit(tmp_path, task_arg):
     tasks = [Task.VALIDITY, Task.NOVELTY] if task_arg == "both" else [Task.VALIDITY]
     fits = {
         task: svm_train(
-            X, task_labels(train, task), dim=len(tfidf.vocabulary),
+            X, np.where(positive(train, task), 1, -1).tolist(), dim=len(tfidf.vocabulary),
             C=getattr(settings, f"c_{task.value}"), steps=settings.steps, seed=RunConfig().seed,
         ).model
         for task in tasks
@@ -492,7 +491,7 @@ ZIPF_NOVELTY_SUBGRADIENT_OBJECTIVE = 218.8313268710582
 def test_zipf_novelty_objective_beats_the_subgradient_solver(monkeypatch):
     train = _zipf_corpus(11, 400, "tr")
     tfidf, X, _ = featurize(train)
-    y = task_labels(train, Task.NOVELTY)
+    y = np.where(positive(train, Task.NOVELTY), 1, -1).tolist()
     kwargs = dict(dim=len(tfidf.vocabulary), C=BaselineSettings().c_novelty, seed=RunConfig().seed)
     fit = svm_train(X, y, **kwargs)
     assert fit.converged

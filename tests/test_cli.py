@@ -1629,11 +1629,13 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "record",
-        ['{"key": "k", "raw_text": "ye', '{"key": "k"}', '{"raw_text": 1}', '["yes"]'],
-        ids=["truncated", "no-raw-text", "raw-text-not-a-string", "not-an-object"],
+        ['{"key": "k", "raw_text": "ye', '{"key": "k"}', '{"raw_text": 1}', '["yes"]',
+         '{"key": "<other>", "raw_text": "yes"}'],
+        ids=["truncated", "no-raw-text", "raw-text-not-a-string", "not-an-object", "misfiled"],
     )
     def test_corrupt_cache_record(self, workspace, capsys, request, record):
-        # replay-only and a live provider alike: a corrupt record is never a miss
+        # replay-only and a live provider alike: a corrupt record is never a
+        # miss, and a record filed under another key never a replay
         root = workspace["root"]
         case = request.node.callspec.id
         cache_dir = root / f"cache-{case}"
@@ -1641,6 +1643,7 @@ class TestErrorContract:
                 str(root / f"fill-{case}"), "--task", "validity",
                 "--cache-dir", str(cache_dir)]
         assert main(fill) == 0
+        record = record.replace("<other>", sorted(cache_dir.glob("*.json"))[4].stem)
         victim = sorted(cache_dir.glob("*.json"))[5]
         victim.write_text(record, encoding="utf-8")
         for provider in ("replay", "config"):

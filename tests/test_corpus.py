@@ -1,5 +1,6 @@
 """Corpus loading, label mapping, statistics, and triplet extraction."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from valnov.corpus import (
     load_triplets_jsonl,
     map_label,
     mapped_value,
+    positive,
     save_instances_jsonl,
     save_triplets_jsonl,
     topic_overlap,
@@ -197,7 +199,56 @@ def test_mapped_value_and_confidence_for():
     assert confidence_for(inst, Task.NOVELTY) is Confidence.CONFIDENT
 
 
+class TestPositive:
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1])),
+            max_size=50,
+        )
+    )
+    def test_is_the_mapped_value_of_each_instance(self, labels):
+        instances = [
+            make_instance(id=str(k), validity=v, novelty=n) for k, (v, n) in enumerate(labels)
+        ]
+        for task in Task:
+            got = positive(instances, task)
+            assert got.dtype == bool and got.shape == (len(instances),)
+            assert got.tolist() == [
+                mapped_value(inst, task) is LabelValue.POSITIVE for inst in instances
+            ]
+
+    @pytest.mark.parametrize("task", list(Task))
+    def test_a_raw_label_outside_the_domain_is_the_map_label_error(self, task):
+        instances = [make_instance(id="a"), make_instance(id="b", **{task.value: 2})]
+        with pytest.raises(DataError) as mapped:
+            map_label(2)
+        with pytest.raises(DataError) as raised:
+            positive(instances, task)
+        assert str(raised.value) == str(mapped.value)
+
+
+def _per_instance_class_distribution(instances):
+    """The per-instance loop that one ``np.bincount`` replaced."""
+    counts = [0, 0, 0, 0]
+    for inst in instances:
+        valid = mapped_value(inst, Task.VALIDITY) is LabelValue.POSITIVE
+        novel = mapped_value(inst, Task.NOVELTY) is LabelValue.POSITIVE
+        counts[2 * valid + novel] += 1
+    return tuple(counts)
+
+
 class TestClassDistribution:
+    @pytest.mark.parametrize("n", [0, 1, 7, 60, 500])
+    def test_equals_the_per_instance_loop(self, n):
+        rng = np.random.default_rng(n)
+        instances = [
+            make_instance(id=str(k), validity=int(v), novelty=int(m))
+            for k, (v, m) in enumerate(rng.choice((-1, 0, 1), size=(n, 2)))
+        ]
+        counts = class_distribution(instances).counts
+        assert counts == _per_instance_class_distribution(instances)
+        assert all(type(c) is int for c in counts)
+
     def test_empty(self):
         assert class_distribution([]).counts == (0, 0, 0, 0)
 

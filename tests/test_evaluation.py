@@ -338,6 +338,32 @@ class TestMetricsEqualThePairOracles:
         assert combined_score(preds, golds, metric) == PAIR_ORACLES[metric](*pairs)
 
 
+def _counter_confusion(predictions, golds, task):
+    """The ``Counter`` tally of (gold, predicted) label pairs that one
+    ``np.bincount`` replaced."""
+    by_id = task_index(predictions, task)
+    counts = Counter(
+        zip([mapped_value(g, task) for g in golds], [by_id[g.id].value for g in golds])
+    )
+    neg, pos = LabelValue.NEGATIVE, LabelValue.POSITIVE
+    return (counts[neg, neg], counts[neg, pos]), (counts[pos, neg], counts[pos, pos])
+
+
+class TestConfusionEqualsTheCounterTally:
+    @pytest.mark.parametrize("case", sorted(LABEL_CASES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_label_sets(self, case, seed):
+        rng = np.random.default_rng(seed)
+        golds, preds = _random_labels(rng, int(rng.integers(1, 60)), LABEL_CASES[case])
+        for task in (Task.VALIDITY, Task.NOVELTY):
+            matrix = confusion(preds, golds, task)
+            assert matrix == _counter_confusion(preds, golds, task)
+            assert all(type(count) is int for row in matrix for count in row)
+            report = getattr(evaluate(preds, golds), task.value)
+            assert report.confusion == matrix
+            assert type(report.positive.support) is type(report.negative.support) is int
+
+
 class TestConfidenceBuckets:
     def test_fractions_by_gold_confidence(self):
         golds = [

@@ -1,9 +1,11 @@
 """One atomic writer, one reader, one decoder, one JSON parser, one CSV
-framing, one model-file format and one range check: no module but
-fsutil.py creates, writes or opens a file, parses JSON, builds a CSV
-writer, encodes parameters as base64, or spells out a model file's
-``format``/``version`` header; only ``fsutil.open_text`` catches a
-``UnicodeDecodeError``; and no config check spells out a range by hand.
+framing, one model-file format, one range check and one binary-label
+form: no module but fsutil.py creates, writes or opens a file, parses
+JSON, builds a CSV writer, encodes parameters as base64, or spells out a
+model file's ``format``/``version`` header; only ``fsutil.open_text``
+catches a ``UnicodeDecodeError``; no config check spells out a range by
+hand; no module but corpus.py reads a raw label field; and no module but
+predictions.py and prompting.py builds a ``Prediction``.
 
 Every artifact then gets the same write-then-rename and the same mode,
 every CSV file the same quoting and CRLF line ends, every input the
@@ -11,7 +13,9 @@ same UTF-8 decoding and the same error for a file that cannot be
 decoded, every JSON text the same refusal of an escape that no UTF-8
 text can hold, every model file the same header checks and the same
 parameter records, and every setting's range is declared once, on its
-field, where ``decode.check_ranges`` reads it.
+field, where ``decode.check_ranges`` reads it. Every binary label is
+``corpus.positive``'s bool array on the way in and
+``predictions.labelled``'s records on the way out.
 """
 
 import ast
@@ -33,6 +37,8 @@ DECODE_ERRORS = {"UnicodeDecodeError", "UnicodeError"}  # caught by fsutil.open_
 HEADER_KEYS = {"format", "version"}  # a model file's header, written and checked by fsutil
 CONFIG_CHECKS = {"__post_init__", "_check_settings"}  # the functions that check a config
 RANGE_WORDS = ("must be >", "must be null or")  # a bound spelled out in a message
+RAW_LABEL_FIELDS = {"validity_raw", "novelty_raw"}  # read by corpus.py alone
+PREDICTION_BUILDERS = {"predictions.py", "prompting.py"}  # labelled, the loader, the parser
 
 
 def _mode(call: ast.Call, position: int) -> ast.expr | None:
@@ -368,3 +374,84 @@ def test_checker_sees_each_hand_range(source):
 
 def test_checker_passes_ranges_outside_config_checks():
     assert _hand_ranges(ast.parse('def svm_train(C):\n    raise E("steps must be >= 1")')) == []
+
+
+def _raw_label_reads(tree: ast.AST) -> list[str]:
+    """``line: field`` for each raw label field ``tree`` names, as an
+    attribute or as a string such as ``getattr`` takes; passing one as a
+    keyword argument builds an instance and is not a read."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name in RAW_LABEL_FIELDS:
+            found.append(f"{node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_corpus_reads_raw_labels(path):
+    reads = _raw_label_reads(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name == "corpus.py":
+        assert reads, "the checker no longer sees the label mapping"
+    else:
+        assert reads == []  # synthetic.py draws raw labels as keywords, which read none
+
+
+@pytest.mark.parametrize(
+    "source", ["inst.validity_raw", 'getattr(inst, "novelty_raw")', 'rec["validity_raw"]',
+               "[i.novelty_raw for i in instances]"]
+)
+def test_checker_sees_each_raw_label_read(source):
+    assert _raw_label_reads(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source", ["ArgumentInstance(validity_raw=1, novelty_raw=-1)", "positive(instances, task)",
+               "mapped_value(inst, task)", 'getattr(inst, field)', "inst.validity_confidence"]
+)
+def test_checker_passes_what_reads_no_raw_label(source):
+    assert _raw_label_reads(ast.parse(source)) == []
+
+
+def _prediction_builds(tree: ast.AST) -> list[str]:
+    """``line`` for each call of ``Prediction`` in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (isinstance(func, ast.Name) and func.id == "Prediction") or (
+            isinstance(func, ast.Attribute) and func.attr == "Prediction"
+        ):
+            found.append(str(node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_predictions_and_prompting_build_predictions(path):
+    builds = _prediction_builds(ast.parse(path.read_text(encoding="utf-8")))
+    if path.name in PREDICTION_BUILDERS:
+        assert builds, "the checker no longer sees the record builders"
+    else:
+        assert builds == []
+
+
+@pytest.mark.parametrize(
+    "source", ['Prediction("i", task, value, "m")', "predictions.Prediction(**fields)",
+               "[Prediction(i, t, v, s) for i, t, v, s in rows]"]
+)
+def test_checker_sees_each_prediction_build(source):
+    assert _prediction_builds(ast.parse(source))
+
+
+@pytest.mark.parametrize(
+    "source", ['labelled(instances, task, positive, "m")', "x: list[Prediction] = []",
+               "isinstance(p, Prediction)", "decode(Prediction, record)"]
+)
+def test_checker_passes_what_builds_no_prediction(source):
+    assert _prediction_builds(ast.parse(source)) == []

@@ -1,19 +1,27 @@
 """Prediction records, mixing, and the delimited on-disk format."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valnov.corpus import LabelValue, Task
+from valnov.baseline import LinearSvm, featurize, predict_corpus, svm_train
+from valnov.corpus import LabelValue, Task, positive
+from valnov.encoder import EncoderConfig
 from valnov.errors import CoverageError, ParseError
+from valnov.mtl import MtlModel, instance_text
 from valnov.predictions import (
     FILE_HEADER,
     Prediction,
+    labelled,
     load_predictions,
     mix,
     save_predictions,
     source_label,
 )
+from valnov.synthetic import make_separable_corpus
+
+from conftest import make_instance
 
 
 def pred(id, task, value, source="m", flagged=False):
@@ -30,6 +38,72 @@ def both_task_sets(ids=("a", "b", "c")):
     validity = [pred(i, Task.VALIDITY, 1, source="gpt3") for i in ids]
     novelty = [pred(i, Task.NOVELTY, -1, source="svm") for i in ids]
     return validity, novelty
+
+
+def _comprehension_records(instances, task, positive, source):
+    """The record comprehension ``MtlModel.predict_both`` and
+    ``baseline.predict_corpus`` each wrote before ``labelled``."""
+    return [
+        Prediction(
+            instance_id=inst.id,
+            task=task,
+            value=LabelValue.POSITIVE if pos else LabelValue.NEGATIVE,
+            source=source,
+        )
+        for inst, pos in zip(instances, positive)
+    ]
+
+
+class TestLabelled:
+    def test_positive_where_true_in_instance_order(self):
+        instances = [make_instance(id=i) for i in "cab"]
+        got = labelled(instances, "novelty", np.array([True, False, True]), "m")
+        assert got == [
+            pred("c", Task.NOVELTY, 1), pred("a", Task.NOVELTY, -1), pred("b", Task.NOVELTY, 1)
+        ]
+        assert labelled([], Task.VALIDITY, np.zeros(0, dtype=bool), "m") == []
+
+    def test_one_bool_per_instance(self):
+        with pytest.raises(ValueError):
+            labelled([make_instance()], Task.VALIDITY, [True, False], "m")
+
+    def test_a_logit_tie_is_negative(self):
+        instances, _ = make_separable_corpus(n_train=40, n_dev=0)
+        model = MtlModel(EncoderConfig(vocab_buckets=128, embed_dim=8, projection_dim=6))
+        tied = model.heads[Task.VALIDITY]
+        tied.w[1], tied.b[1] = tied.w[0], tied.b[0]
+        embeddings = model.encoder.encode([instance_text(i) for i in instances])
+        split = model.heads[Task.NOVELTY]  # half the instances positive
+        split.b[1] -= np.median(np.diff(split(embeddings), axis=1))
+        expected = []
+        for task, head in model.heads.items():
+            logits = head(embeddings)
+            expected += _comprehension_records(
+                instances, task, (logits[:, 1] > logits[:, 0]).tolist(), model.name
+            )
+        got = model.predict_both(instances)
+        assert got == expected
+        assert {p.value for p in got if p.task is Task.VALIDITY} == {LabelValue.NEGATIVE}
+        assert {p.value for p in got if p.task is Task.NOVELTY} == set(LabelValue)
+
+    def test_a_zero_svm_score_is_negative(self):
+        instances, _ = make_separable_corpus(n_train=40, n_dev=0)
+        tfidf, rows, _ = featurize(instances)
+        dim = len(tfidf.vocabulary)
+        fit = svm_train(
+            rows, np.where(positive(instances, Task.NOVELTY), 1, -1).tolist(), dim=dim, C=1.0
+        )
+        for model in (LinearSvm(weights=np.zeros(dim), bias=0.0, C=1.0), fit.model):
+            scores = (rows.dots(model.weights) + model.bias).tolist()
+            expected = _comprehension_records(
+                instances, Task.NOVELTY, [score > 0 for score in scores], "svm"
+            )
+            assert predict_corpus(model, rows, instances, Task.NOVELTY) == expected
+        assert {p.value for p in expected} == set(LabelValue)
+        zero = LinearSvm(weights=np.zeros(dim), bias=0.0, C=1.0)
+        assert {p.value for p in predict_corpus(zero, rows, instances, Task.NOVELTY)} == {
+            LabelValue.NEGATIVE
+        }
 
 
 class TestSourceLabel:
